@@ -6,25 +6,37 @@ Four routes to a lower bound are implemented:
   driven by the root of a gamma-function equation;
 * ``entropy_bound`` -- the entropy-constrained minimum, attained by a
   product of one-dimensional thermal states;
-* ``purity_bound`` -- the general mu^(r) bound, obtained by maximizing a
-  cutoff bracket that is a valid bound for every cutoff M;
+* ``purity_bound`` -- the general mu^(r) bound, the supremum over cutoffs M
+  of a bracket that is a valid bound for every M;
 * ``asymptotic_C`` -- closed forms for the highly mixed limit mu -> 0.
 
-The cutoff sum behind the bracket is exact up to rounding: below 200k terms
-it is summed directly in log space, above that the smooth tail is evaluated
-by Euler-Maclaurin with explicit correction terms, so the bracket stays
-cheap even when the optimal cutoff reaches 1e8.
+The bracket's supremum is not searched for.  Because dB_r/dM = r B_{r-1},
+the bracket is stationary exactly where the lower-bound family
+xi_m ~ g_m (M - m)^(r-1) has purity mu, and that family purity,
+ln mu(M) = (r-1) ln B_r(M) - r ln B_{r-1}(M), falls monotonically in M.
+So the optimal cutoff is one scalar root, found by Brent's method from a
+bracket around the mu -> 0 cutoff M*.
+
+The cutoff sums are exact up to rounding: below 200k terms they are summed
+directly in log space, above that the smooth tail is evaluated by
+Euler-Maclaurin with explicit correction terms, so a sum stays cheap even
+when the optimal cutoff reaches 1e8.  A sum that comes out zero or
+non-finite at M > 0 raises SolverError.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from uncbound.purity import GroupedSpectrum, PurityOrder
-from uncbound.solvers import SolverError, bisect_root, golden_max
-from uncbound.special_fn import check_dimension, log_degeneracy_array
+from uncbound.solvers import SolverError, bisect_root, brent_root
+from uncbound.special_fn import (
+    check_dimension,
+    log_degeneracy_array,
+    logsumexp,
+    signed_logsumexp,
+)
 from uncbound.spectrum_bound import BoundResult, bound_from_grouped
 
 __all__ = [
@@ -35,6 +47,7 @@ __all__ = [
     "B_exact",
     "asymptotic_C",
     "asymptotic_C_entropy_limit",
+    "asymptotic_cutoff",
     "entropy_bound",
     "holder_bracket",
     "interpolated_bound_r2",
@@ -267,14 +280,15 @@ def entropy_bound(S, n) -> BoundResult:
 # ---------------------------------------------------------------------------
 
 
+def _direct_terms(M, n):
+    # ln g_m and ln(M - m) over the levels 0 <= m < M of the cutoff sum
+    m = np.arange(math.ceil(M), dtype=float)
+    return log_degeneracy_array(m, n), np.log(M - m)
+
+
 def _log_B_direct(M, n, r):
-    m = np.arange(int(math.floor(M)) + 1, dtype=float)
-    gaps = M - m
-    keep = gaps > 0.0
-    if not np.any(keep):
-        return -math.inf
-    m, gaps = m[keep], gaps[keep]
-    return float(logsumexp(log_degeneracy_array(m, n) + r * np.log(gaps)))
+    log_g, log_gaps = _direct_terms(M, n)
+    return logsumexp(log_g + r * log_gaps)
 
 
 _EM_DIRECT_BLOCK = 1024
@@ -332,10 +346,10 @@ def _log_B_tail(M, n, r):
             continue
         logs.append(math.log(abs(a)) + _log_power_sum(r + j, f, K))
         signs.append(math.copysign(1.0, a))
-    value, sign = logsumexp(logs, b=signs, return_sign=True)
+    value, sign = signed_logsumexp(logs, signs)
     if sign <= 0.0:
         return -math.inf
-    return float(value) - math.lgamma(n)
+    return value - math.lgamma(n)
 
 
 def log_B_exact(M, n, r, branch=None) -> float:
@@ -402,8 +416,37 @@ def B_asymptotic(M, n, r) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _check_log_sum(log_b, M, n, r):
+    # a cutoff sum at M > 0 holds the positive m = 0 term, so it is never 0
+    if not math.isfinite(log_b):
+        raise SolverError(
+            f"cutoff sum of order {r} is "
+            f"{'zero' if log_b == -math.inf else 'non-finite'} at M={M!r} (n={n})"
+        )
+    return log_b
+
+
+def _log_B_pair(M, n, r):
+    """(ln B_r(M), ln B_{r-1}(M)) for M > 0, in one pass over the levels.
+
+    The direct branch shares the levels, degeneracies and ln(M - m) between
+    the two sums; the tail branch evaluates each order on its own.
+    """
+    if M <= _DIRECT_TERM_LIMIT:
+        log_g, log_gaps = _direct_terms(M, n)
+        lower = log_g + (r - 1.0) * log_gaps
+        pair = (logsumexp(lower + log_gaps), logsumexp(lower))
+    else:
+        pair = (_log_B_tail(M, n, r), _log_B_tail(M, n, r - 1.0))
+    return _check_log_sum(pair[0], M, n, r), _check_log_sum(pair[1], M, n, r - 1.0)
+
+
 def holder_bracket(M, n, r, mu) -> float:
-    """Per-dimension bound (2M + n - 2 [mu B(M)]^(1/r)) / n, valid for all M."""
+    """Per-dimension bound (2M + n - 2 [mu B(M)]^(1/r)) / n, valid for all M.
+
+    Raises SolverError when the cutoff sum at M > 0 comes out zero or
+    non-finite, rather than reporting the unbounded (2M + n)/n.
+    """
     n = check_dimension(n)
     M = float(M)
     r = float(r)
@@ -414,18 +457,30 @@ def holder_bracket(M, n, r, mu) -> float:
         raise ValueError(f"exponent r must be > 1, got {r}")
     if not 0.0 < mu <= 1.0:
         raise ValueError(f"mu must be in (0, 1], got {mu}")
-    log_b = log_B_exact(M, n, r)
-    term = 0.0 if log_b == -math.inf else math.exp((math.log(mu) + log_b) / r)
-    return (2.0 * M + n - 2.0 * term) / n
+    if M == 0.0:
+        return 1.0
+    log_b = _check_log_sum(log_B_exact(M, n, r), M, n, r)
+    return (2.0 * M + n - 2.0 * math.exp((math.log(mu) + log_b) / r)) / n
 
 
 def purity_bound(mu, n, order: PurityOrder) -> BoundResult:
     """Tightest cutoff bracket: sup over M >= 0 of :func:`holder_bracket`.
 
     The bracket is concave in M (its curvature follows from a
-    Cauchy-Schwarz bound on the cutoff sums), so geometric expansion
-    followed by golden-section refinement finds the supremum; a per-unit
-    polish around the incumbent guards the floor kinks of the sum.
+    Cauchy-Schwarz bound on the cutoff sums) with slope
+    (2/n)(1 - e^h(M)), where
+
+        h(M) = ln(mu)/r + ln B_{r-1}(M) - ((r-1)/r) ln B_r(M)
+             = (ln mu - ln mu(M)) / r
+
+    and mu(M) is the purity of the family xi_m ~ g_m (M - m)^(r-1).  So the
+    supremum sits at the root of h: the cutoff whose family has purity mu.
+    h = ln(mu)/r < 0 on (0, 1]; from the mu -> 0 cutoff
+    :func:`asymptotic_cutoff` the search doubles or halves to a sign
+    change and closes it with Brent's method.  The value is the bracket at
+    the root, from the ln B_r already summed there.  ``aux`` is the cutoff,
+    ``residual`` is |h| at it and ``iterations`` counts the evaluations of
+    the pair (B_r, B_{r-1}).
     """
     n = check_dimension(n)
     mu = float(mu)
@@ -434,54 +489,69 @@ def purity_bound(mu, n, order: PurityOrder) -> BoundResult:
     if order.variant != "finite":
         raise ValueError("purity_bound requires a finite purity order (r > 1)")
     r = order.r
+    if mu == 1.0:  # every cutoff in (0, 1] carries the vacuum alone
+        return BoundResult.from_per_dim(1.0, n, method="holder-root", aux=1.0)
 
+    log_mu = math.log(mu)
+    log_b_at = {1.0: 0.0}  # ln B_r(1) = 0: the m = 0 term alone
     evals = 0
 
-    def bracket(M):
+    def h(M):
         nonlocal evals
+        if not M < math.inf:
+            raise SolverError(
+                f"no cutoff below the float range has family purity mu={mu} "
+                f"(n={n}, r={r})"
+            )
         evals += 1
-        return holder_bracket(M, n, r, mu)
+        log_b, log_b_lower = _log_B_pair(M, n, r)
+        log_b_at[M] = log_b
+        return log_mu / r + log_b_lower - (r - 1.0) / r * log_b
 
-    # expand until the bracket value turns over; concavity makes this a bound
-    points = [(0.0, 1.0)]
-    hi = 1.0
-    for _ in range(200):
-        value = bracket(hi)
-        points.append((hi, value))
-        if value < points[-2][1]:
-            break
+    # bracket the root from the mu -> 0 cutoff; h(1) = ln(mu)/r < 0
+    lo, h_lo = 1.0, log_mu / r
+    hi = max(asymptotic_cutoff(mu, n, r), 1.0)
+    h_hi = h(hi) if hi > 1.0 else h_lo
+    while h_hi < 0.0:  # the root lies above: double
+        lo, h_lo = hi, h_hi
         hi *= 2.0
-    else:
-        raise SolverError(
-            f"no turnover of the cutoff bracket up to M={hi:.3e} "
-            f"(mu={mu}, n={n}, r={r})"
-        )
-    left = points[-3][0] if len(points) >= 3 else 0.0
-    right = points[-1][0]
-
-    best = golden_max(bracket, left, right)
-    candidates = [(best.x, best.fx, best.spread, best.iterations)]
-    if best.x < 1e6:
-        base = math.floor(best.x)
-        for k in (base - 1, base, base + 1):
-            a = max(float(k), 0.0)
-            b = float(k) + 1.0
-            if a >= b or a > right:
-                continue
-            local = golden_max(bracket, a, min(b, right), max_iter=120)
-            candidates.append((local.x, local.fx, local.spread, local.iterations))
-    candidates.append((0.0, 1.0, 0.0, 0))
-    x_opt, f_opt, spread, _ = max(candidates, key=lambda c: c[1])
-    params = HolderParams(M=x_opt, r=r)
+        h_hi = h(hi)
+    while hi > 2.0 * lo:  # the root lies below the seed: halve
+        M = 0.5 * hi
+        h_M = h(M)
+        if h_M < 0.0:
+            lo, h_lo = M, h_M
+        else:
+            hi, h_hi = M, h_M
+    root = brent_root(h, lo, hi, h_lo, h_hi, rtol=_ROOT_RTOL)
+    params = HolderParams(M=root.x, r=r)
+    term = math.exp((log_mu + log_b_at[params.M]) / r)
+    per_dim = max((2.0 * params.M + n - 2.0 * term) / n, 1.0)
     return BoundResult.from_per_dim(
-        f_opt, n, method="holder-golden", aux=params.M,
-        residual=spread, iterations=evals,
+        per_dim, n, method="holder-root", aux=params.M,
+        residual=root.residual, iterations=evals,
     )
 
 
 # ---------------------------------------------------------------------------
 # highly mixed closed forms
 # ---------------------------------------------------------------------------
+
+
+def asymptotic_cutoff(mu, n, r) -> float:
+    """Optimal bracket cutoff as mu -> 0: [(r/(n+r))^r prod_{k=1..n}(r+k) / mu]^(1/n).
+
+    The cutoff at which the lower-bound family's purity equals mu once the
+    cutoff sums are replaced by their large-M closed forms; inf when it
+    exceeds the float range.
+    """
+    n = check_dimension(n)
+    scale = (r / (n + r)) ** (r / n)
+    scale *= math.exp(sum(math.log(r + k) for k in range(1, n + 1)) / n)
+    try:
+        return scale * mu ** (-1.0 / n)
+    except OverflowError:
+        return math.inf
 
 
 def asymptotic_C(n, r) -> float:

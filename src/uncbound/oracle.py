@@ -10,8 +10,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
+from uncbound.bounds import asymptotic_cutoff
 from uncbound.purity import GroupedSpectrum
 from uncbound.solvers import SolverError
 from uncbound.special_fn import check_dimension, log_degeneracy_array
@@ -463,15 +463,11 @@ def grouped_from_weights(n, weights) -> GroupedSpectrum:
 def suggest_truncation(mu, n, r) -> int:
     """Level count comfortably above the expected minimizer support.
 
-    Uses the small-mu scaling of the optimal cutoff, M ~ c(n, r) mu^(-1/n),
-    with a factor-3 headroom; this sizes the search space only, the values
-    themselves come from the optimization.
+    Uses the small-mu optimal cutoff :func:`bounds.asymptotic_cutoff`,
+    M* ~ c(n, r) mu^(-1/n), with a factor-3 headroom; this sizes the search
+    space only, the values themselves come from the optimization.
     """
-    n = check_dimension(n)
-    scale = (r / (n + r)) ** (r / n)
-    scale *= math.exp(sum(math.log(r + k) for k in range(1, n + 1)) / n)
-    estimate = scale * mu ** (-1.0 / n)
-    return max(96, int(3.0 * estimate + 32.0))
+    return max(96, int(3.0 * asymptotic_cutoff(mu, n, r) + 32.0))
 
 
 # ---------------------------------------------------------------------------
@@ -481,6 +477,8 @@ def suggest_truncation(mu, n, r) -> int:
 
 def quadrature_B(M, n, r) -> float:
     """Adaptive integration of m^(n-1) (M-m)^r / (n-1)! over [0, M]."""
+    from scipy.integrate import quad  # imported on use: it dominates a cold start
+
     n = check_dimension(n)
     M = float(M)
     r = float(r)

@@ -11,9 +11,8 @@ are supported.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
-from uncbound.special_fn import check_dimension, log_degeneracy_array
+from uncbound.special_fn import check_dimension, log_degeneracy_array, logsumexp
 
 __all__ = [
     "GroupedSpectrum",

@@ -1,17 +1,20 @@
-"""Bracketed bisection and golden-section search.
+"""Bracketed root finders: bisection and Brent's method.
 
-Both solvers guarantee a bracket before iterating: the bisection expands its
-upper end geometrically until the sign changes, the golden-section maximizer
-expects a bracket from the caller (see bounds.purity_bound for the expansion
-loop).  Tolerances follow the package-wide solver contract: relative 1e-12,
-iteration cap 200 unless stated otherwise.
+Both solvers work on a sign-change bracket: the bisection expands its upper
+end geometrically until the sign changes, Brent's method expects the
+bracket, with the function values at its ends, from the caller (see
+bounds.purity_bound for the bracketing loop).  Tolerances follow the
+package-wide solver contract: relative 1e-12, iteration cap 200 unless
+stated otherwise.
 """
 
+import math
+import sys
 from dataclasses import dataclass
 
-__all__ = ["SolverError", "RootResult", "GoldenResult", "bisect_root", "golden_max"]
+__all__ = ["SolverError", "RootResult", "bisect_root", "brent_root"]
 
-_GOLDEN = (5.0**0.5 - 1.0) / 2.0  # 1/phi
+_EPS = sys.float_info.epsilon
 
 
 class SolverError(RuntimeError):
@@ -22,14 +25,6 @@ class SolverError(RuntimeError):
 class RootResult:
     x: float
     residual: float
-    iterations: int
-
-
-@dataclass(frozen=True)
-class GoldenResult:
-    x: float
-    fx: float
-    spread: float
     iterations: int
 
 
@@ -73,35 +68,59 @@ def bisect_root(f, lo, hi, rtol=1e-12, max_iter=200, expand=True):
     return RootResult(x, abs(f(x)), iters)
 
 
-def golden_max(f, a, b, value_rtol=1e-9, max_iter=300):
-    """Maximize a unimodal f on [a, b] by golden-section search.
+def brent_root(f, a, b, fa, fb, rtol=1e-12, max_iter=200):
+    """Find x between a and b with f(x) = 0, given f(a) and f(b) of opposite sign.
 
-    Stops when the interval no longer moves the value by more than
-    ``value_rtol`` relative (with a tiny absolute floor), or when float
-    resolution in x is exhausted.
+    Brent's zeroin: inverse quadratic interpolation or a secant step when it
+    stays well inside the bracket, bisection otherwise, so the bracket
+    always shrinks.  Stops when the bracket is below ``rtol`` relative (plus
+    a few ulps).  ``iterations`` counts the evaluations of f, and
+    ``residual`` is |f| at the returned point.
     """
-    c = b - (b - a) * _GOLDEN
-    d = a + (b - a) * _GOLDEN
-    fc, fd = f(c), f(d)
-    iters = 0
-    for _ in range(max_iter):
-        iters += 1
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - (b - a) * _GOLDEN
-            fc = f(c)
+    if fa == 0.0:
+        return RootResult(a, 0.0, 0)
+    if fb == 0.0:
+        return RootResult(b, 0.0, 0)
+    if (fa > 0.0) == (fb > 0.0):
+        raise SolverError(f"no bracket: f({a}) = {fa} and f({b}) = {fb}")
+    c, fc = a, fa
+    d = e = b - a
+    for evals in range(max_iter + 1):
+        if (fb > 0.0) == (fc > 0.0):  # keep the root between b and c
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):  # b is the best point so far
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol = (2.0 * _EPS + 0.5 * rtol) * abs(b)
+        half = 0.5 * (c - b)
+        if abs(half) <= tol or fb == 0.0:
+            return RootResult(b, abs(fb), evals)
+        if evals == max_iter:
+            break
+        step = half  # bisection unless interpolation is safe
+        if abs(e) >= tol and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:  # secant
+                p, q = 2.0 * half * s, 1.0 - s
+            else:  # inverse quadratic interpolation
+                q, t = fa / fc, fb / fc
+                p = s * (2.0 * half * q * (q - t) - (b - a) * (t - 1.0))
+                q = (q - 1.0) * (t - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * half * q - abs(tol * q), abs(e * q)):
+                step = p / q
+                e, d = d, step
+            else:
+                d = e = half
         else:
-            a, c, fc = c, d, fd
-            d = a + (b - a) * _GOLDEN
-            fd = f(d)
-        spread = abs(fc - fd)
-        scale = max(abs(fc), abs(fd), 1e-300)
-        if spread <= max(1e-13, value_rtol * scale) and (b - a) <= max(
-            1e-10, 1e-7 * max(abs(a), abs(b))
-        ):
-            break
-        if c >= d:  # interval collapsed to float resolution
-            break
-    if fc >= fd:
-        return GoldenResult(c, fc, abs(fc - fd), iters)
-    return GoldenResult(d, fd, abs(fc - fd), iters)
+            d = e = half
+        a, fa = b, fb
+        b += step if abs(step) > tol else math.copysign(tol, half)
+        fb = f(b)
+    raise SolverError(
+        f"Brent iteration did not converge in {max_iter} evaluations: "
+        f"bracket [{b}, {c}], f = {fb}, {fc}"
+    )

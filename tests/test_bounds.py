@@ -12,6 +12,7 @@ from uncbound.bounds import (
     ThermalParams,
     asymptotic_C,
     asymptotic_C_entropy_limit,
+    asymptotic_cutoff,
     entropy_bound,
     holder_bracket,
     interpolated_bound_r2,
@@ -27,6 +28,7 @@ from uncbound.purity import (
     entropy_from_grouped,
     purity_from_grouped,
 )
+from uncbound.solvers import SolverError
 from uncbound.special_fn import degeneracy, log_degeneracy_array
 from uncbound.spectrum_bound import bound_from_grouped
 
@@ -230,6 +232,13 @@ class TestHolderBracket:
         value = holder_bracket(res.aux, 1, 2.0, 1e-4)
         assert value * 1e-4 == pytest.approx(8.0 / 9.0, rel=0.01)
 
+    def test_empty_tail_sum_raises(self):
+        # the tail branch cancels to a non-positive sum here; the bracket
+        # must not turn that into the unbounded (2M + n)/n
+        assert log_B_exact(1.5e6, 12, 100.0, branch="tail") == -math.inf
+        with pytest.raises(SolverError):
+            holder_bracket(1.5e6, 12, 100.0, 1e-70)
+
     def test_domain(self):
         with pytest.raises(ValueError):
             holder_bracket(-1.0, 1, 2.0, 0.5)
@@ -306,6 +315,53 @@ class TestPurityBound:
                 holder = purity_bound(mu, n, PurityOrder.finite(2.0)).per_dim_product
                 assert holder == pytest.approx(interp, rel=0.025)
 
+    def test_optimizer_reaches_supremum_in_few_evaluations(self):
+        rng = np.random.default_rng(2024)
+        cases = [
+            (int(rng.integers(1, 4)), float(np.exp(rng.uniform(np.log(1.5), np.log(10.0)))),
+             float(np.exp(rng.uniform(np.log(1e-7), np.log(0.5)))))
+            for _ in range(24)
+        ]
+        # the optimum sits at the M = 1 kink: the root, ~1e-96 above 1, rounds to 1
+        cases += [(1, 1.01, 0.9), (2, 1.01, 0.9)]
+        for n, r, mu in cases:
+            res = purity_bound(mu, n, PurityOrder.finite(r))
+            assert res.method == "holder-root"
+            assert res.iterations <= 25
+            M = res.aux
+            cutoffs = np.concatenate([
+                M * (1.0 + np.linspace(-1e-3, 1e-3, 21)),
+                M + np.linspace(-1.0, 1.0, 17),
+                [math.floor(M), math.ceil(M)],
+            ])
+            best = max(holder_bracket(float(c), n, r, mu) for c in cutoffs if c >= 0.0)
+            assert res.per_dim_product >= best * (1.0 - 1e-12)
+            if r > 1.01 and M <= 1e5:
+                # the returned cutoff solves the family-purity equation
+                m = np.arange(math.ceil(M), dtype=float)
+                log_w = log_degeneracy_array(m, n) + (r - 1.0) * np.log(M - m)
+                w = np.exp(log_w - log_w.max())
+                grouped = GroupedSpectrum(n=n, weights=w / w.sum())
+                family_mu = purity_from_grouped(grouped, PurityOrder.finite(r))
+                assert family_mu == pytest.approx(mu, rel=1e-9)
+
+    def test_tiny_mu_one_dim_reaches_asymptote(self):
+        # the optimal cutoff (~0.9/mu) lies far beyond a doubling search from M = 1
+        for mu in (1e-61, 1e-70, 1e-200):
+            for r in (1.5, 2.0, 10.0):
+                res = purity_bound(mu, 1, PurityOrder.finite(r))
+                assert res.per_dim_product == pytest.approx(
+                    asymptotic_C(1, r) / mu, rel=1e-9
+                )
+
+    def test_empty_cutoff_sum_raises(self, monkeypatch):
+        import uncbound.bounds as bounds
+
+        monkeypatch.setattr(bounds, "_DIRECT_TERM_LIMIT", 0)
+        monkeypatch.setattr(bounds, "_log_B_tail", lambda M, n, r: -math.inf)
+        with pytest.raises(SolverError):
+            purity_bound(1e-3, 2, PurityOrder.finite(2.0))
+
     def test_requires_finite_order(self):
         with pytest.raises(ValueError):
             purity_bound(0.5, 1, PurityOrder.entropy())
@@ -319,6 +375,22 @@ class TestPurityBound:
                 PurityOrder.finite(float(rng.uniform(1.2, 8.0))),
             )
             assert res.per_dim_product >= 1.0 - 1e-12
+
+
+class TestAsymptoticCutoff:
+    def test_family_purity_of_integral_sums(self):
+        # with B_r(M) -> M^(n+r)/prod(r+k), the family purity at M* is mu
+        for n, r, mu in ((1, 2.0, 1e-3), (2, 3.5, 1e-6), (3, 1.5, 0.2)):
+            M = asymptotic_cutoff(mu, n, r)
+            log_b_r = math.log(B_asymptotic(M, n, r))
+            log_b_lower = (n + r - 1.0) * math.log(M) - math.fsum(
+                math.log(r - 1.0 + k) for k in range(1, n + 1)
+            )
+            log_family_mu = (r - 1.0) * log_b_r - r * log_b_lower
+            assert log_family_mu == pytest.approx(math.log(mu), rel=1e-12)
+
+    def test_overflow_is_inf(self):
+        assert asymptotic_cutoff(5e-324, 1, 2.0) == math.inf
 
 
 class TestAsymptoticConstant:

@@ -4,6 +4,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy.special import logsumexp as scipy_lse
 
 from uncbound.special_fn import (
     DIMENSION_CEILING,
@@ -13,6 +14,8 @@ from uncbound.special_fn import (
     log_degeneracy,
     log_degeneracy_array,
     log_gamma,
+    logsumexp,
+    signed_logsumexp,
 )
 
 
@@ -122,3 +125,54 @@ def test_log_gamma_domain():
     for bad in (0.0, -1.0, -0.5):
         with pytest.raises(ValueError):
             log_gamma(bad)
+
+
+def _lse_inputs():
+    rng = np.random.default_rng(5)
+    cases = [
+        np.array([0.0]),
+        np.array([0.0, -40.0]),  # remainder far below one ulp of the lead term
+        np.array([3.0, 3.0, 3.0]),
+        np.array([-np.inf, 2.0, -np.inf, -1.5]),
+        np.array([700.0, 699.0, -700.0]),
+        np.array([-750.0, -760.0]),
+    ]
+    for size in (2, 7, 50, 1000):
+        values = rng.normal(0.0, 30.0, size)
+        values[rng.random(size) < 0.2] = -np.inf
+        cases.append(values)
+    return cases
+
+
+def _assert_log_close(ours, ref):
+    if not np.isfinite(ref):
+        assert ours == ref
+    else:
+        assert abs(ours - ref) <= 1e-15 * max(1.0, abs(ref))
+
+
+def test_logsumexp_matches_scipy():
+    for values in _lse_inputs():
+        _assert_log_close(logsumexp(values), float(scipy_lse(values)))
+    assert logsumexp([]) == -math.inf
+    assert logsumexp([-np.inf, -np.inf]) == -math.inf
+
+
+def test_signed_logsumexp_matches_scipy():
+    rng = np.random.default_rng(6)
+    for values in _lse_inputs():
+        for _ in range(4):
+            signs = rng.choice([-1.0, 1.0], values.size)
+            ref, ref_sign = scipy_lse(values, b=signs, return_sign=True)
+            ours, sign = signed_logsumexp(values, signs)
+            assert sign == ref_sign
+            _assert_log_close(ours, float(ref))
+    # sums that come out negative, and one that cancels exactly
+    value, sign = signed_logsumexp([0.0, 0.5], [1.0, -1.0])
+    assert sign == -1.0
+    assert value == pytest.approx(math.log(math.exp(0.5) - 1.0), rel=1e-15)
+    value, sign = signed_logsumexp([-np.inf, 1.0, 0.0], [1.0, -1.0, 1.0])
+    assert sign == -1.0
+    assert value == pytest.approx(math.log(math.e - 1.0), rel=1e-15)
+    assert signed_logsumexp([1.0, 1.0], [1.0, -1.0]) == (-math.inf, 0.0)
+    assert signed_logsumexp([-np.inf], [1.0]) == (-math.inf, 0.0)
