@@ -169,6 +169,8 @@ def _one_dim_entropy(t):
     x = -math.expm1(t)  # e^{-beta}
     if x <= 0.0:
         return 0.0
+    if u == 0.0:  # u underflowed; beta = -ln(1 - u) ~ u, so beta x / u -> 1
+        return 1.0 - t
     return -t + _beta_of(u, x) * x / u
 
 
@@ -229,13 +231,13 @@ def thermal_grouped_spectrum(beta, n, max_levels=_THERMAL_LEVEL_CAP) -> GroupedS
     u = -math.expm1(-beta)
     mean = n * x / u
     sigma = math.sqrt(n * x) / u
-    levels = int(mean + 40.0 * sigma + 64.0)
-    if levels + 1 > max_levels:
+    top = mean + 40.0 * sigma + 64.0  # compared as a float: it may be inf
+    if not top < max_levels:
         raise ValueError(
-            f"thermal spectrum at beta={beta:.3e}, n={n} needs ~{levels} levels, "
+            f"thermal spectrum at beta={beta:.3e}, n={n} needs ~{top:.3g} levels, "
             f"above the cap {max_levels}"
         )
-    m = np.arange(levels + 1, dtype=float)
+    m = np.arange(int(top) + 1, dtype=float)
     log_xi = n * math.log(u) + log_degeneracy_array(m, n) - beta * m
     return GroupedSpectrum(n=n, weights=np.exp(log_xi))
 

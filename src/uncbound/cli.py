@@ -20,6 +20,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -30,7 +31,8 @@ from uncbound import bounds as bd
 from uncbound import oracle as oc
 from uncbound.purity import PurityOrder, Spectrum, entropy_from_grouped
 from uncbound.solvers import SolverError
-from uncbound.spectrum_bound import bound_from_spectrum
+from uncbound.special_fn import check_dimension
+from uncbound.spectrum_bound import bound_from_spectrum, volume_of
 
 EXIT_VERIFY_FAILED = 1
 EXIT_DOMAIN_ERROR = 2
@@ -184,26 +186,58 @@ class CurveSpec:
                 )
 
 
-def read_spectrum_file(path) -> Spectrum:
-    """Parse one eigenvalue per line; '#' comments and blanks are skipped.
+def _first_bad_line(path, detail) -> ValueError:
+    """The error for a file numpy's reader refused, naming its first bad line.
 
-    Sums within 1e-6 of 1 are normalized; anything further off is rejected.
+    loadtxt counts data rows rather than file lines, so the file is scanned
+    again under the same rules: text after '#' is dropped, a line holds one
+    number, and a number is what float() takes, written in ASCII without
+    '_' separators.
     """
-    values = []
     with open(path, "r", encoding="utf-8") as handle:
         for line_number, line in enumerate(handle, 1):
-            text = line.strip()
-            if not text or text.startswith("#"):
+            text = line.split("#", 1)[0].strip()
+            fields = text.split()
+            if not fields:
                 continue
+            if len(fields) > 1:
+                return ValueError(
+                    f"{path}:{line_number}: {text!r} holds {len(fields)} "
+                    "numbers; expected one eigenvalue per line"
+                )
             try:
-                values.append(float(text))
+                if text.isascii() and "_" not in text:
+                    float(text)
+                    continue
             except ValueError:
-                raise ValueError(
-                    f"{path}:{line_number}: {text!r} is not a number"
-                ) from None
-    if not values:
+                pass
+            return ValueError(f"{path}:{line_number}: {text!r} is not a number")
+    return ValueError(f"{path}: {detail}")
+
+
+def read_spectrum_file(path) -> Spectrum:
+    """Parse a file of eigenvalues, one number per line.
+
+    '#' starts a comment anywhere on a line and blank lines are skipped.
+    numpy's C text reader parses the numbers to the same doubles as Python
+    float(); a line with more than one number, or with text that is not a
+    number, is rejected with its file line.  Sums within 1e-6 of 1 are
+    normalized; anything further off is rejected.
+    """
+    try:
+        with warnings.catch_warnings():
+            # a file of comments and blanks is reported below, not warned about
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                    UserWarning)
+            table = np.loadtxt(path, dtype=float, comments="#", ndmin=2,
+                               encoding="utf-8")
+    except ValueError as exc:
+        raise _first_bad_line(path, exc) from None
+    if table.shape[1] != 1:
+        raise _first_bad_line(path, f"{table.shape[1]} numbers per line")
+    if table.size == 0:
         raise ValueError(f"{path}: no eigenvalues found")
-    array = np.asarray(values, dtype=float)
+    array = table.ravel()
     if np.any(array < 0):
         raise ValueError(f"{path}: negative eigenvalues present")
     total = array.sum()
@@ -266,7 +300,7 @@ def bound_purity(n, r, mu, method, fmt):
                                     result.residual)
         record = OutputRecord(fields=(
             ("n", n), ("r", float(r)), ("mu", float(mu)), ("value", value),
-            ("volume", value ** n), ("aux", aux), ("method", method),
+            ("volume", volume_of(value, n)), ("aux", aux), ("method", method),
             ("residual", residual),
         ))
         _emit([record], fmt)
@@ -284,9 +318,16 @@ def bound_entropy(n, entropy, asymptotic, fmt):
 
     def body():
         if asymptotic:
+            check_dimension(n)
             if entropy < 0:
                 raise ValueError(f"entropy must be >= 0, got {entropy}")
-            value = math.exp(entropy / n) * 2.0 / math.e
+            try:
+                value = math.exp(entropy / n) * 2.0 / math.e
+            except OverflowError:
+                value = math.inf
+            if not math.isfinite(value):
+                raise ValueError(f"bound for S/n = {entropy / n!r} is beyond "
+                                 "the float range")
             aux, residual, method = None, None, "asymptotic"
         else:
             result = bd.entropy_bound(entropy, n)
@@ -295,7 +336,7 @@ def bound_entropy(n, entropy, asymptotic, fmt):
             method = result.method
         record = OutputRecord(fields=(
             ("n", n), ("S", float(entropy)), ("value", value),
-            ("volume", value ** n), ("aux", aux), ("method", method),
+            ("volume", volume_of(value, n)), ("aux", aux), ("method", method),
             ("residual", residual),
         ))
         _emit([record], fmt)

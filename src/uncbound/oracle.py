@@ -31,6 +31,12 @@ __all__ = [
 ]
 
 
+# Largest brute-force search space, in levels.  The suites' inputs need
+# fewer than 2,000; one float64 array over 4e9 levels (n = 1, mu = 1e-9)
+# is already 30 GiB.
+MAX_TRUNCATION = 1_000_000
+
+
 @dataclass(frozen=True)
 class OracleConfig:
     """Seed, trial count, truncation and tolerance of an oracle run."""
@@ -45,6 +51,11 @@ class OracleConfig:
             raise ValueError("trials must be >= 1")
         if self.truncation < 1:
             raise ValueError("truncation must be >= 1")
+        if self.truncation > MAX_TRUNCATION:
+            raise ValueError(
+                f"truncation {self.truncation} is above the oracle cap "
+                f"{MAX_TRUNCATION}"
+            )
         if not self.tolerance > 0.0:
             raise ValueError("tolerance must be > 0")
 
@@ -465,9 +476,16 @@ def suggest_truncation(mu, n, r) -> int:
 
     Uses the small-mu optimal cutoff :func:`bounds.asymptotic_cutoff`,
     M* ~ c(n, r) mu^(-1/n), with a factor-3 headroom; this sizes the search
-    space only, the values themselves come from the optimization.
+    space only, the values themselves come from the optimization.  Raises
+    ValueError when that is above the cap ``MAX_TRUNCATION``.
     """
-    return max(96, int(3.0 * asymptotic_cutoff(mu, n, r) + 32.0))
+    levels = 3.0 * asymptotic_cutoff(mu, n, r) + 32.0  # inf past the float range
+    if not levels <= MAX_TRUNCATION:
+        raise ValueError(
+            f"the oracle would need ~{levels:.3g} levels for mu={mu}, n={n}, "
+            f"r={r}, above the cap {MAX_TRUNCATION}"
+        )
+    return max(96, int(levels))
 
 
 # ---------------------------------------------------------------------------

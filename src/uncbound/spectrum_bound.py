@@ -15,7 +15,13 @@ import numpy as np
 from uncbound.purity import GroupedSpectrum, Spectrum
 from uncbound.special_fn import check_dimension
 
-__all__ = ["BoundResult", "bound_from_grouped", "bound_from_spectrum", "group_spectrum"]
+__all__ = [
+    "BoundResult",
+    "bound_from_grouped",
+    "bound_from_spectrum",
+    "group_spectrum",
+    "volume_of",
+]
 
 _FLOOR_TOL = 1e-12
 _VOLUME_RTOL = 1e-12
@@ -25,10 +31,11 @@ _VOLUME_RTOL = 1e-12
 class BoundResult:
     """A normalized uncertainty bound plus solver diagnostics.
 
-    per_dim_product is (Delta X)(Delta P) in units of hbar/2 per dimension
-    and never drops below the pure-state floor of 1; volume is its n-th
-    power.  aux carries the solver's auxiliary parameter (cutoff M,
-    interpolation root L, or thermal beta) when one exists.
+    per_dim_product is (Delta X)(Delta P) in units of hbar/2 per dimension,
+    a finite float that never drops below the pure-state floor of 1; volume
+    is its n-th power, inf where that overflows.  aux carries the solver's
+    auxiliary parameter (cutoff M, interpolation root L, or thermal beta)
+    when one exists.
     """
 
     per_dim_product: float
@@ -45,6 +52,11 @@ class BoundResult:
             raise ValueError(
                 f"bound {self.per_dim_product!r} is below the pure-state floor"
             )
+        if not math.isfinite(self.per_dim_product):
+            raise ValueError(
+                f"{self.method} bound {self.per_dim_product!r} is beyond the "
+                "float range"
+            )
         if math.isfinite(self.volume):
             expected = self.per_dim_product**self.n
             if abs(self.volume - expected) > _VOLUME_RTOL * expected:
@@ -58,13 +70,21 @@ class BoundResult:
         per_dim = float(per_dim)
         return cls(
             per_dim_product=per_dim,
-            volume=per_dim ** int(n),
+            volume=volume_of(per_dim, n),
             n=int(n),
             method=method,
             aux=None if aux is None else float(aux),
             residual=float(residual),
             iterations=int(iterations),
         )
+
+
+def volume_of(per_dim, n) -> float:
+    """per_dim ** n, or inf where that power overflows a float."""
+    try:
+        return per_dim ** int(n)
+    except OverflowError:
+        return math.inf
 
 
 def group_spectrum(s: Spectrum, n) -> GroupedSpectrum:

@@ -154,6 +154,25 @@ class TestThermalFamily:
         with pytest.raises(ValueError):
             entropy_bound(-1.0, 2)
 
+    def test_float_range_edges(self):
+        # 2 e^(S-1) passes the float range at S = 710.09: below it a finite
+        # bound, above it a domain error, never a raw arithmetic error
+        for s_value in np.arange(700.0, 800.0, 0.25).tolist():
+            if s_value <= 710.0:
+                assert math.isfinite(entropy_bound(s_value, 1).per_dim_product)
+            else:
+                with pytest.raises(ValueError):
+                    entropy_bound(s_value, 1)
+        with pytest.raises(ValueError):
+            thermal_beta_from_entropy(760.0, 1)
+        res = entropy_bound(1000.0, 10)
+        assert math.isfinite(res.per_dim_product) and math.isinf(res.volume)
+
+    def test_unmaterializable_spectrum_is_domain_error(self):
+        # mean + 40 sigma is inf here; it must hit the cap, not int()
+        with pytest.raises(ValueError, match="above the cap"):
+            thermal_grouped_spectrum(1e-308, 1)
+
 
 def brute_cutoff_sum(M, n, r):
     return math.fsum(

@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +28,16 @@ def combined(result):
     except (AttributeError, ValueError):
         pass
     return result.output + stderr
+
+
+def package_env():
+    """Environment for a child interpreter that imports this checkout."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        piece for piece in (src, env.get("PYTHONPATH")) if piece
+    )
+    return env
 
 
 def csv_rows(text):
@@ -85,6 +97,34 @@ class TestBoundCommands:
         assert result.exit_code == 2
         assert "error" in combined(result)
 
+    @pytest.mark.parametrize("args", [
+        ["--n", "1", "--S", "720"],
+        ["--n", "1", "--S", "745"],
+        ["--n", "1", "--S", "760"],
+        ["--n", "0", "--S", "1", "--asymptotic"],
+        ["--n", "1", "--S", "800", "--asymptotic"],
+    ])
+    def test_entropy_out_of_float_range_is_domain_error(self, runner, args):
+        result = runner.invoke(cli.main, ["bound", "entropy"] + args)
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in combined(result)
+        assert "error" in combined(result)
+
+    @pytest.mark.parametrize("n, entropy, volume_is_inf", [
+        ("1", "709", False),
+        ("10", "1000", True),
+    ])
+    def test_entropy_near_float_range(self, runner, n, entropy, volume_is_inf):
+        result = runner.invoke(cli.main, ["bound", "entropy", "--n", n,
+                                          "--S", entropy])
+        assert result.exit_code == 0
+        assert "Traceback" not in combined(result)
+        row = csv_rows(result.output)[0]
+        value = float(row["value"])
+        assert math.isfinite(value) and value >= 1.0
+        assert math.isinf(float(row["volume"])) == volume_is_inf
+
     def test_solver_failure_exit_code(self, runner, monkeypatch):
         def explode(*args, **kwargs):
             raise SolverError("forced failure")
@@ -137,10 +177,81 @@ class TestSpectrumIngestion:
         assert result.exit_code == 2
 
     def test_rejects_empty(self, runner, tmp_path):
-        path = self.write(tmp_path, "# nothing\n")
+        for text in ("# nothing\n", "# a\n\n   \n# b 0.5\n", ""):
+            path = self.write(tmp_path, text)
+            result = runner.invoke(cli.main, ["bound", "spectrum", "--n", "1",
+                                              "--input", path])
+            assert result.exit_code == 2
+            assert "no eigenvalues found" in combined(result)
+
+    def mixed_format_file(self, tmp_path):
+        """A seeded spectrum written in many number formats, with the
+        comments, blank lines, padding and CRLF endings a file may carry.
+        Returns the path and its lines."""
+        rng = np.random.default_rng(2004)
+        values = np.exp(-np.cumsum(rng.uniform(0.01, 0.05, 400)))
+        values = (values / values.sum()).tolist() + [1e-310, 2.5e-320, 5e-324]
+        formats = [repr, "{:.6e}".format, "+{!r}".format, "{:+.12E}".format,
+                   "{:.17g}".format, "{:.25f}".format]
+        lines = ["# mixed-format eigenvalues"]
+        for i, value in enumerate(values):
+            # "%.25f" would write the subnormals as 0
+            choices = formats if value > 1e-300 else formats[:4]
+            text = choices[int(rng.integers(len(choices)))](value)
+            pad = int(rng.integers(3))
+            lines.append(" " * pad + text + "\t" * (2 - pad))
+            if i % 37 == 0:
+                lines.append("")
+            if i % 53 == 0:
+                lines.append("# note " + str(i))
+        path = tmp_path / "mixed.txt"
+        path.write_bytes("\r\n".join(lines).encode("utf-8") + b"\r\n")
+        return str(path), lines
+
+    @staticmethod
+    def float_loop(lines):
+        parsed = [float(line) for line in map(str.strip, lines)
+                  if line and not line.startswith("#")]
+        array = np.array(parsed)
+        return array / array.sum()
+
+    def test_mixed_formats_parse_as_float(self, tmp_path):
+        path, lines = self.mixed_format_file(tmp_path)
+        spectrum = cli.read_spectrum_file(path)
+        expected = self.float_loop(lines)
+        assert np.count_nonzero((expected > 0.0) & (expected < 1e-300)) == 3
+        assert np.array_equal(spectrum.eigenvalues, expected)
+
+    def test_mixed_formats_cli_value_is_exact(self, runner, tmp_path):
+        path, lines = self.mixed_format_file(tmp_path)
+        for n in (1, 3):
+            result = runner.invoke(cli.main, ["bound", "spectrum", "--n", str(n),
+                                              "--input", path])
+            assert result.exit_code == 0
+            direct = bound_from_spectrum(Spectrum(self.float_loop(lines)), n)
+            assert (csv_rows(result.output)[0]["value"]
+                    == f"{direct.per_dim_product:.17g}")
+
+    @pytest.mark.parametrize("text, line", [
+        ("0.5 0.5\n", 1),
+        ("0.5\n\n# two columns\n0.25 0.25\n", 4),
+        ("# header\n0.5\n\n# mid\n0.25\npotato\n0.25\n", 6),
+        ("0.5\n# python-only literal\n1_0\n", 3),
+    ])
+    def test_rejects_bad_line_with_its_file_line(self, runner, tmp_path, text, line):
+        path = self.write(tmp_path, text)
         result = runner.invoke(cli.main, ["bound", "spectrum", "--n", "1",
                                           "--input", path])
         assert result.exit_code == 2
+        assert f"{path}:{line}:" in combined(result)
+
+    def test_trailing_comment_on_data_line(self, runner, tmp_path):
+        path = self.write(tmp_path, "0.5 # note\n0.5\t# another\n")
+        result = runner.invoke(cli.main, ["bound", "spectrum", "--n", "1",
+                                          "--input", path])
+        assert result.exit_code == 0
+        direct = bound_from_spectrum(Spectrum(np.array([0.5, 0.5])), 1)
+        assert float(csv_rows(result.output)[0]["value"]) == direct.per_dim_product
 
 
 class TestCurve:
@@ -284,7 +395,17 @@ class TestVerify:
 def test_console_script_help():
     proc = subprocess.run(
         [sys.executable, "-m", "uncbound.cli", "--help"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=package_env(),
     )
     assert proc.returncode == 0
     assert "bound" in proc.stdout and "verify" in proc.stdout
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is imported on use only; loading it at import triples a cold start
+    code = ("import uncbound.cli, sys; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=package_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -3,6 +3,7 @@ import pytest
 
 from uncbound.bounds import B_asymptotic, purity_bound
 from uncbound.oracle import (
+    MAX_TRUNCATION,
     OracleConfig,
     appendix_d_identity_check,
     brute_force_purity_bound,
@@ -197,6 +198,15 @@ class TestConfig:
             OracleConfig(truncation=0)
         with pytest.raises(ValueError):
             OracleConfig(tolerance=0.0)
+
+    def test_truncation_cap(self):
+        assert OracleConfig(truncation=MAX_TRUNCATION).truncation == MAX_TRUNCATION
+        with pytest.raises(ValueError):
+            OracleConfig(truncation=MAX_TRUNCATION + 1)
+        # 4e9 levels at n = 1, mu = 1e-9; past the float range at 5e-324
+        for mu in (1e-9, 5e-324):
+            with pytest.raises(ValueError, match="above the cap"):
+                suggest_truncation(mu, 1, 2.0)
 
     def test_suggest_truncation_covers_optimum(self):
         for mu, n, r in ((0.01, 1, 4.0), (0.05, 2, 2.0), (0.5, 3, 1.5)):

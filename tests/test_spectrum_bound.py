@@ -72,6 +72,14 @@ class TestBoundResultInvariants:
         with pytest.raises(ValueError):
             BoundResult(per_dim_product=2.0, volume=5.0, n=2, method="test")
 
+    def test_volume_overflow_is_inf(self):
+        res = BoundResult.from_per_dim(1e43, 10, method="test")
+        assert res.per_dim_product == 1e43 and res.volume == float("inf")
+
+    def test_non_finite_bound_rejected(self):
+        with pytest.raises(ValueError):
+            BoundResult.from_per_dim(float("inf"), 1, method="test")
+
     def test_floor_tolerance(self):
         res = BoundResult.from_per_dim(1.0 - 1e-13, 1, method="test")
         assert res.per_dim_product < 1.0
