@@ -8,7 +8,10 @@ Four routes to a lower bound are implemented:
   product of one-dimensional thermal states;
 * ``purity_bound`` -- the general mu^(r) bound, the supremum over cutoffs M
   of a bracket that is a valid bound for every M;
-* ``asymptotic_C`` -- closed forms for the highly mixed limit mu -> 0.
+* ``asymptotic_C`` -- closed forms for the highly mixed limit mu -> 0,
+  with ``asymptotic_purity_bound`` and ``asymptotic_entropy_bound`` the
+  per-dimension bounds they give (floats: away from the limit they may fall
+  below the pure-state floor of 1).
 
 The bracket's supremum is not searched for.  Because dB_r/dM = r B_{r-1},
 the bracket is stationary exactly where the lower-bound family
@@ -40,14 +43,14 @@ from uncbound.special_fn import (
 from uncbound.spectrum_bound import BoundResult, bound_from_grouped
 
 __all__ = [
-    "HolderParams",
-    "InterpParam",
     "ThermalParams",
     "B_asymptotic",
     "B_exact",
     "asymptotic_C",
     "asymptotic_C_entropy_limit",
     "asymptotic_cutoff",
+    "asymptotic_entropy_bound",
+    "asymptotic_purity_bound",
     "entropy_bound",
     "holder_bracket",
     "interpolated_bound_r2",
@@ -61,50 +64,18 @@ __all__ = [
 _ROOT_RTOL = 1e-12
 _DIRECT_TERM_LIMIT = 200_000
 _THERMAL_LEVEL_CAP = 2_000_000
-_CONJUGATE_TOL = 1e-14
-
-
-@dataclass(frozen=True)
-class HolderParams:
-    """Cutoff M and conjugate exponent pair (r, p) of the bracket."""
-
-    M: float
-    r: float
-    p: float | None = None
-
-    def __post_init__(self):
-        if not self.M >= 0.0:
-            raise ValueError(f"cutoff M must be >= 0, got {self.M!r}")
-        if not self.r > 1.0:
-            raise ValueError(f"exponent r must be > 1, got {self.r!r}")
-        p = self.r / (self.r - 1.0) if self.p is None else self.p
-        if abs(1.0 / p + 1.0 / self.r - 1.0) > _CONJUGATE_TOL:
-            raise ValueError(f"p={p!r} is not conjugate to r={self.r!r}")
-        object.__setattr__(self, "p", p)
 
 
 @dataclass(frozen=True)
 class ThermalParams:
-    """Inverse-temperature-like parameter and normalization of the
-    thermal minimizer xi_m = A g_m exp(-beta m)."""
+    """Inverse-temperature-like parameter of the thermal minimizer
+    xi_m ~ g_m exp(-beta m)."""
 
     beta: float
-    A: float
 
     def __post_init__(self):
         if not self.beta > 0.0:
             raise ValueError(f"beta must be > 0, got {self.beta!r}")
-
-
-@dataclass(frozen=True)
-class InterpParam:
-    """Root L of the r = 2 interpolation equation; L = 1 at mu = 1."""
-
-    L: float
-
-    def __post_init__(self):
-        if not self.L > 0.0:
-            raise ValueError(f"L must be > 0, got {self.L!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -139,15 +110,15 @@ def interpolated_bound_r2(mu, n) -> BoundResult:
     target = math.log(mu)
     root = bisect_root(lambda L: _log_interp_mu(L, n) - target, 1.0, 2.0,
                        rtol=_ROOT_RTOL)
-    param = InterpParam(root.x)
-    residual = abs(_log_interp_mu(param.L, n) - target)
+    L = root.x  # >= 1: the bisection bracket starts at L = 1
+    residual = abs(_log_interp_mu(L, n) - target)
     if residual > 1e-10:
         raise SolverError(
-            f"interpolation root stalled at L={param.L} with residual {residual:.3e}"
+            f"interpolation root stalled at L={L} with residual {residual:.3e}"
         )
-    per_dim = (n + 2.0 * param.L) / (n + 2.0)
+    per_dim = (n + 2.0 * L) / (n + 2.0)
     return BoundResult.from_per_dim(
-        per_dim, n, method="interpolated-r2", aux=param.L,
+        per_dim, n, method="interpolated-r2", aux=L,
         residual=residual, iterations=root.iterations,
     )
 
@@ -194,8 +165,7 @@ def _solve_thermal(S, n):
                        rtol=1e-14, expand=False)
     t = root.x
     beta = _beta_of(math.exp(t), -math.expm1(t))
-    params = ThermalParams(beta=beta, A=math.exp(n * t))
-    return params, root
+    return ThermalParams(beta=beta), root
 
 
 def thermal_beta_from_entropy(S, n) -> ThermalParams:
@@ -210,7 +180,7 @@ def thermal_beta_from_entropy(S, n) -> ThermalParams:
     if S < 0.0:
         raise ValueError(f"entropy must be >= 0, got {S}")
     if S < 1e-290:
-        return ThermalParams(beta=math.inf, A=1.0)
+        return ThermalParams(beta=math.inf)
     return _solve_thermal(S, n)[0]
 
 
@@ -526,11 +496,10 @@ def purity_bound(mu, n, order: PurityOrder) -> BoundResult:
         else:
             hi, h_hi = M, h_M
     root = brent_root(h, lo, hi, h_lo, h_hi, rtol=_ROOT_RTOL)
-    params = HolderParams(M=root.x, r=r)
-    term = math.exp((log_mu + log_b_at[params.M]) / r)
-    per_dim = max((2.0 * params.M + n - 2.0 * term) / n, 1.0)
+    term = math.exp((log_mu + log_b_at[root.x]) / r)
+    per_dim = max((2.0 * root.x + n - 2.0 * term) / n, 1.0)
     return BoundResult.from_per_dim(
-        per_dim, n, method="holder-root", aux=params.M,
+        per_dim, n, method="holder-root", aux=root.x,
         residual=root.residual, iterations=evals,
     )
 
@@ -569,6 +538,37 @@ def asymptotic_C(n, r) -> float:
     log_c = n * math.log(2.0) - r * math.log1p(n / r)
     log_c += math.fsum(math.log((r + k) / (n + r)) for k in range(1, n + 1))
     return math.exp(log_c)
+
+
+def asymptotic_purity_bound(mu, n, r) -> float:
+    """Per-dimension bound (C/mu)^(1/n) of the mu -> 0 limit, C = asymptotic_C.
+
+    A float, not a BoundResult: away from that limit it can fall below the
+    pure-state floor (mu = 1 gives C^(1/n)).
+    """
+    mu = float(mu)
+    if not 0.0 < mu <= 1.0:
+        raise ValueError(f"mu must be in (0, 1], got {mu}")
+    return (asymptotic_C(n, r) / mu) ** (1.0 / n)
+
+
+def asymptotic_entropy_bound(S, n) -> float:
+    """Per-dimension bound (2/e) e^(S/n) of the large-S limit.
+
+    A float, not a BoundResult: it falls below the pure-state floor for
+    S/n < 1 - ln 2.  Raises ValueError where it is beyond the float range.
+    """
+    n = check_dimension(n)
+    S = float(S)
+    if S < 0.0:
+        raise ValueError(f"entropy must be >= 0, got {S}")
+    try:
+        value = math.exp(S / n) * 2.0 / math.e
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"bound for S/n = {S / n!r} is beyond the float range")
+    return value
 
 
 def asymptotic_C_entropy_limit(n) -> float:

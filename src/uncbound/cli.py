@@ -9,20 +9,22 @@ invocations::
     uncbound curve --quantity asymptotic-c --n 1,2,3 --r 1:100:200:log
     uncbound verify lemma --dim 30 --trials 1000 --seed 42
 
-Ranges use the grammar ``min:max:points[:log]``.  Output is CSV (default)
-or JSON with 17 significant digits, deterministic for fixed flags and seed;
-the default seed comes from the UNCBOUND_SEED environment variable.  Exit
-codes: 0 success, 1 failed verification, 2 bad flags or domain errors,
-3 solver failure.
+Every ``bound`` and ``curve`` row is a dict of the grid point and the value,
+aux, method and residual that a ``bounds`` function returned; ``_emit``
+prints the rows.  Ranges use the grammar ``min:max:points[:log]``.  Output
+is CSV (default) or JSON with 17 significant digits, deterministic for
+fixed flags and seed; the default seed comes from the UNCBOUND_SEED
+environment variable.  Exit codes: 0 success, 1 failed verification, 2 bad
+flags or domain errors (a non-integer UNCBOUND_SEED among them), 3 solver
+failure; the top-level group maps the last two from any command.
 """
 
+import itertools
 import json
 import math
 import os
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import click
 import numpy as np
@@ -31,7 +33,6 @@ from uncbound import bounds as bd
 from uncbound import oracle as oc
 from uncbound.purity import PurityOrder, Spectrum, entropy_from_grouped
 from uncbound.solvers import SolverError
-from uncbound.special_fn import check_dimension
 from uncbound.spectrum_bound import bound_from_spectrum, volume_of
 
 EXIT_VERIFY_FAILED = 1
@@ -40,7 +41,11 @@ EXIT_SOLVER_ERROR = 3
 
 
 def _default_seed():
-    return int(os.environ.get("UNCBOUND_SEED", "0"))
+    text = os.environ.get("UNCBOUND_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"UNCBOUND_SEED must be an integer, got {text!r}") from None
 
 
 def _fmt(value):
@@ -51,75 +56,25 @@ def _fmt(value):
     return str(value)
 
 
-@dataclass(frozen=True)
-class OutputRecord:
-    """One emitted row: the grid point, the value, and solver diagnostics."""
-
-    fields: tuple  # ordered (name, value) pairs
-
-    def __post_init__(self):
-        value = dict(self.fields).get("value")
-        if value is None or not math.isfinite(value) or value < 0.0:
-            raise ValueError(f"record value must be finite and >= 0, got {value!r}")
-
-    def header(self):
-        return ",".join(name for name, _ in self.fields)
-
-    def csv_row(self):
-        return ",".join(_fmt(value) for _, value in self.fields)
-
-    def as_dict(self):
-        return dict(self.fields)
-
-
 def _emit(records, fmt):
-    if not records:
-        raise ValueError("nothing to emit")
+    """Print rows, dicts with the same keys, as CSV or JSON.
+
+    Every row's value is checked before anything is printed.
+    """
+    for record in records:
+        value = record["value"]
+        if not math.isfinite(value) or value < 0.0:
+            raise ValueError(f"record value must be finite and >= 0, got {value!r}")
     if fmt == "json":
-        click.echo(json.dumps([r.as_dict() for r in records], indent=2))
+        click.echo(json.dumps(records, indent=2))
     else:
-        click.echo(records[0].header())
+        click.echo(",".join(records[0]))
         for record in records:
-            click.echo(record.csv_row())
+            click.echo(",".join(_fmt(value) for value in record.values()))
 
 
-def _guarded(body):
-    try:
-        body()
-    except SolverError as exc:
-        click.echo(f"solver error: {exc}", err=True)
-        sys.exit(EXIT_SOLVER_ERROR)
-    except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_DOMAIN_ERROR)
-
-
-@dataclass(frozen=True)
-class Range:
-    """Sweep grid parsed from ``min:max:points[:log]``."""
-
-    lo: float
-    hi: float
-    points: int
-    spacing: str = "linear"
-
-    def __post_init__(self):
-        if not self.lo < self.hi:
-            raise ValueError(f"range needs min < max, got {self.lo}:{self.hi}")
-        if self.points < 2:
-            raise ValueError("range needs at least 2 points")
-        if self.spacing not in ("linear", "log"):
-            raise ValueError(f"unknown spacing {self.spacing!r}")
-        if self.spacing == "log" and self.lo <= 0:
-            raise ValueError("log spacing requires min > 0")
-
-    def grid(self):
-        if self.spacing == "log":
-            return np.geomspace(self.lo, self.hi, self.points)
-        return np.linspace(self.lo, self.hi, self.points)
-
-
-def parse_range(text) -> Range:
+def parse_range(text):
+    """The grid of a sweep range ``min:max:points[:log]``, as a list."""
     parts = text.split(":")
     if len(parts) not in (3, 4):
         raise ValueError(f"range {text!r} is not min:max:points[:log]")
@@ -129,7 +84,17 @@ def parse_range(text) -> Range:
     except ValueError:
         raise ValueError(f"range {text!r} has non-numeric pieces") from None
     spacing = parts[3] if len(parts) == 4 else "linear"
-    return Range(lo, hi, points, spacing)
+    if not lo < hi:
+        raise ValueError(f"range needs min < max, got {lo}:{hi}")
+    if points < 2:
+        raise ValueError("range needs at least 2 points")
+    if spacing not in ("linear", "log"):
+        raise ValueError(f"unknown spacing {spacing!r}")
+    if spacing == "linear":
+        return np.linspace(lo, hi, points).tolist()
+    if lo <= 0:
+        raise ValueError("log spacing requires min > 0")
+    return np.geomspace(lo, hi, points).tolist()
 
 
 def parse_dimensions(text):
@@ -140,50 +105,6 @@ def parse_dimensions(text):
     if not values:
         raise ValueError("dimension list is empty")
     return values
-
-
-@dataclass(frozen=True)
-class CurveSpec:
-    """A sweep: the quantity, the dimensions, and one range per parameter.
-
-    Exactly the parameters the quantity needs must be present; for
-    purity-bound sweeps one of r/mu is a Range and the other a fixed float.
-    """
-
-    quantity: str
-    n_values: list
-    r: "Range | float | None" = None
-    mu: "Range | float | None" = None
-    S: "Range | None" = None
-
-    def __post_init__(self):
-        if not self.n_values:
-            raise ValueError("curve needs at least one dimension")
-        needs = {
-            "asymptotic-c": ("r",),
-            "interpolated-r2": ("mu",),
-            "entropy-bound": ("S",),
-            "purity-bound": ("r", "mu"),
-        }
-        if self.quantity not in needs:
-            raise ValueError(f"unknown quantity {self.quantity!r}")
-        for name in needs[self.quantity]:
-            if getattr(self, name) is None:
-                raise ValueError(f"--quantity {self.quantity} needs --{name}")
-        if self.quantity == "purity-bound":
-            swept = sum(isinstance(v, Range) for v in (self.r, self.mu))
-            if swept != 1:
-                raise ValueError(
-                    "purity-bound sweeps exactly one of --r/--mu; give the "
-                    "other as a plain number"
-                )
-        else:
-            (name,) = needs[self.quantity]
-            if not isinstance(getattr(self, name), Range):
-                raise ValueError(
-                    f"--{name} must be a range min:max:points[:log] for "
-                    f"--quantity {self.quantity}"
-                )
 
 
 def _first_bad_line(path, detail) -> ValueError:
@@ -249,7 +170,22 @@ def read_spectrum_file(path) -> Spectrum:
     return Spectrum(array / total)
 
 
-@click.group()
+class ErrorBoundary(click.Group):
+    """A group whose commands end a domain error in exit 2 and a solver
+    error in exit 3, each with one line on stderr instead of a traceback."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except SolverError as exc:
+            click.echo(f"solver error: {exc}", err=True)
+            sys.exit(EXIT_SOLVER_ERROR)
+        except ValueError as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(EXIT_DOMAIN_ERROR)
+
+
+@click.group(cls=ErrorBoundary)
 @click.version_option()
 def main():
     """Uncertainty-product lower bounds for mixed states (units hbar/2 = 1)."""
@@ -271,6 +207,16 @@ _format_option = click.option(
 )
 
 
+def _diagnostics(result):
+    return result.per_dim_product, result.aux, result.method, result.residual
+
+
+def _emit_bound(fmt, n, params, value, aux, method, residual):
+    """Print the one row of a ``bound`` command, with its volume column."""
+    _emit([{"n": n, **params, "value": value, "volume": volume_of(value, n),
+            "aux": aux, "method": method, "residual": residual}], fmt)
+
+
 @bound.command("purity")
 @click.option("--n", type=int, required=True, help="Number of dimensions.")
 @click.option("--r", type=float, required=True, help="Purity order r.")
@@ -281,31 +227,18 @@ _format_option = click.option(
 @_format_option
 def bound_purity(n, r, mu, method, fmt):
     """Lower bound given a generalized purity mu^(r)."""
-
-    def body():
-        if method == "exact":
-            result = bd.purity_bound(mu, n, PurityOrder.finite(r))
-            value, aux, residual = (result.per_dim_product, result.aux,
-                                    result.residual)
-        elif method == "asymptotic":
-            if not 0.0 < mu <= 1.0:
-                raise ValueError(f"mu must be in (0, 1], got {mu}")
-            value = (bd.asymptotic_C(n, r) / mu) ** (1.0 / n)
-            aux, residual = None, None
-        else:
-            if r != 2.0:
-                raise ValueError("--method interpolated requires --r 2")
-            result = bd.interpolated_bound_r2(mu, n)
-            value, aux, residual = (result.per_dim_product, result.aux,
-                                    result.residual)
-        record = OutputRecord(fields=(
-            ("n", n), ("r", float(r)), ("mu", float(mu)), ("value", value),
-            ("volume", volume_of(value, n)), ("aux", aux), ("method", method),
-            ("residual", residual),
-        ))
-        _emit([record], fmt)
-
-    _guarded(body)
+    if method == "exact":
+        value, aux, _, residual = _diagnostics(
+            bd.purity_bound(mu, n, PurityOrder.finite(r)))
+    elif method == "asymptotic":
+        value, aux, residual = bd.asymptotic_purity_bound(mu, n, r), None, None
+    else:
+        if r != 2.0:
+            raise ValueError("--method interpolated requires --r 2")
+        value, aux, _, residual = _diagnostics(bd.interpolated_bound_r2(mu, n))
+    # the method column names the option, not the solver
+    _emit_bound(fmt, n, {"r": float(r), "mu": float(mu)}, value, aux, method,
+                residual)
 
 
 @bound.command("entropy")
@@ -315,33 +248,11 @@ def bound_purity(n, r, mu, method, fmt):
 @_format_option
 def bound_entropy(n, entropy, asymptotic, fmt):
     """Lower bound given a von Neumann entropy S."""
-
-    def body():
-        if asymptotic:
-            check_dimension(n)
-            if entropy < 0:
-                raise ValueError(f"entropy must be >= 0, got {entropy}")
-            try:
-                value = math.exp(entropy / n) * 2.0 / math.e
-            except OverflowError:
-                value = math.inf
-            if not math.isfinite(value):
-                raise ValueError(f"bound for S/n = {entropy / n!r} is beyond "
-                                 "the float range")
-            aux, residual, method = None, None, "asymptotic"
-        else:
-            result = bd.entropy_bound(entropy, n)
-            value, aux, residual = (result.per_dim_product, result.aux,
-                                    result.residual)
-            method = result.method
-        record = OutputRecord(fields=(
-            ("n", n), ("S", float(entropy)), ("value", value),
-            ("volume", volume_of(value, n)), ("aux", aux), ("method", method),
-            ("residual", residual),
-        ))
-        _emit([record], fmt)
-
-    _guarded(body)
+    if asymptotic:
+        row = bd.asymptotic_entropy_bound(entropy, n), None, "asymptotic", None
+    else:
+        row = _diagnostics(bd.entropy_bound(entropy, n))
+    _emit_bound(fmt, n, {"S": float(entropy)}, *row)
 
 
 @bound.command("spectrum")
@@ -351,18 +262,9 @@ def bound_entropy(n, entropy, asymptotic, fmt):
 @_format_option
 def bound_spectrum(n, path, fmt):
     """Lower bound given a density-matrix eigenspectrum file."""
-
-    def body():
-        spectrum = read_spectrum_file(path)
-        result = bound_from_spectrum(spectrum, n)
-        record = OutputRecord(fields=(
-            ("n", n), ("value", result.per_dim_product),
-            ("volume", result.volume), ("aux", None),
-            ("method", result.method), ("residual", result.residual),
-        ))
-        _emit([record], fmt)
-
-    _guarded(body)
+    result = bound_from_spectrum(read_spectrum_file(path), n)
+    _emit_bound(fmt, n, {}, result.per_dim_product, None, result.method,
+                result.residual)
 
 
 # ---------------------------------------------------------------------------
@@ -370,91 +272,55 @@ def bound_spectrum(n, path, fmt):
 # ---------------------------------------------------------------------------
 
 
-def _parse_range_or_number(text):
-    if text is None:
-        return None
-    return parse_range(text) if ":" in text else float(text)
-
-
-def _curve_jobs(spec: CurveSpec):
-    jobs_of = []  # (fields-prefix, callable) per grid point, in output order
-    if spec.quantity == "asymptotic-c":
-        for n in spec.n_values:
-            for r in spec.r.grid():
-                jobs_of.append((
-                    (("n", n), ("r", float(r))),
-                    lambda n=n, r=float(r): (bd.asymptotic_C(n, r), None,
-                                             "asymptotic-c", None),
-                ))
-    elif spec.quantity == "interpolated-r2":
-        for n in spec.n_values:
-            for mu in spec.mu.grid():
-                def job(n=n, mu=float(mu)):
-                    res = bd.interpolated_bound_r2(mu, n)
-                    return res.per_dim_product, res.aux, res.method, res.residual
-                jobs_of.append(((("n", n), ("mu", float(mu))), job))
-    elif spec.quantity == "entropy-bound":
-        for n in spec.n_values:
-            for s_value in spec.S.grid():
-                def job(n=n, s_value=float(s_value)):
-                    res = bd.entropy_bound(s_value, n)
-                    return res.per_dim_product, res.aux, res.method, res.residual
-                jobs_of.append(((("n", n), ("S", float(s_value))), job))
-    else:  # purity-bound
-        if isinstance(spec.r, Range):
-            pairs = [(float(r), spec.mu) for r in spec.r.grid()]
-        else:
-            pairs = [(spec.r, float(mu)) for mu in spec.mu.grid()]
-        for n in spec.n_values:
-            for r, mu in pairs:
-                def job(n=n, r=r, mu=mu):
-                    res = bd.purity_bound(mu, n, PurityOrder.finite(r))
-                    return res.per_dim_product, res.aux, res.method, res.residual
-                jobs_of.append(((("n", n), ("r", r), ("mu", mu)), job))
-    return jobs_of
+# quantity -> (its parameters in column order, (n, *point) -> value, aux,
+# method, residual)
+CURVES = {
+    "asymptotic-c": (("r",), lambda n, r: (bd.asymptotic_C(n, r), None,
+                                           "asymptotic-c", None)),
+    "purity-bound": (("r", "mu"), lambda n, r, mu: _diagnostics(
+        bd.purity_bound(mu, n, PurityOrder.finite(r)))),
+    "entropy-bound": (("S",), lambda n, S: _diagnostics(bd.entropy_bound(S, n))),
+    "interpolated-r2": (("mu",), lambda n, mu: _diagnostics(
+        bd.interpolated_bound_r2(mu, n))),
+}
 
 
 @main.command("curve")
-@click.option("--quantity", type=click.Choice(
-    ["asymptotic-c", "purity-bound", "entropy-bound", "interpolated-r2"]),
-    required=True)
+@click.option("--quantity", type=click.Choice(list(CURVES)), required=True)
 @click.option("--n", "dims_text", default="1", help="Comma-separated dimensions.")
 @click.option("--r", "r_text", default=None,
               help="Range min:max:points[:log], or a number for purity-bound.")
 @click.option("--mu", "mu_text", default=None,
               help="Range min:max:points[:log], or a number for purity-bound.")
 @click.option("--S", "s_text", default=None, help="Range min:max:points[:log].")
-@click.option("--jobs", type=int, default=1, help="Concurrent grid evaluations.")
 @_format_option
-def curve(quantity, dims_text, r_text, mu_text, s_text, jobs, fmt):
+def curve(quantity, dims_text, r_text, mu_text, s_text, fmt):
     """Sweep a bound over a grid; rows ordered by n, then the swept value."""
-
-    def body():
-        if jobs < 1:
-            raise ValueError("--jobs must be >= 1")
-        spec = CurveSpec(
-            quantity=quantity,
-            n_values=parse_dimensions(dims_text),
-            r=_parse_range_or_number(r_text),
-            mu=_parse_range_or_number(mu_text),
-            S=parse_range(s_text) if s_text is not None else None,
-        )
-        grid_jobs = _curve_jobs(spec)
-        if jobs == 1:
-            outputs = [job() for _, job in grid_jobs]
-        else:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                futures = [pool.submit(job) for _, job in grid_jobs]
-                outputs = [future.result() for future in futures]
-        records = []
-        for (prefix, _), (value, aux, method, residual) in zip(grid_jobs, outputs):
-            records.append(OutputRecord(fields=prefix + (
-                ("value", value), ("aux", aux), ("method", method),
-                ("residual", residual),
-            )))
-        _emit(records, fmt)
-
-    _guarded(body)
+    dims = parse_dimensions(dims_text)
+    given = {  # a grid (list) or, for --r and --mu, a plain number
+        name: parse_range(text) if ":" in text or name == "S" else float(text)
+        for name, text in (("r", r_text), ("mu", mu_text), ("S", s_text))
+        if text is not None
+    }
+    names, evaluate = CURVES[quantity]
+    for name in names:
+        if name not in given:
+            raise ValueError(f"--quantity {quantity} needs --{name}")
+    swept = [name for name in names if isinstance(given[name], list)]
+    if len(names) > 1 and len(swept) != 1:
+        raise ValueError("purity-bound sweeps exactly one of --r/--mu; give the "
+                         "other as a plain number")
+    if not swept:
+        raise ValueError(f"--{names[0]} must be a range min:max:points[:log] for "
+                         f"--quantity {quantity}")
+    grids = [given[name] if name in swept else [given[name]] for name in names]
+    rows = []
+    for n in dims:
+        for point in itertools.product(*grids):
+            value, aux, method, residual = evaluate(n, *point)
+            rows.append({"n": n, **dict(zip(names, point)), "value": value,
+                         "aux": aux, "method": method, "residual": residual})
+    _emit(rows, fmt)
 
 
 # ---------------------------------------------------------------------------
@@ -488,23 +354,19 @@ _seed_option = click.option(
 @click.option("--tol", type=float, default=1e-10)
 def verify_lemma(dim, trials, seed, tol):
     """Mixed-vs-sorted energy inequality over random unitaries."""
-
-    def body():
-        cfg = oc.OracleConfig(seed=seed, trials=trials)
-        worst = math.inf
-        failures = 0
-        for trial in range(trials):
-            margin = oc.lemma_trial(dim, cfg, trial=trial).margin
-            worst = min(worst, margin)
-            if margin < -tol:
-                failures += 1
-        identity_margin = oc.lemma_trial(dim, cfg, identity=True).margin
-        click.echo(f"identity margin={_fmt(identity_margin)}")
-        if abs(identity_margin) > tol:
+    cfg = oc.OracleConfig(seed=seed, trials=trials)
+    worst = math.inf
+    failures = 0
+    for trial in range(trials):
+        margin = oc.lemma_trial(dim, cfg, trial=trial).margin
+        worst = min(worst, margin)
+        if margin < -tol:
             failures += 1
-        _verdict("lemma", trials + 1, failures, "worst_margin", worst)
-
-    _guarded(body)
+    identity_margin = oc.lemma_trial(dim, cfg, identity=True).margin
+    click.echo(f"identity margin={_fmt(identity_margin)}")
+    if abs(identity_margin) > tol:
+        failures += 1
+    _verdict("lemma", trials + 1, failures, "worst_margin", worst)
 
 
 @verify.command("holder")
@@ -517,19 +379,16 @@ def verify_lemma(dim, trials, seed, tol):
               help="Oracle level cap (default: sized from the cutoff estimate).")
 def verify_holder(n, r, mu, seed, tol, truncation):
     """Brute-force minimization against the optimized cutoff bracket."""
-
-    def body():
-        levels = truncation or oc.suggest_truncation(mu, n, r)
-        cfg = oc.OracleConfig(seed=seed, truncation=levels)
-        brute = oc.brute_force_purity_bound(mu, n, r, cfg)
-        closed = bd.purity_bound(mu, n, PurityOrder.finite(r))
-        gap = brute.per_dim_product - closed.per_dim_product
-        click.echo(f"brute={_fmt(brute.per_dim_product)} "
-                   f"closed={_fmt(closed.per_dim_product)}")
-        failures = 0 if abs(gap) <= tol else 1
-        _verdict("holder", 1, failures, "gap", gap)
-
-    _guarded(body)
+    if truncation is None:
+        truncation = oc.suggest_truncation(mu, n, r)
+    cfg = oc.OracleConfig(seed=seed, truncation=truncation)
+    brute = oc.brute_force_purity_bound(mu, n, r, cfg)
+    closed = bd.purity_bound(mu, n, PurityOrder.finite(r))
+    gap = brute.per_dim_product - closed.per_dim_product
+    click.echo(f"brute={_fmt(brute.per_dim_product)} "
+               f"closed={_fmt(closed.per_dim_product)}")
+    failures = 0 if abs(gap) <= tol else 1
+    _verdict("holder", 1, failures, "gap", gap)
 
 
 @verify.command("b-approx")
@@ -538,30 +397,26 @@ def verify_holder(n, r, mu, seed, tol, truncation):
 @click.option("--tol", type=float, default=1e-9)
 def verify_b_approx(trials, seed, tol):
     """Quadrature vs the large-cutoff closed form, plus the sum/integral trend."""
-
-    def body():
-        rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
-        failures = 0
-        worst = 0.0
-        for _ in range(trials):
-            n = int(rng.integers(1, 5))
-            r = float(rng.uniform(1.0, 6.0))
-            m_cut = float(rng.uniform(0.5, 200.0))
-            gap = abs(oc.quadrature_B(m_cut, n, r) / bd.B_asymptotic(m_cut, n, r) - 1.0)
-            worst = max(worst, gap)
-            if gap > tol:
-                failures += 1
-        checks = trials
-        for n in (1, 2, 3):
-            ratios = [bd.B_exact(m_cut, n, 2.0) / bd.B_asymptotic(m_cut, n, 2.0)
-                      for m_cut in (1e2, 1e3, 1e4)]
-            checks += 1
-            drifts = [abs(ratio - 1.0) for ratio in ratios]
-            if not (drifts[0] > drifts[1] > drifts[2]):
-                failures += 1
-        _verdict("b-approx", checks, failures, "worst_gap", worst)
-
-    _guarded(body)
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
+    failures = 0
+    worst = 0.0
+    for _ in range(trials):
+        n = int(rng.integers(1, 5))
+        r = float(rng.uniform(1.0, 6.0))
+        m_cut = float(rng.uniform(0.5, 200.0))
+        gap = abs(oc.quadrature_B(m_cut, n, r) / bd.B_asymptotic(m_cut, n, r) - 1.0)
+        worst = max(worst, gap)
+        if gap > tol:
+            failures += 1
+    checks = trials
+    for n in (1, 2, 3):
+        ratios = [bd.B_exact(m_cut, n, 2.0) / bd.B_asymptotic(m_cut, n, 2.0)
+                  for m_cut in (1e2, 1e3, 1e4)]
+        checks += 1
+        drifts = [abs(ratio - 1.0) for ratio in ratios]
+        if not (drifts[0] > drifts[1] > drifts[2]):
+            failures += 1
+    _verdict("b-approx", checks, failures, "worst_gap", worst)
 
 
 @verify.command("appendix-d")
@@ -569,21 +424,17 @@ def verify_b_approx(trials, seed, tol):
 @click.option("--tol", type=float, default=1e-10)
 def verify_appendix_d(n_max, tol):
     """Alternating-sum identity behind the cutoff-integral constant."""
-
-    def body():
-        failures = 0
-        worst = 0.0
-        checks = 0
-        for n in range(1, n_max + 1):
-            for r in (1.5, 2.0, 2.5, 5.0):
-                _, _, gap = oc.appendix_d_identity_check(n, r)
-                checks += 1
-                worst = max(worst, gap)
-                if gap > tol:
-                    failures += 1
-        _verdict("appendix-d", checks, failures, "worst_gap", worst)
-
-    _guarded(body)
+    failures = 0
+    worst = 0.0
+    checks = 0
+    for n in range(1, n_max + 1):
+        for r in (1.5, 2.0, 2.5, 5.0):
+            _, _, gap = oc.appendix_d_identity_check(n, r)
+            checks += 1
+            worst = max(worst, gap)
+            if gap > tol:
+                failures += 1
+    _verdict("appendix-d", checks, failures, "worst_gap", worst)
 
 
 @verify.command("roundtrip")
@@ -592,30 +443,26 @@ def verify_appendix_d(n_max, tol):
 @click.option("--tol", type=float, default=1e-10)
 def verify_roundtrip(trials, seed, tol):
     """Entropy -> thermal state -> entropy self-consistency."""
-
-    def body():
-        rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
-        failures = 0
-        worst = 0.0
-        for _ in range(trials):
-            n = int(rng.integers(1, 7))
-            s_target = float(rng.uniform(1e-3, 50.0))
-            params = bd.thermal_beta_from_entropy(s_target, n)
-            try:
-                grouped = bd.thermal_grouped_spectrum(params.beta, n,
-                                                      max_levels=400_000)
-                gap = abs(entropy_from_grouped(grouped) - s_target)
-                gap_tol = max(tol, 1e-9)  # summing ~1e5 terms costs one digit
-            except ValueError:
-                # too mixed to materialize; check the closed form instead
-                gap = abs(bd.thermal_entropy(params.beta, n) - s_target)
-                gap_tol = tol
-            worst = max(worst, gap)
-            if gap > gap_tol:
-                failures += 1
-        _verdict("roundtrip", trials, failures, "worst_gap", worst)
-
-    _guarded(body)
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
+    failures = 0
+    worst = 0.0
+    for _ in range(trials):
+        n = int(rng.integers(1, 7))
+        s_target = float(rng.uniform(1e-3, 50.0))
+        params = bd.thermal_beta_from_entropy(s_target, n)
+        try:
+            grouped = bd.thermal_grouped_spectrum(params.beta, n,
+                                                  max_levels=400_000)
+            gap = abs(entropy_from_grouped(grouped) - s_target)
+            gap_tol = max(tol, 1e-9)  # summing ~1e5 terms costs one digit
+        except ValueError:
+            # too mixed to materialize; check the closed form instead
+            gap = abs(bd.thermal_entropy(params.beta, n) - s_target)
+            gap_tol = tol
+        worst = max(worst, gap)
+        if gap > gap_tol:
+            failures += 1
+    _verdict("roundtrip", trials, failures, "worst_gap", worst)
 
 
 if __name__ == "__main__":

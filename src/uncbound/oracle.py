@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from uncbound.bounds import asymptotic_cutoff
-from uncbound.purity import GroupedSpectrum
 from uncbound.solvers import SolverError
 from uncbound.special_fn import check_dimension, log_degeneracy_array
 from uncbound.spectrum_bound import BoundResult
@@ -39,12 +38,11 @@ MAX_TRUNCATION = 1_000_000
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Seed, trial count, truncation and tolerance of an oracle run."""
+    """Seed, trial count and truncation of an oracle run."""
 
     seed: int = 0
     trials: int = 1000
     truncation: int = 256
-    tolerance: float = 1e-10
 
     def __post_init__(self):
         if self.trials < 1:
@@ -56,8 +54,6 @@ class OracleConfig:
                 f"truncation {self.truncation} is above the oracle cap "
                 f"{MAX_TRUNCATION}"
             )
-        if not self.tolerance > 0.0:
-            raise ValueError("tolerance must be > 0")
 
     def rng(self, trial=0) -> np.random.Generator:
         # per-trial stream keyed on (seed, trial) so results are order independent
@@ -464,11 +460,6 @@ def brute_force_purity_bound(mu, n, r, cfg: OracleConfig,
         residual=abs(mu_final - mu), iterations=iterations,
     )
     return (result, best_xi) if return_weights else result
-
-
-def grouped_from_weights(n, weights) -> GroupedSpectrum:
-    """Wrap raw oracle weights as a GroupedSpectrum (trailing zeros kept)."""
-    return GroupedSpectrum(n=n, weights=np.asarray(weights, dtype=float))
 
 
 def suggest_truncation(mu, n, r) -> int:

@@ -7,12 +7,12 @@ from scipy.integrate import quad
 from uncbound.bounds import (
     B_asymptotic,
     B_exact,
-    HolderParams,
-    InterpParam,
     ThermalParams,
     asymptotic_C,
     asymptotic_C_entropy_limit,
     asymptotic_cutoff,
+    asymptotic_entropy_bound,
+    asymptotic_purity_bound,
     entropy_bound,
     holder_bracket,
     interpolated_bound_r2,
@@ -34,19 +34,9 @@ from uncbound.spectrum_bound import bound_from_grouped
 
 
 class TestParamTypes:
-    def test_holder_conjugate_pair(self):
-        params = HolderParams(M=3.0, r=2.0)
-        assert params.p == 2.0
-        with pytest.raises(ValueError):
-            HolderParams(M=3.0, r=2.0, p=2.5)
-        with pytest.raises(ValueError):
-            HolderParams(M=-1.0, r=2.0)
-
     def test_thermal_and_interp(self):
         with pytest.raises(ValueError):
-            ThermalParams(beta=0.0, A=1.0)
-        with pytest.raises(ValueError):
-            InterpParam(L=0.0)
+            ThermalParams(beta=0.0)
 
 
 class TestInterpolatedBound:
@@ -124,11 +114,6 @@ class TestThermalFamily:
             params = thermal_beta_from_entropy(target, n)
             grouped = thermal_grouped_spectrum(params.beta, n)
             assert entropy_from_grouped(grouped) == pytest.approx(target, abs=1e-9)
-
-    def test_normalization_constant(self):
-        params = thermal_beta_from_entropy(3.0, 2)
-        x = math.exp(-params.beta)
-        assert params.A == pytest.approx((1.0 - x) ** 2, rel=1e-12)
 
     def test_closed_and_grouped_paths_agree(self):
         for n, target in ((1, 5.0), (2, 9.0), (3, 20.0), (4, 30.0)):
@@ -440,3 +425,45 @@ class TestAsymptoticConstant:
     def test_domain(self):
         with pytest.raises(ValueError):
             asymptotic_C(1, 0.5)
+
+
+class TestAsymptoticBounds:
+    def test_purity_closed_form(self):
+        for n, r, mu in ((1, 2.0, 1e-6), (3, 4.5, 1e-3), (2, 1.0, 0.5), (64, 10.0, 1e-300)):
+            expected = (asymptotic_C(n, r) / mu) ** (1.0 / n)
+            assert asymptotic_purity_bound(mu, n, r) == pytest.approx(expected, rel=1e-15)
+
+    def test_purity_may_fall_below_the_floor(self):
+        # a float, not a BoundResult: at mu = 1 it is C^(1/n) < 1
+        assert asymptotic_purity_bound(1.0, 1, 2.0) == pytest.approx(8.0 / 9.0, rel=1e-15)
+
+    def test_purity_is_the_small_mu_limit(self):
+        for n in (1, 2, 3):
+            exact = purity_bound(1e-12, n, PurityOrder.finite(2.0)).per_dim_product
+            assert exact == pytest.approx(asymptotic_purity_bound(1e-12, n, 2.0), rel=1e-8)
+
+    @pytest.mark.parametrize("mu, n, r", [
+        (0.0, 1, 2.0), (-0.5, 1, 2.0), (1.5, 1, 2.0), (math.nan, 1, 2.0),
+        (0.5, 0, 2.0), (0.5, 65, 2.0), (0.5, 1, 0.5),
+    ])
+    def test_purity_domain(self, mu, n, r):
+        with pytest.raises(ValueError):
+            asymptotic_purity_bound(mu, n, r)
+
+    def test_entropy_closed_form(self):
+        assert asymptotic_entropy_bound(0.0, 1) == pytest.approx(2.0 / math.e, rel=1e-15)
+        for n, S in ((1, 5.0), (3, 30.0), (64, 1e3)):
+            expected = math.exp(S / n) * 2.0 / math.e
+            assert asymptotic_entropy_bound(S, n) == pytest.approx(expected, rel=1e-15)
+
+    def test_entropy_is_the_large_s_limit(self):
+        for n in (1, 2, 3):
+            exact = entropy_bound(20.0 * n, n).per_dim_product
+            assert exact == pytest.approx(asymptotic_entropy_bound(20.0 * n, n), rel=1e-12)
+
+    @pytest.mark.parametrize("S, n", [
+        (-1.0, 1), (1.0, 0), (800.0, 1), (710.0, 1), (math.inf, 2), (math.nan, 1),
+    ])
+    def test_entropy_domain(self, S, n):
+        with pytest.raises(ValueError):
+            asymptotic_entropy_bound(S, n)

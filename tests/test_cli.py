@@ -304,12 +304,13 @@ class TestCurve:
         second = runner.invoke(cli.main, args)
         assert first.output == second.output
 
-    def test_jobs_do_not_change_output(self, runner):
-        args = ["curve", "--quantity", "entropy-bound", "--n", "1,2",
-                "--S", "0.5:12:6"]
-        serial = runner.invoke(cli.main, args + ["--jobs", "1"])
-        threaded = runner.invoke(cli.main, args + ["--jobs", "4"])
-        assert serial.output == threaded.output
+    def test_jobs_option_is_gone(self, runner):
+        result = runner.invoke(cli.main, [
+            "curve", "--quantity", "entropy-bound", "--n", "1", "--S", "0.5:12:6",
+            "--jobs", "2",
+        ])
+        assert result.exit_code == 2
+        assert "No such option" in result.stderr and "--jobs" in result.stderr
 
     def test_purity_bound_needs_exactly_one_sweep(self, runner):
         result = runner.invoke(cli.main, [
@@ -390,6 +391,23 @@ class TestVerify:
             env={"UNCBOUND_SEED": "99"},
         )
         assert via_env.output == explicit.output
+
+    def test_non_integer_seed_env_var_is_domain_error(self):
+        result = CliRunner(env={"UNCBOUND_SEED": "abc"}).invoke(
+            cli.main, ["verify", "lemma", "--dim", "4", "--trials", "3"])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in combined(result)
+        assert result.stderr == "error: UNCBOUND_SEED must be an integer, got 'abc'\n"
+
+    def test_zero_truncation_is_domain_error(self, runner):
+        result = runner.invoke(cli.main, [
+            "verify", "holder", "--n", "2", "--r", "3", "--mu", "1e-3",
+            "--seed", "7", "--truncation", "0",
+        ])
+        assert result.exit_code == 2
+        assert "PASS" not in result.output
+        assert result.stderr == "error: truncation must be >= 1\n"
 
 
 def test_console_script_help():

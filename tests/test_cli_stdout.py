@@ -1,0 +1,423 @@
+"""Pinned CLI output: stdout, stderr and exit code, byte for byte.
+
+Each case runs one ``uncbound`` command in-process and compares what it
+prints with text recorded from the CLI before its bound and curve commands
+were rewritten onto a single row builder, so any drift in formatting,
+column order, values or error messages shows up here.  ``{spectrum}`` and
+``{garbage}`` stand for two files written by the test.
+"""
+
+from collections import namedtuple
+
+import pytest
+from click.testing import CliRunner
+
+import uncbound.cli as cli
+
+SPECTRUM = "0.5\n0.25\n0.125\n0.0625\n0.0625\n"
+GARBAGE = "0.5\n# note\npotato\n0.5\n"
+
+Case = namedtuple("Case", "argv code stdout stderr")
+
+CASES = [
+    Case(["bound", "purity", "--n", "1", "--r", "2", "--mu", "1e-6"],
+         0,
+         "n,r,mu,value,volume,aux,method,residual\n"
+         "1,2,9.9999999999999995e-07,888888.8888890082,888888.8888890082,1333332.8333335912,exact,1.0302869668521453e-13\n",
+         ""),
+    Case(["bound", "purity", "--n", "2", "--r", "3", "--mu", "0.01", "--format", "json"],
+         0,
+         "[\n"
+         "  {\n"
+         "    \"n\": 2,\n"
+         "    \"r\": 3.0,\n"
+         "    \"mu\": 0.01,\n"
+         "    \"value\": 8.32989146892117,\n"
+         "    \"volume\": 69.3870918840057,\n"
+         "    \"aux\": 19.775888856837717,\n"
+         "    \"method\": \"exact\",\n"
+         "    \"residual\": 2.842170943040401e-14\n"
+         "  }\n"
+         "]\n",
+         ""),
+    Case(["bound", "purity", "--n", "1", "--r", "2", "--mu", "1e-6", "--method", "asymptotic"],
+         0,
+         "n,r,mu,value,volume,aux,method,residual\n"
+         "1,2,9.9999999999999995e-07,888888.88888888888,888888.88888888888,,asymptotic,\n",
+         ""),
+    Case(["bound", "purity", "--method", "asymptotic", "--n", "1", "--r", "2", "--mu", "1"],
+         0,
+         "n,r,mu,value,volume,aux,method,residual\n"
+         "1,2,1,0.88888888888888884,0.88888888888888884,,asymptotic,\n",
+         ""),
+    Case(["bound", "purity", "--n", "3", "--r", "4.5", "--mu", "1e-3", "--method", "asymptotic", "--format", "json"],
+         0,
+         "[\n"
+         "  {\n"
+         "    \"n\": 3,\n"
+         "    \"r\": 4.5,\n"
+         "    \"mu\": 0.001,\n"
+         "    \"value\": 7.991740577847909,\n"
+         "    \"volume\": 510.4158276166597,\n"
+         "    \"aux\": null,\n"
+         "    \"method\": \"asymptotic\",\n"
+         "    \"residual\": null\n"
+         "  }\n"
+         "]\n",
+         ""),
+    Case(["bound", "purity", "--n", "3", "--r", "2", "--mu", "0.05", "--method", "interpolated"],
+         0,
+         "n,r,mu,value,volume,aux,method,residual\n"
+         "3,2,0.050000000000000003,2.3649959748647236,13.227909584653181,4.4124899371618085,interpolated,3.0864200084579352e-13\n",
+         ""),
+    Case(["bound", "purity", "--n", "2", "--r", "2", "--mu", "1", "--method", "interpolated", "--format", "json"],
+         0,
+         "[\n"
+         "  {\n"
+         "    \"n\": 2,\n"
+         "    \"r\": 2.0,\n"
+         "    \"mu\": 1.0,\n"
+         "    \"value\": 1.0,\n"
+         "    \"volume\": 1.0,\n"
+         "    \"aux\": 1.0,\n"
+         "    \"method\": \"interpolated\",\n"
+         "    \"residual\": 0.0\n"
+         "  }\n"
+         "]\n",
+         ""),
+    Case(["bound", "entropy", "--n", "2", "--S", "3.5"],
+         0,
+         "n,S,value,volume,aux,method,residual\n"
+         "2,3.5,4.2734747716909585,18.262586624279091,0.47683745270589339,thermal,7.1054273576010019e-15\n",
+         ""),
+    Case(["bound", "entropy", "--n", "2", "--S", "0", "--format", "json"],
+         0,
+         "[\n"
+         "  {\n"
+         "    \"n\": 2,\n"
+         "    \"S\": 0.0,\n"
+         "    \"value\": 1.0,\n"
+         "    \"volume\": 1.0,\n"
+         "    \"aux\": Infinity,\n"
+         "    \"method\": \"thermal\",\n"
+         "    \"residual\": 0.0\n"
+         "  }\n"
+         "]\n",
+         ""),
+    Case(["bound", "entropy", "--n", "3", "--S", "30", "--asymptotic"],
+         0,
+         "n,S,value,volume,aux,method,residual\n"
+         "3,30,16206.16785515077,4256385924814.3906,,asymptotic,\n",
+         ""),
+    Case(["bound", "entropy", "--n", "1", "--S", "0", "--asymptotic"],
+         0,
+         "n,S,value,volume,aux,method,residual\n"
+         "1,0,0.73575888234288467,0.73575888234288467,,asymptotic,\n",
+         ""),
+    Case(["bound", "entropy", "--n", "10", "--S", "1000", "--format", "json"],
+         0,
+         "[\n"
+         "  {\n"
+         "    \"n\": 10,\n"
+         "    \"S\": 1000.0,\n"
+         "    \"value\": 1.9778060638697827e+43,\n"
+         "    \"volume\": Infinity,\n"
+         "    \"aux\": 1.0112214926102474e-43,\n"
+         "    \"method\": \"thermal\",\n"
+         "    \"residual\": 2.0463630789890885e-12\n"
+         "  }\n"
+         "]\n",
+         ""),
+    Case(["bound", "spectrum", "--n", "2", "--input", "{spectrum}"],
+         0,
+         "n,value,volume,aux,method,residual\n"
+         "2,1.625,2.640625,,spectrum-sum,0\n",
+         ""),
+    Case(["bound", "spectrum", "--n", "1", "--input", "{spectrum}", "--format", "json"],
+         0,
+         "[\n"
+         "  {\n"
+         "    \"n\": 1,\n"
+         "    \"value\": 2.875,\n"
+         "    \"volume\": 2.875,\n"
+         "    \"aux\": null,\n"
+         "    \"method\": \"spectrum-sum\",\n"
+         "    \"residual\": 0.0\n"
+         "  }\n"
+         "]\n",
+         ""),
+    Case(["curve", "--quantity", "asymptotic-c", "--n", "1,2", "--r", "1:4:4"],
+         0,
+         "n,r,value,aux,method,residual\n"
+         "1,1,1,,asymptotic-c,\n"
+         "1,2,0.88888888888888884,,asymptotic-c,\n"
+         "1,3,0.84375,,asymptotic-c,\n"
+         "1,4,0.81919999999999993,,asymptotic-c,\n"
+         "2,1,0.88888888888888895,,asymptotic-c,\n"
+         "2,2,0.75,,asymptotic-c,\n"
+         "2,3,0.69119999999999993,,asymptotic-c,\n"
+         "2,4,0.65843621399176955,,asymptotic-c,\n",
+         ""),
+    Case(["curve", "--quantity", "asymptotic-c", "--n", "3", "--r", "1:100:3:log", "--format", "json"],
+         0,
+         "[\n"
+         "  {\n"
+         "    \"n\": 3,\n"
+         "    \"r\": 1.0,\n"
+         "    \"value\": 0.7499999999999999,\n"
+         "    \"aux\": null,\n"
+         "    \"method\": \"asymptotic-c\",\n"
+         "    \"residual\": null\n"
+         "  },\n"
+         "  {\n"
+         "    \"n\": 3,\n"
+         "    \"r\": 10.0,\n"
+         "    \"value\": 0.4532561343339907,\n"
+         "    \"aux\": null,\n"
+         "    \"method\": \"asymptotic-c\",\n"
+         "    \"residual\": null\n"
+         "  },\n"
+         "  {\n"
+         "    \"n\": 3,\n"
+         "    \"r\": 100.0,\n"
+         "    \"value\": 0.40421703545054516,\n"
+         "    \"aux\": null,\n"
+         "    \"method\": \"asymptotic-c\",\n"
+         "    \"residual\": null\n"
+         "  }\n"
+         "]\n",
+         ""),
+    Case(["curve", "--quantity", "interpolated-r2", "--n", "1,3", "--mu", "0.001:1:3:log"],
+         0,
+         "n,mu,value,aux,method,residual\n"
+         "1,0.001,888.88901388862485,1332.8335208329372,interpolated-r2,2.7622348852673895e-13\n"
+         "1,0.031622776601683791,28.113087048414553,41.669630572621827,interpolated-r2,1.7763568394002505e-15\n"
+         "1,1,1,1,interpolated-r2,0\n"
+         "3,0.001,8.5169446857733426,19.792361714433355,interpolated-r2,7.9936057773011271e-15\n"
+         "3,0.031622776601683791,2.7376904461714728,5.3442261154286825,interpolated-r2,6.2971849956738879e-13\n"
+         "3,1,1,1,interpolated-r2,0\n",
+         ""),
+    Case(["curve", "--quantity", "interpolated-r2", "--n", "2", "--mu", "0.2:0.8:2", "--format", "json"],
+         0,
+         "[\n"
+         "  {\n"
+         "    \"n\": 2,\n"
+         "    \"mu\": 0.2,\n"
+         "    \"value\": 2.0000000000004547,\n"
+         "    \"aux\": 3.0000000000009095,\n"
+         "    \"method\": \"interpolated-r2\",\n"
+         "    \"residual\": 4.851674617611934e-13\n"
+         "  },\n"
+         "  {\n"
+         "    \"n\": 2,\n"
+         "    \"mu\": 0.8,\n"
+         "    \"value\": 1.0897247358850564,\n"
+         "    \"aux\": 1.1794494717701127,\n"
+         "    \"method\": \"interpolated-r2\",\n"
+         "    \"residual\": 2.604583215770617e-13\n"
+         "  }\n"
+         "]\n",
+         ""),
+    Case(["curve", "--quantity", "entropy-bound", "--n", "1,2", "--S", "0:6:3"],
+         0,
+         "n,S,value,aux,method,residual\n"
+         "1,0,1,inf,thermal,0\n"
+         "1,3,14.789392722199803,0.13543871459603565,thermal,7.9936057773011271e-15\n"
+         "1,6,296.82687970105752,0.0067379597450612444,thermal,7.9936057773011271e-15\n"
+         "2,0,1,inf,thermal,0\n"
+         "2,3,3.3482229538352852,0.61610839303237341,thermal,3.5527136788005009e-15\n"
+         "2,6,14.789392722199803,0.13543871459603565,thermal,1.5987211554602254e-14\n",
+         ""),
+    Case(["curve", "--quantity", "entropy-bound", "--n", "4", "--S", "0.5:40:2:log", "--format", "json"],
+         0,
+         "[\n"
+         "  {\n"
+         "    \"n\": 4,\n"
+         "    \"S\": 0.5,\n"
+         "    \"value\": 1.0540642882789484,\n"
+         "    \"aux\": 3.637401826926282,\n"
+         "    \"method\": \"thermal\",\n"
+         "    \"residual\": 1.3322676295501878e-15\n"
+         "  },\n"
+         "  {\n"
+         "    \"n\": 4,\n"
+         "    \"S\": 40.0,\n"
+         "    \"value\": 16206.16786543432,\n"
+         "    \"aux\": 0.0001234098041649978,\n"
+         "    \"method\": \"thermal\",\n"
+         "    \"residual\": 1.4921397450962104e-13\n"
+         "  }\n"
+         "]\n",
+         ""),
+    Case(["curve", "--quantity", "purity-bound", "--n", "1,2", "--r", "1.5:3:3", "--mu", "0.01"],
+         0,
+         "n,r,mu,value,aux,method,residual\n"
+         "1,1.5,0.01,92.95263824606991,115.69287792317849,holder-root,9.9920072216264089e-14\n"
+         "1,2.25,0.01,87.439900209108146,141.58654886892873,holder-root,0\n"
+         "1,3,0.01,84.37648149161376,168.24852342602622,holder-root,0\n"
+         "2,1.5,0.01,8.9656446095842952,14.682062458890645,holder-root,1.1501910535116622e-13\n"
+         "2,2.25,0.01,8.5665121534643216,17.174910468173817,holder-root,1.7763568394002505e-15\n"
+         "2,3,0.01,8.3298914689211703,19.775888856837717,holder-root,2.8421709430404007e-14\n",
+         ""),
+    Case(["curve", "--quantity", "purity-bound", "--n", "2", "--r", "2", "--mu", "1e-4:1:3:log"],
+         0,
+         "n,r,mu,value,aux,method,residual\n"
+         "2,2,0.0001,86.603985364962099,172.20513687396101,holder-root,0\n"
+         "2,2,0.01,8.674825910357745,16.311649225740009,holder-root,5.3290705182007514e-15\n"
+         "2,2,1,1,1,holder-root,0\n",
+         ""),
+    Case(["curve", "--quantity", "purity-bound", "--n", "1", "--r", "1.5:6:2:log", "--mu", "0.1", "--format", "json"],
+         0,
+         "[\n"
+         "  {\n"
+         "    \"n\": 1,\n"
+         "    \"r\": 1.5,\n"
+         "    \"mu\": 0.1,\n"
+         "    \"value\": 9.30745972216897,\n"
+         "    \"aux\": 11.096097169343166,\n"
+         "    \"method\": \"holder-root\",\n"
+         "    \"residual\": 8.881784197001252e-16\n"
+         "  },\n"
+         "  {\n"
+         "    \"n\": 1,\n"
+         "    \"r\": 6.0,\n"
+         "    \"mu\": 0.1,\n"
+         "    \"value\": 7.949416378408799,\n"
+         "    \"aux\": 27.214699787027183,\n"
+         "    \"method\": \"holder-root\",\n"
+         "    \"residual\": 1.4210854715202004e-14\n"
+         "  }\n"
+         "]\n",
+         ""),
+    Case(["curve", "--quantity", "purity-bound", "--n", "3", "--r", "3", "--mu", "0.001:0.5:2", "--format", "json"],
+         0,
+         "[\n"
+         "  {\n"
+         "    \"n\": 3,\n"
+         "    \"r\": 3.0,\n"
+         "    \"mu\": 0.001,\n"
+         "    \"value\": 8.23761156245612,\n"
+         "    \"aux\": 23.1628691402376,\n"
+         "    \"method\": \"holder-root\",\n"
+         "    \"residual\": 0.0\n"
+         "  },\n"
+         "  {\n"
+         "    \"n\": 3,\n"
+         "    \"r\": 3.0,\n"
+         "    \"mu\": 0.5,\n"
+         "    \"value\": 1.1780860584503057,\n"
+         "    \"aux\": 1.5350771927660134,\n"
+         "    \"method\": \"holder-root\",\n"
+         "    \"residual\": 2.220446049250313e-16\n"
+         "  }\n"
+         "]\n",
+         ""),
+    Case(["bound", "purity", "--n", "1", "--r", "3", "--mu", "0.5", "--method", "interpolated"],
+         2,
+         "",
+         "error: --method interpolated requires --r 2\n"),
+    Case(["bound", "purity", "--n", "1", "--r", "2", "--mu", "0", "--method", "asymptotic"],
+         2,
+         "",
+         "error: mu must be in (0, 1], got 0.0\n"),
+    Case(["bound", "purity", "--n", "1", "--r", "0.5", "--mu", "0.5"],
+         2,
+         "",
+         "error: finite purity order requires r > 1, got 0.5\n"),
+    Case(["bound", "entropy", "--n", "0", "--S", "1", "--asymptotic"],
+         2,
+         "",
+         "error: dimension must be >= 1, got 0\n"),
+    Case(["bound", "entropy", "--n", "1", "--S", "800", "--asymptotic"],
+         2,
+         "",
+         "error: bound for S/n = 800.0 is beyond the float range\n"),
+    Case(["bound", "entropy", "--n", "1", "--S", "-1"],
+         2,
+         "",
+         "error: entropy must be >= 0, got -1.0\n"),
+    Case(["bound", "spectrum", "--n", "1", "--input", "{garbage}"],
+         2,
+         "",
+         "error: {garbage}:3: 'potato' is not a number\n"),
+    Case(["curve", "--quantity", "purity-bound", "--n", "1", "--r", "1.5:3:4", "--mu", "0.01:0.5:4"],
+         2,
+         "",
+         "error: purity-bound sweeps exactly one of --r/--mu; give the other as a plain number\n"),
+    Case(["curve", "--quantity", "purity-bound", "--n", "1", "--r", "2", "--mu", "0.5"],
+         2,
+         "",
+         "error: purity-bound sweeps exactly one of --r/--mu; give the other as a plain number\n"),
+    Case(["curve", "--quantity", "purity-bound", "--n", "1", "--r", "1:3:3"],
+         2,
+         "",
+         "error: --quantity purity-bound needs --mu\n"),
+    Case(["curve", "--quantity", "purity-bound", "--n", "1", "--r", "abc", "--mu", "0.1:1:3"],
+         2,
+         "",
+         "error: could not convert string to float: 'abc'\n"),
+    Case(["curve", "--quantity", "asymptotic-c", "--n", "1", "--r", "5"],
+         2,
+         "",
+         "error: --r must be a range min:max:points[:log] for --quantity asymptotic-c\n"),
+    Case(["curve", "--quantity", "asymptotic-c", "--n", "1", "--r", "2:1:5"],
+         2,
+         "",
+         "error: range needs min < max, got 2.0:1.0\n"),
+    Case(["curve", "--quantity", "asymptotic-c", "--n", "1", "--r", "1:2:1"],
+         2,
+         "",
+         "error: range needs at least 2 points\n"),
+    Case(["curve", "--quantity", "asymptotic-c", "--n", "1", "--r", "a:b:c"],
+         2,
+         "",
+         "error: range 'a:b:c' has non-numeric pieces\n"),
+    Case(["curve", "--quantity", "asymptotic-c", "--n", "1", "--r", "1:2"],
+         2,
+         "",
+         "error: range '1:2' is not min:max:points[:log]\n"),
+    Case(["curve", "--quantity", "asymptotic-c", "--n", "1", "--r", "0:2:3:log"],
+         2,
+         "",
+         "error: log spacing requires min > 0\n"),
+    Case(["curve", "--quantity", "interpolated-r2", "--n", "1", "--mu", "0.1:1:3:cubic"],
+         2,
+         "",
+         "error: unknown spacing 'cubic'\n"),
+    Case(["curve", "--quantity", "entropy-bound", "--n", "1"],
+         2,
+         "",
+         "error: --quantity entropy-bound needs --S\n"),
+    Case(["curve", "--quantity", "entropy-bound", "--n", "1", "--S", "3"],
+         2,
+         "",
+         "error: range '3' is not min:max:points[:log]\n"),
+    Case(["curve", "--quantity", "entropy-bound", "--n", "1,x", "--S", "0:1:2"],
+         2,
+         "",
+         "error: dimension list '1,x' must be comma-separated ints\n"),
+    Case(["curve", "--quantity", "entropy-bound", "--n", ",", "--S", "0:1:2"],
+         2,
+         "",
+         "error: dimension list is empty\n"),
+    Case(["curve", "--quantity", "entropy-bound", "--n", "1", "--r", "x", "--S", "0:1:2"],
+         2,
+         "",
+         "error: could not convert string to float: 'x'\n"),
+    Case(["curve", "--quantity", "interpolated-r2", "--n", "1", "--mu", "0.5:2:3"],
+         2,
+         "",
+         "error: mu must be in (0, 1], got 1.25\n"),
+]
+
+
+@pytest.mark.parametrize("case", CASES, ids=[" ".join(c.argv) for c in CASES])
+def test_pinned_output(case, tmp_path):
+    files = {"spectrum": tmp_path / "spectrum.txt", "garbage": tmp_path / "garbage.txt"}
+    files["spectrum"].write_text(SPECTRUM)
+    files["garbage"].write_text(GARBAGE)
+    argv = [arg.format(**files) for arg in case.argv]
+    result = CliRunner().invoke(cli.main, argv)
+    assert result.exit_code == case.code
+    assert result.stdout == case.stdout
+    assert result.stderr == case.stderr.format(**files)

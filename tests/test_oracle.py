@@ -196,8 +196,6 @@ class TestConfig:
             OracleConfig(trials=0)
         with pytest.raises(ValueError):
             OracleConfig(truncation=0)
-        with pytest.raises(ValueError):
-            OracleConfig(tolerance=0.0)
 
     def test_truncation_cap(self):
         assert OracleConfig(truncation=MAX_TRUNCATION).truncation == MAX_TRUNCATION
