@@ -20,13 +20,15 @@ ln mu(M) = (r-1) ln B_r(M) - r ln B_{r-1}(M), falls monotonically in M.
 So the optimal cutoff is one scalar root, found by Brent's method from a
 bracket around the mu -> 0 cutoff M*.
 
-The cutoff sums are exact up to rounding: below 200k terms they are summed
-directly in log space, above that the smooth tail is evaluated by
-Euler-Maclaurin with explicit correction terms, so a sum stays cheap even
-when the optimal cutoff reaches 1e8.  A sum that comes out zero or
-non-finite at M > 0 raises SolverError.
+The cutoff sums are exact up to rounding.  Up to 20k terms they are summed
+directly in log space.  Above that, the first and last 1024 levels are
+summed directly and the levels between them are integrated by
+Gauss-Legendre with the B2 and B4 Euler-Maclaurin end terms; every term is
+positive, so nothing cancels, and the cost grows with log M, not with M.
+A sum that comes out zero or non-finite at M > 0 raises SolverError.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -38,7 +40,6 @@ from uncbound.special_fn import (
     check_dimension,
     log_degeneracy_array,
     logsumexp,
-    signed_logsumexp,
 )
 from uncbound.spectrum_bound import BoundResult, bound_from_grouped
 
@@ -62,7 +63,7 @@ __all__ = [
 ]
 
 _ROOT_RTOL = 1e-12
-_DIRECT_TERM_LIMIT = 200_000
+_DIRECT_TERM_LIMIT = 20_000
 _THERMAL_LEVEL_CAP = 2_000_000
 
 
@@ -263,72 +264,146 @@ def _log_B_direct(M, n, r):
     return logsumexp(log_g + r * log_gaps)
 
 
-_EM_DIRECT_BLOCK = 1024
+_TAIL_BLOCK = 1024
+# A panel of the middle integral carries at most 12 + _NODE_HALF_CAP nodes;
+# a steeper panel is split instead, so no node count grows with r.
+_NODE_HALF_CAP = 128
+# A panel whose integral is provably below e^-50 of the sum is skipped: the
+# at most ~2100 panels of a float-range cutoff then miss under 1e-18 of it.
+_NEGLIGIBLE_LOG = 50.0
+# Splitting stops here.  Up to r = 100 no panel is split; far beyond, where
+# s ln u no longer resolves unit steps in m, the split count is unbounded.
+_MAX_PANELS = 8192
 
 
-def _log_power_sum(s, f, K):
-    """ln of sum_{i=0..K} (f+i)^s for s >= 1, f in [0, 1), in log space.
+@functools.cache
+def _gauss_rule(count):
+    # Gauss-Legendre nodes on (-1, 1) and their log weights, built on first use
+    from numpy.polynomial.legendre import leggauss
 
-    The first block of terms is summed directly; the smooth tail uses
-    Euler-Maclaurin with the B2 and B4 corrections, whose remainder is far
-    below 1e-13 relative once the tail spans a few thousand terms.
+    nodes, weights = leggauss(count)
+    log_weights = np.log(weights)
+    nodes.setflags(write=False)
+    log_weights.setflags(write=False)
+    return nodes, log_weights
+
+
+def _ratio2_edges(start, stop):
+    # start, 2 start, 4 start, ..., stop: panels of ratio at most 2
+    edges = start * 2.0 ** np.arange(max(1, math.ceil(math.log2(stop / start))) + 1)
+    edges[-1] = stop
+    return edges
+
+
+def _middle_nodes(M, n, s, log_refs, lower, upper, lg, lu):
+    """(m, u, ln weight) of the quadrature nodes of the middle integral.
+
+    ``lower`` holds the panel edges in m from the bottom to M/2, ``upper``
+    those in u from the top to M/2, and ``lg``, ``lu`` ln g and ln u at both
+    sets of edges, in that order.  A panel gets N = 12 + floor((n + s)/2)
+    Gauss-Legendre nodes for the largest order s.  ln g and ln u are
+    monotone across a panel, so their edge values bound ln F on it and its
+    variation.  A panel whose bound lies _NEGLIGIBLE_LOG below the lower
+    bound ``log_refs`` of its sum for every order is dropped.  One that
+    varies more than N nodes resolve, which only happens once N is capped,
+    is split into parts of equal ratio; past _MAX_PANELS parts in all, the
+    sum is out of reach and SolverError is raised.
     """
-    block = min(_EM_DIRECT_BLOCK, K + 1)
-    shift = (s + 1.0) * math.log(f + K) if K > 0 or f > 0 else 0.0
-    low = f + np.arange(block, dtype=float)
-    low = low[low > 0.0]  # the i=0 term vanishes when f = 0
-    pieces = list(np.exp(s * np.log(low) - shift))
-    if block <= K:  # Euler-Maclaurin over [block, K]
-        a_t, b_t = f + block, f + K
+    s_max = float(s.max())
+    t, log_w = _gauss_rule(12 + min(int(n + s_max) // 2, _NODE_HALF_CAP))
+    resolved = math.log(2.0) * min(n + s_max, 2.0 * _NODE_HALF_CAP)
+    x = np.concatenate([lower, upper])
+    first = np.concatenate([np.arange(lower.size - 1),
+                            lower.size + np.arange(upper.size - 1)])
+    last = first + 1
+    bound = np.maximum(lg[first], lg[last]) + s * np.maximum(lu[first], lu[last])
+    bound += np.log(x[last] - x[first])
+    keep = np.any(bound >= log_refs[:, None] - _NEGLIGIBLE_LOG, axis=0)
+    spread = np.abs(lg[last] - lg[first]) + s_max * np.abs(lu[last] - lu[first])
+    parts = np.maximum(np.ceil(spread[keep] / resolved), 1.0)
+    if not parts.sum() <= _MAX_PANELS:
+        raise SolverError(
+            f"cutoff sum of order {s_max} at M={M!r} (n={n}) needs more than "
+            f"{_MAX_PANELS} quadrature panels"
+        )
+    parts = parts.astype(int)
+    panel = np.repeat(np.flatnonzero(keep), parts)
+    whole = np.repeat(parts, parts)
+    step = np.arange(panel.size) - np.repeat(np.cumsum(parts) - parts, parts)
+    lo, hi = x[first[panel]], x[last[panel]]
+    log_ratio = np.log(hi / lo) / whole
+    a = lo * np.exp(step * log_ratio)
+    b = np.where(step + 1 < whole, lo * np.exp((step + 1) * log_ratio), hi)
+    radius = 0.5 * (b - a)
+    nodes = ((0.5 * (a + b))[:, None] + radius[:, None] * t).ravel()
+    log_weights = (np.log(radius)[:, None] + log_w).ravel()
+    in_m = np.repeat(first[panel] < lower.size, t.size)
+    other = M - nodes  # neither m nor u is a difference of two numbers near M
+    return np.where(in_m, nodes, other), np.where(in_m, other, nodes), log_weights
 
-        def scaled_power(base, exponent):
-            return math.exp(exponent * math.log(base) - shift)
 
-        pieces.append(scaled_power(b_t, s + 1.0) / (s + 1.0))
-        pieces.append(-scaled_power(a_t, s + 1.0) / (s + 1.0))
-        pieces.append(0.5 * (scaled_power(a_t, s) + scaled_power(b_t, s)))
-        pieces.append((s / 12.0) * (scaled_power(b_t, s - 1.0)
-                                    - scaled_power(a_t, s - 1.0)))
-        third = s * (s - 1.0) * (s - 2.0) / 720.0
-        pieces.append(-third * (scaled_power(b_t, s - 3.0)
-                                - scaled_power(a_t, s - 3.0)))
-    total = math.fsum(pieces)
-    if total <= 0.0:
-        return -math.inf
-    return shift + math.log(total)
+def _log_end_weights(m, u, n, s):
+    """ln of the Euler-Maclaurin weights of the middle's bottom and top level.
+
+    The weight is 1/2 -+ (F'/12 - F'''/720)/F, with F'/F and F'''/F from
+    the log-derivatives of F(m) = g(m) u^s, one row per order in ``s``.  It
+    exceeds 0.4 while |F'/F| < 1.  A steeper end level is below e^-600 of
+    its sum, and is dropped.
+    """
+    inverse = 1.0 / (m[:, None] + np.arange(1.0, n))
+    slope = s / u
+    d1 = np.sum(inverse, axis=1) - slope
+    d2 = -np.sum(inverse**2, axis=1) - slope / u
+    d3 = 2.0 * np.sum(inverse**3, axis=1) - 2.0 * slope / u / u
+    flat = np.abs(d1) < 1.0
+    d1 = np.where(flat, d1, 0.0)
+    weight = 0.5 - np.array([1.0, -1.0]) * (
+        d1 / 12.0 - (d3 + 3.0 * d1 * d2 + d1**3) / 720.0)
+    return np.log(weight, out=np.full(weight.shape, -np.inf), where=flat)
 
 
-def _log_B_tail(M, n, r):
-    # Expand the degeneracy polynomial in powers of u = M - m, so the sum
-    # becomes a short signed combination of power sums handled above.
-    K = int(math.floor(M))
-    f = M - K
-    coeffs = [1.0]  # ascending powers of u
-    for t in range(1, n):
-        root_t = M + t
-        grown = [0.0] * (len(coeffs) + 1)
-        for j, a in enumerate(coeffs):
-            grown[j] += a * root_t
-            grown[j + 1] -= a
-        coeffs = grown
-    logs = []
-    signs = []
-    for j, a in enumerate(coeffs):
-        if a == 0.0:
-            continue
-        logs.append(math.log(abs(a)) + _log_power_sum(r + j, f, K))
-        signs.append(math.copysign(1.0, a))
-    value, sign = signed_logsumexp(logs, signs)
-    if sign <= 0.0:
-        return -math.inf
-    return value - math.lgamma(n)
+def _log_B_tail(M, n, orders):
+    """[ln B_s(M) for s in orders], from positive terms only, for M >= 4096.
+
+    The first and last _TAIL_BLOCK levels are summed directly.  The top
+    block is written in u = M - m = f + i, which stays exact above 2^53,
+    where the integer levels m can no longer be listed.  The levels between
+    the blocks are the integral of F(m) = g(m) (M - m)^s over them, by
+    Gauss-Legendre on ratio-2 panels, graded in m from the bottom and in u
+    from the top to M/2, plus the B2 and B4 Euler-Maclaurin terms at their
+    two end levels.  Every order shares the levels, nodes, ln g and ln u.
+    Below 4 _TAIL_BLOCK the blocks would overlap, and ValueError is raised.
+    """
+    if not M >= 4 * _TAIL_BLOCK:
+        raise ValueError(f"the tail sum needs M >= {4 * _TAIL_BLOCK}, got {M!r}")
+    s = np.asarray(orders, dtype=float)[:, None]
+    block = np.arange(_TAIL_BLOCK, dtype=float)
+    f = (M - math.ceil(M)) + 1.0  # the smallest gap M - m, in (0, 1]
+    ends_m = np.array([_TAIL_BLOCK, M - (f + _TAIL_BLOCK)])
+    ends_u = np.array([M - _TAIL_BLOCK, f + _TAIL_BLOCK])
+    lower = _ratio2_edges(ends_m[0], 0.5 * M)
+    upper = _ratio2_edges(ends_u[1], 0.5 * M)
+    lg = log_degeneracy_array(
+        np.concatenate([block, M - (f + block), ends_m, lower, M - upper]), n)
+    lu = np.log(np.concatenate([M - block, f + block, ends_u, M - lower, upper]))
+    levels = 2 * _TAIL_BLOCK
+    log_refs = np.max(lg[:levels] + s * lu[:levels], axis=1)  # one term of each sum
+    node_m, node_u, node_w = _middle_nodes(
+        M, n, s, log_refs, lower, upper, lg[levels + 2:], lu[levels + 2:])
+    ends = lg[levels:levels + 2] + s * lu[levels:levels + 2]
+    ends += _log_end_weights(ends_m, ends_u, n, s)
+    all_lg = np.concatenate([lg[:levels], log_degeneracy_array(node_m, n) + node_w])
+    all_lu = np.concatenate([lu[:levels], np.log(node_u)])
+    terms = np.concatenate([all_lg + s * all_lu, ends], axis=1)
+    return [logsumexp(row) for row in terms]
 
 
 def log_B_exact(M, n, r, branch=None) -> float:
     """ln of :func:`B_exact`; -inf when the sum is empty or zero.
 
     ``branch`` forces "direct" or "tail" evaluation (tests cross-check the
-    two); by default sums of up to 200k terms go direct.
+    two); by default sums of up to 20k terms go direct and larger ones take
+    the tail, which raises ValueError below M = 4096.
     """
     n = check_dimension(n)
     M = float(M)
@@ -344,7 +419,7 @@ def log_B_exact(M, n, r, branch=None) -> float:
     if branch == "direct":
         return _log_B_direct(M, n, r)
     if branch == "tail":
-        return _log_B_tail(M, n, r)
+        return _log_B_tail(M, n, (r,))[0]
     raise ValueError(f"unknown branch {branch!r}")
 
 
@@ -401,15 +476,15 @@ def _check_log_sum(log_b, M, n, r):
 def _log_B_pair(M, n, r):
     """(ln B_r(M), ln B_{r-1}(M)) for M > 0, in one pass over the levels.
 
-    The direct branch shares the levels, degeneracies and ln(M - m) between
-    the two sums; the tail branch evaluates each order on its own.
+    Both branches share the levels, degeneracies and ln(M - m) between the
+    two sums.
     """
     if M <= _DIRECT_TERM_LIMIT:
         log_g, log_gaps = _direct_terms(M, n)
         lower = log_g + (r - 1.0) * log_gaps
         pair = (logsumexp(lower + log_gaps), logsumexp(lower))
     else:
-        pair = (_log_B_tail(M, n, r), _log_B_tail(M, n, r - 1.0))
+        pair = _log_B_tail(M, n, (r, r - 1.0))
     return _check_log_sum(pair[0], M, n, r), _check_log_sum(pair[1], M, n, r - 1.0)
 
 
@@ -544,12 +619,20 @@ def asymptotic_purity_bound(mu, n, r) -> float:
     """Per-dimension bound (C/mu)^(1/n) of the mu -> 0 limit, C = asymptotic_C.
 
     A float, not a BoundResult: away from that limit it can fall below the
-    pure-state floor (mu = 1 gives C^(1/n)).
+    pure-state floor (mu = 1 gives C^(1/n)).  Raises ValueError where it is
+    beyond the float range.
     """
     mu = float(mu)
     if not 0.0 < mu <= 1.0:
         raise ValueError(f"mu must be in (0, 1], got {mu}")
-    return (asymptotic_C(n, r) / mu) ** (1.0 / n)
+    c = asymptotic_C(n, r)
+    if c / mu < math.inf:
+        value = (c / mu) ** (1.0 / n)
+    else:  # C/mu overflows at a subnormal mu; its n-th root may not
+        value = c ** (1.0 / n) / mu ** (1.0 / n)
+    if not math.isfinite(value):
+        raise ValueError(f"bound for mu = {mu!r} is beyond the float range")
+    return value
 
 
 def asymptotic_entropy_bound(S, n) -> float:

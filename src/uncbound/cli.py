@@ -84,6 +84,8 @@ def parse_range(text):
     except ValueError:
         raise ValueError(f"range {text!r} has non-numeric pieces") from None
     spacing = parts[3] if len(parts) == 4 else "linear"
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"range needs finite min and max, got {parts[0]}:{parts[1]}")
     if not lo < hi:
         raise ValueError(f"range needs min < max, got {lo}:{hi}")
     if points < 2:

@@ -6,9 +6,9 @@ precision integer, so it never wraps; converting a too-large count to a
 float raises ``OverflowError``, which is why every floating-point consumer
 in this package works with :func:`log_degeneracy` instead.
 
-:func:`logsumexp` and :func:`signed_logsumexp` are the package's one
-log-sum-exp: a numpy max shift with the largest term split off into
-``log1p``, so a sum dominated by one term keeps its small remainder.
+:func:`logsumexp` is the package's one log-sum-exp: a numpy max shift with
+the largest term split off into ``log1p``, so a sum dominated by one term
+keeps its small remainder.
 """
 
 import math
@@ -24,7 +24,6 @@ __all__ = [
     "log_degeneracy_array",
     "log_gamma",
     "logsumexp",
-    "signed_logsumexp",
 ]
 
 # Documented ceiling on the number of position/momentum pairs.  Bound
@@ -115,41 +114,14 @@ def log_gamma(x) -> float:
     return math.lgamma(x)
 
 
-def _split_top(values):
-    # the largest entry and exp(values - largest) with that entry zeroed
-    a = np.asarray(values, dtype=float)
-    top = int(np.argmax(a)) if a.size else -1
-    if top < 0 or not np.isfinite(a[top]):
-        return a, top, None
-    scaled = np.exp(a - a[top])
-    scaled[top] = 0.0
-    return a, top, scaled
-
-
 def logsumexp(values) -> float:
     """ln sum_i exp(values_i); -inf for an empty or all -inf input."""
-    a, top, scaled = _split_top(values)
-    if scaled is None:
-        return -math.inf if top < 0 else float(a[top])
+    a = np.asarray(values, dtype=float)
+    if not a.size:
+        return -math.inf
+    top = int(np.argmax(a))
+    if not np.isfinite(a[top]):
+        return float(a[top])
+    scaled = np.exp(a - a[top])
+    scaled[top] = 0.0  # the largest term is log1p's 1
     return float(a[top] + np.log1p(scaled.sum()))
-
-
-def signed_logsumexp(values, signs) -> tuple[float, float]:
-    """ln |sum_i signs_i exp(values_i)| and the sign of the sum.
-
-    ``signs`` holds +1 or -1 per entry.  A sum that cancels to zero, or an
-    empty or all -inf input, gives (-inf, 0.0).
-    """
-    a, top, scaled = _split_top(values)
-    s = np.asarray(signs, dtype=float)
-    if scaled is None:
-        if top < 0 or a[top] == -math.inf:
-            return -math.inf, 0.0
-        return float(a[top]), float(s[top])
-    lead = float(s[top])
-    rest = lead * float(np.sum(s * scaled))  # sum / (lead * e^top) - 1
-    if rest > -1.0:
-        return float(a[top] + np.log1p(rest)), lead
-    if rest < -1.0:
-        return float(a[top] + np.log1p(-2.0 - rest)), -lead
-    return -math.inf, 0.0

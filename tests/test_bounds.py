@@ -1,9 +1,11 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import uncbound.bounds as bounds
 from uncbound.bounds import (
     B_asymptotic,
     B_exact,
@@ -181,23 +183,70 @@ class TestCutoffSums:
                 brute_cutoff_sum(M, n, r), rel=1e-11
             )
 
-    def test_branches_agree(self):
-        rng = np.random.default_rng(18)
-        for _ in range(40):
-            n = int(rng.integers(1, 5))
-            r = float(rng.uniform(1.0, 10.0))
-            M = float(rng.uniform(5.0, 5000.0))
-            direct = log_B_exact(M, n, r, branch="direct")
-            tail = log_B_exact(M, n, r, branch="tail")
-            assert tail == pytest.approx(direct, rel=1e-11, abs=1e-11)
+    @staticmethod
+    def pair_both_ways(monkeypatch, M, n, r):
+        # _log_B_pair from the direct sums and from the tail
+        monkeypatch.setattr(bounds, "_DIRECT_TERM_LIMIT", math.inf)
+        direct = bounds._log_B_pair(M, n, r)
+        monkeypatch.setattr(bounds, "_DIRECT_TERM_LIMIT", 0.0)
+        return direct, bounds._log_B_pair(M, n, r)
 
-    def test_integer_cutoff_edge(self):
-        # at integer M the newest term vanishes; both branches must agree
-        for M in (1.0, 2.0, 7.0):
+    def test_branches_agree(self, monkeypatch):
+        rng = np.random.default_rng(18)
+        for _ in range(24):
+            n = int(rng.integers(1, 65))
+            r = float(rng.uniform(1.01, 100.0))
+            M = float(np.exp(rng.uniform(np.log(4.0 * 1024), np.log(3e6))))
+            direct, tail = self.pair_both_ways(monkeypatch, M, n, r)
+            assert tail == pytest.approx(direct, rel=1e-13), (M, n, r)
+
+    def test_integer_cutoff_edge(self, monkeypatch):
+        # at integer M the level m = M carries (M - m)^r = 0 and is left out
+        for M in (5e3, 2e4, 2e5, 1e6):
             for n in (1, 2, 3):
                 direct = log_B_exact(M, n, 2.5, branch="direct")
                 tail = log_B_exact(M, n, 2.5, branch="tail")
-                assert tail == pytest.approx(direct, rel=1e-12)
+                assert tail == pytest.approx(direct, rel=1e-14)
+                direct, tail = self.pair_both_ways(monkeypatch, M, n, 1.5)
+                assert tail == pytest.approx(direct, rel=1e-14)
+
+    def test_tail_needs_separate_end_blocks(self):
+        with pytest.raises(ValueError):
+            log_B_exact(4095.0, 2, 2.0, branch="tail")
+
+    @pytest.mark.parametrize("n, r, M", [
+        (6, 1.01, 1e8 + 0.37), (6, 10.0, 4096.0), (12, 2.0, 3.3e5),
+        (12, 100.0, 1.5e6), (24, 10.0, 1e7 + 0.5), (64, 2.0, 2.5e4),
+        (64, 100.0, 1e8),
+    ])
+    def test_tail_matches_hurwitz_zeta(self, n, r, M):
+        # with g(M - u) = sum_j a_j u^j, B_s = sum_j a_j sum_{u = f, f+1, .., M} u^(s+j),
+        # and each inner sum is zeta(-s-j, f) - zeta(-s-j, M+1)
+        tail = bounds._log_B_tail(M, n, (r, r - 1.0))
+        with mpmath.workdps(60 + int(n * math.log10(M))):
+            big_m = mpmath.mpf(M)
+            coeffs = [mpmath.mpf(1)]  # ascending powers of u in prod_t (M + t - u)/t
+            for t in range(1, n):
+                grown = [mpmath.mpf(0)] * (len(coeffs) + 1)
+                for j, a in enumerate(coeffs):
+                    grown[j] += a * (big_m + t) / t
+                    grown[j + 1] -= a / t
+                coeffs = grown
+            f = big_m - mpmath.ceil(big_m) + 1
+            for got, s in zip(tail, (r, r - 1.0)):
+                total = mpmath.fsum(
+                    a * (mpmath.zeta(-s - j, f) - mpmath.zeta(-s - j, big_m + 1))
+                    for j, a in enumerate(coeffs))
+                assert got == pytest.approx(float(mpmath.log(total)), rel=1e-13)
+
+    def test_one_dim_tail_beyond_integer_levels(self):
+        # above 2^53 the levels are not listable; sum_u u^s -> M^(s+1)/(s+1)
+        for M in (1e20, 1e100, 1e200):
+            for r in (1.01, 2.0, 10.0, 100.0):
+                tail = bounds._log_B_tail(M, 1, (r, r - 1.0))
+                for got, s in zip(tail, (r, r - 1.0)):
+                    expected = (s + 1.0) * math.log(M) - math.log(s + 1.0)
+                    assert got == pytest.approx(expected, rel=1e-13)
 
     def test_asymptotic_closed_form(self):
         assert B_asymptotic(10.0, 2, 2.0) == pytest.approx(1e4 / 12.0, rel=1e-13)
@@ -236,9 +285,11 @@ class TestHolderBracket:
         value = holder_bracket(res.aux, 1, 2.0, 1e-4)
         assert value * 1e-4 == pytest.approx(8.0 / 9.0, rel=0.01)
 
-    def test_empty_tail_sum_raises(self):
-        # the tail branch cancels to a non-positive sum here; the bracket
-        # must not turn that into the unbounded (2M + n)/n
+    def test_empty_tail_sum_raises(self, monkeypatch):
+        # a tail sum that comes out zero must not turn into the unbounded
+        # (2M + n)/n
+        monkeypatch.setattr(bounds, "_log_B_tail",
+                            lambda M, n, orders: [-math.inf] * len(orders))
         assert log_B_exact(1.5e6, 12, 100.0, branch="tail") == -math.inf
         with pytest.raises(SolverError):
             holder_bracket(1.5e6, 12, 100.0, 1e-70)
@@ -359,12 +410,28 @@ class TestPurityBound:
                 )
 
     def test_empty_cutoff_sum_raises(self, monkeypatch):
-        import uncbound.bounds as bounds
-
         monkeypatch.setattr(bounds, "_DIRECT_TERM_LIMIT", 0)
-        monkeypatch.setattr(bounds, "_log_B_tail", lambda M, n, r: -math.inf)
+        monkeypatch.setattr(bounds, "_log_B_tail",
+                            lambda M, n, orders: [-math.inf] * len(orders))
         with pytest.raises(SolverError):
             purity_bound(1e-3, 2, PurityOrder.finite(2.0))
+
+    def test_large_cutoff_is_not_overstated(self, monkeypatch):
+        # a tail whose terms cancel put this bound 5.6e-7 above the direct sums
+        mu, n, r = 1e-60, 12, 10.0
+        res = purity_bound(mu, n, PurityOrder.finite(r))
+        monkeypatch.setattr(bounds, "_DIRECT_TERM_LIMIT", math.inf)
+        best = max(holder_bracket(res.aux * (1.0 + d), n, r, mu) for d in (-1e-4, 0.0, 1e-4))
+        assert res.per_dim_product <= best * (1.0 + 1e-13)
+
+    @pytest.mark.parametrize("mu, n, r, expected", [
+        (1e-140, 24, 10.0, 514084.9958), (1e-70, 12, 100.0, 503635.537),
+        (1e-12, 3, 100.0, 7393.865375433),
+    ])
+    def test_large_cutoff_reaches_direct_optimum(self, mu, n, r, expected):
+        # the direct-sum optima; a tail whose terms cancel ends the first two in exit 3
+        res = purity_bound(mu, n, PurityOrder.finite(r))
+        assert res.per_dim_product == pytest.approx(expected, rel=1e-9)
 
     def test_requires_finite_order(self):
         with pytest.raises(ValueError):
@@ -441,6 +508,14 @@ class TestAsymptoticBounds:
         for n in (1, 2, 3):
             exact = purity_bound(1e-12, n, PurityOrder.finite(2.0)).per_dim_product
             assert exact == pytest.approx(asymptotic_purity_bound(1e-12, n, 2.0), rel=1e-8)
+
+    def test_purity_beyond_float_range(self):
+        with pytest.raises(ValueError, match="beyond the float range"):
+            asymptotic_purity_bound(1e-310, 1, 2.0)
+        # C/mu overflows, but its square root does not
+        assert asymptotic_purity_bound(1e-310, 2, 2.0) == pytest.approx(
+            math.sqrt(asymptotic_C(2, 2.0)) * 1e155, rel=1e-13
+        )
 
     @pytest.mark.parametrize("mu, n, r", [
         (0.0, 1, 2.0), (-0.5, 1, 2.0), (1.5, 1, 2.0), (math.nan, 1, 2.0),

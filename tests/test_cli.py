@@ -326,6 +326,18 @@ class TestCurve:
             ])
             assert result.exit_code == 2, bad
 
+    @pytest.mark.parametrize("grid, ends", [
+        ("0.1:inf:2", "0.1:inf"), ("-inf:1:3", "-inf:1"), ("nan:0.5:3:log", "nan:0.5"),
+    ])
+    def test_non_finite_range_end_is_domain_error(self, runner, grid, ends):
+        result = runner.invoke(cli.main, [
+            "curve", "--quantity", "purity-bound", "--n", "1", "--r", "2", "--mu", grid,
+        ])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        # the message alone: no numpy warning, and the ends as given
+        assert result.stderr == f"error: range needs finite min and max, got {ends}\n"
+
     def test_seventeen_digit_round_trip(self, runner):
         result = runner.invoke(cli.main, [
             "curve", "--quantity", "asymptotic-c", "--n", "3", "--r", "1:7:5",
@@ -420,10 +432,17 @@ def test_console_script_help():
 
 
 def test_cli_import_loads_no_scipy():
-    # scipy is imported on use only; loading it at import triples a cold start
-    code = ("import uncbound.cli, sys; print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] == 'scipy'))")
+    # scipy is imported on use only: loading it at import triples a cold
+    # start, and scipy.special alone adds 24 MB to a cutoff-sum tail call
+    code = ("import sys\n"
+            "import uncbound.cli\n"
+            "from uncbound.bounds import purity_bound\n"
+            "from uncbound.purity import PurityOrder\n"
+            "def loaded(): return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "print(loaded())\n"
+            "purity_bound(1e-6, 1, PurityOrder.finite(2.0))  # its cutoff takes the tail\n"
+            "print(loaded())\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=package_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.split("\n") == ["[]", "[]", ""]

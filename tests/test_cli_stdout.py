@@ -23,7 +23,7 @@ CASES = [
     Case(["bound", "purity", "--n", "1", "--r", "2", "--mu", "1e-6"],
          0,
          "n,r,mu,value,volume,aux,method,residual\n"
-         "1,2,9.9999999999999995e-07,888888.8888890082,888888.8888890082,1333332.8333335912,exact,1.0302869668521453e-13\n",
+         "1,2,9.9999999999999995e-07,888888.88888901612,888888.88888901612,1333332.8333335856,exact,1.0302869668521453e-13\n",
          ""),
     Case(["bound", "purity", "--n", "2", "--r", "3", "--mu", "0.01", "--format", "json"],
          0,
@@ -332,6 +332,10 @@ CASES = [
          2,
          "",
          "error: bound for S/n = 800.0 is beyond the float range\n"),
+    Case(["bound", "purity", "--n", "1", "--r", "2", "--mu", "1e-310", "--method", "asymptotic"],
+         2,
+         "",
+         "error: bound for mu = 1e-310 is beyond the float range\n"),
     Case(["bound", "entropy", "--n", "1", "--S", "-1"],
          2,
          "",
@@ -364,6 +368,10 @@ CASES = [
          2,
          "",
          "error: range needs min < max, got 2.0:1.0\n"),
+    Case(["curve", "--quantity", "purity-bound", "--n", "1", "--r", "2", "--mu", "0.1:inf:2"],
+         2,
+         "",
+         "error: range needs finite min and max, got 0.1:inf\n"),
     Case(["curve", "--quantity", "asymptotic-c", "--n", "1", "--r", "1:2:1"],
          2,
          "",

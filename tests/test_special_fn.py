@@ -15,7 +15,6 @@ from uncbound.special_fn import (
     log_degeneracy_array,
     log_gamma,
     logsumexp,
-    signed_logsumexp,
 )
 
 
@@ -156,23 +155,3 @@ def test_logsumexp_matches_scipy():
         _assert_log_close(logsumexp(values), float(scipy_lse(values)))
     assert logsumexp([]) == -math.inf
     assert logsumexp([-np.inf, -np.inf]) == -math.inf
-
-
-def test_signed_logsumexp_matches_scipy():
-    rng = np.random.default_rng(6)
-    for values in _lse_inputs():
-        for _ in range(4):
-            signs = rng.choice([-1.0, 1.0], values.size)
-            ref, ref_sign = scipy_lse(values, b=signs, return_sign=True)
-            ours, sign = signed_logsumexp(values, signs)
-            assert sign == ref_sign
-            _assert_log_close(ours, float(ref))
-    # sums that come out negative, and one that cancels exactly
-    value, sign = signed_logsumexp([0.0, 0.5], [1.0, -1.0])
-    assert sign == -1.0
-    assert value == pytest.approx(math.log(math.exp(0.5) - 1.0), rel=1e-15)
-    value, sign = signed_logsumexp([-np.inf, 1.0, 0.0], [1.0, -1.0, 1.0])
-    assert sign == -1.0
-    assert value == pytest.approx(math.log(math.e - 1.0), rel=1e-15)
-    assert signed_logsumexp([1.0, 1.0], [1.0, -1.0]) == (-math.inf, 0.0)
-    assert signed_logsumexp([-np.inf], [1.0]) == (-math.inf, 0.0)
