@@ -12,7 +12,7 @@ and ships independent brute-force / quadrature oracles that verify every
 closed form used along the way.
 """
 
-from uncbound.special_fn import degeneracy, log_degeneracy, log_gamma
+from uncbound.special_fn import degeneracy, log_degeneracy
 from uncbound.purity import (
     GroupedSpectrum,
     PurityOrder,
@@ -61,7 +61,6 @@ __all__ = [
     "holder_bracket",
     "interpolated_bound_r2",
     "log_degeneracy",
-    "log_gamma",
     "purity_bound",
     "purity_from_grouped",
     "purity_from_spectrum",

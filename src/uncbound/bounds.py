@@ -5,7 +5,9 @@ Four routes to a lower bound are implemented:
 * ``interpolated_bound_r2`` -- the r = 2 relation valid for all mu,
   driven by the root of a gamma-function equation;
 * ``entropy_bound`` -- the entropy-constrained minimum, attained by a
-  product of one-dimensional thermal states;
+  product of one-dimensional thermal states, so it is their closed form;
+  ``thermal_grouped_spectrum`` materializes that state as the reference the
+  tests and ``verify roundtrip`` check it against, and no bound calls it;
 * ``purity_bound`` -- the general mu^(r) bound, the supremum over cutoffs M
   of a bracket that is a valid bound for every M;
 * ``asymptotic_C`` -- closed forms for the highly mixed limit mu -> 0,
@@ -20,17 +22,17 @@ ln mu(M) = (r-1) ln B_r(M) - r ln B_{r-1}(M), falls monotonically in M.
 So the optimal cutoff is one scalar root, found by Brent's method from a
 bracket around the mu -> 0 cutoff M*.
 
-The cutoff sums are exact up to rounding.  Up to 20k terms they are summed
-directly in log space.  Above that, the first and last 1024 levels are
-summed directly and the levels between them are integrated by
-Gauss-Legendre with the B2 and B4 Euler-Maclaurin end terms; every term is
-positive, so nothing cancels, and the cost grows with log M, not with M.
-A sum that comes out zero or non-finite at M > 0 raises SolverError.
+The cutoff sums are exact up to rounding, and ``_log_B_pair`` alone picks
+how they are taken.  Up to 20k terms they are summed directly in log
+space.  Above that, the first and last 1024 levels are summed directly
+and the levels between them are integrated by Gauss-Legendre with the B2
+and B4 Euler-Maclaurin end terms; every term is positive, so nothing
+cancels, and the cost grows with log M, not with M.  A sum that comes out
+zero or non-finite at M > 0 raises SolverError.
 """
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,10 +43,9 @@ from uncbound.special_fn import (
     log_degeneracy_array,
     logsumexp,
 )
-from uncbound.spectrum_bound import BoundResult, bound_from_grouped
+from uncbound.spectrum_bound import BoundResult
 
 __all__ = [
-    "ThermalParams",
     "B_asymptotic",
     "B_exact",
     "asymptotic_C",
@@ -64,19 +65,7 @@ __all__ = [
 
 _ROOT_RTOL = 1e-12
 _DIRECT_TERM_LIMIT = 20_000
-_THERMAL_LEVEL_CAP = 2_000_000
-
-
-@dataclass(frozen=True)
-class ThermalParams:
-    """Inverse-temperature-like parameter of the thermal minimizer
-    xi_m ~ g_m exp(-beta m)."""
-
-    beta: float
-
-    def __post_init__(self):
-        if not self.beta > 0.0:
-            raise ValueError(f"beta must be > 0, got {self.beta!r}")
+_THERMAL_LEVEL_CAP = 400_000
 
 
 # ---------------------------------------------------------------------------
@@ -166,31 +155,35 @@ def _solve_thermal(S, n):
                        rtol=1e-14, expand=False)
     t = root.x
     beta = _beta_of(math.exp(t), -math.expm1(t))
-    return ThermalParams(beta=beta), root
+    if not beta > 0.0:  # S/n above 746.13: beta rounds to 0
+        raise ValueError(f"beta must be > 0, got {beta!r}")
+    return beta, root
 
 
-def thermal_beta_from_entropy(S, n) -> ThermalParams:
-    """Inverse of the thermal-family entropy: beta with S(beta) = S.
+def thermal_beta_from_entropy(S, n) -> float:
+    """Inverse of the thermal-family entropy: the float beta with S(beta) = S.
 
     S = 0 maps to beta = +inf (the vacuum).  The solve runs on the
     per-dimension entropy S/n, which makes the bound factorize exactly
-    across dimensions.
+    across dimensions.  Raises ValueError where beta rounds to 0
+    (S/n above 746.13).
     """
     n = check_dimension(n)
     S = float(S)
     if S < 0.0:
         raise ValueError(f"entropy must be >= 0, got {S}")
     if S < 1e-290:
-        return ThermalParams(beta=math.inf)
+        return math.inf
     return _solve_thermal(S, n)[0]
 
 
-def thermal_grouped_spectrum(beta, n, max_levels=_THERMAL_LEVEL_CAP) -> GroupedSpectrum:
+def thermal_grouped_spectrum(beta, n) -> GroupedSpectrum:
     """Materialize xi_m = A g_m e^{-beta m} as a GroupedSpectrum.
 
-    Truncated at mean + 40 sigma, which leaves a tail far below the
-    normalization tolerance.  Raises ValueError when that would take more
-    than ``max_levels`` levels.
+    The reference for the closed forms, used by the tests and by
+    ``verify roundtrip``; no bound calls it.  Truncated at mean + 40 sigma,
+    which leaves a tail far below the normalization tolerance.  Raises
+    ValueError when that would take more than _THERMAL_LEVEL_CAP levels.
     """
     n = check_dimension(n)
     beta = float(beta)
@@ -203,10 +196,10 @@ def thermal_grouped_spectrum(beta, n, max_levels=_THERMAL_LEVEL_CAP) -> GroupedS
     mean = n * x / u
     sigma = math.sqrt(n * x) / u
     top = mean + 40.0 * sigma + 64.0  # compared as a float: it may be inf
-    if not top < max_levels:
+    if not top < _THERMAL_LEVEL_CAP:
         raise ValueError(
             f"thermal spectrum at beta={beta:.3e}, n={n} needs ~{top:.3g} levels, "
-            f"above the cap {max_levels}"
+            f"above the cap {_THERMAL_LEVEL_CAP}"
         )
     m = np.arange(int(top) + 1, dtype=float)
     log_xi = n * math.log(u) + log_degeneracy_array(m, n) - beta * m
@@ -216,9 +209,9 @@ def thermal_grouped_spectrum(beta, n, max_levels=_THERMAL_LEVEL_CAP) -> GroupedS
 def entropy_bound(S, n) -> BoundResult:
     """Minimal per-dimension uncertainty product at fixed entropy S.
 
-    The closed form (1 + e^{-beta})/(1 - e^{-beta}) is cross-checked
-    against the grouped-spectrum sum whenever the thermal state is small
-    enough to materialize.
+    The minimizer is the thermal product state, so the bound is the closed
+    form (1 + e^{-beta})/(1 - e^{-beta}) at the beta of S/n; ``aux`` is
+    that beta.
     """
     n = check_dimension(n)
     S = float(S)
@@ -226,42 +219,18 @@ def entropy_bound(S, n) -> BoundResult:
         raise ValueError(f"entropy must be >= 0, got {S}")
     if S < 1e-290:
         return BoundResult.from_per_dim(1.0, n, method="thermal", aux=math.inf)
-    params, root = _solve_thermal(S, n)
-    x = math.exp(-params.beta)
-    u = -math.expm1(-params.beta)
-    per_dim = 1.0 + 2.0 * x / u
-    residual = abs(thermal_entropy(params.beta, n) - S)
-    try:
-        grouped = thermal_grouped_spectrum(params.beta, n)
-    except ValueError:
-        grouped = None  # too mixed to materialize; closed form stands alone
-    if grouped is not None:
-        other = bound_from_grouped(grouped).per_dim_product
-        if abs(other - per_dim) > 1e-9 * per_dim:
-            raise SolverError(
-                f"thermal bound paths disagree: closed {per_dim!r} vs "
-                f"grouped {other!r}"
-            )
+    beta, root = _solve_thermal(S, n)
+    x = math.exp(-beta)
+    u = -math.expm1(-beta)
     return BoundResult.from_per_dim(
-        per_dim, n, method="thermal", aux=params.beta,
-        residual=residual, iterations=root.iterations,
+        1.0 + 2.0 * x / u, n, method="thermal", aux=beta,
+        residual=abs(thermal_entropy(beta, n) - S), iterations=root.iterations,
     )
 
 
 # ---------------------------------------------------------------------------
 # cutoff sums behind the general bracket
 # ---------------------------------------------------------------------------
-
-
-def _direct_terms(M, n):
-    # ln g_m and ln(M - m) over the levels 0 <= m < M of the cutoff sum
-    m = np.arange(math.ceil(M), dtype=float)
-    return log_degeneracy_array(m, n), np.log(M - m)
-
-
-def _log_B_direct(M, n, r):
-    log_g, log_gaps = _direct_terms(M, n)
-    return logsumexp(log_g + r * log_gaps)
 
 
 _TAIL_BLOCK = 1024
@@ -398,12 +367,37 @@ def _log_B_tail(M, n, orders):
     return [logsumexp(row) for row in terms]
 
 
-def log_B_exact(M, n, r, branch=None) -> float:
-    """ln of :func:`B_exact`; -inf when the sum is empty or zero.
+def _log_B_pair(M, n, r):
+    """(ln B_r(M), ln B_{r-1}(M)) for M > 0, in one pass over the levels.
 
-    ``branch`` forces "direct" or "tail" evaluation (tests cross-check the
-    two); by default sums of up to 20k terms go direct and larger ones take
-    the tail, which raises ValueError below M = 4096.
+    The one place the branch is chosen: sums of up to _DIRECT_TERM_LIMIT
+    terms are summed directly, sharing ln g and ln(M - m) between the two
+    orders, and larger ones take :func:`_log_B_tail`.  A cutoff sum at
+    M > 0 holds the positive m = 0 term, so one that comes out zero or
+    non-finite raises SolverError.
+    """
+    if M <= _DIRECT_TERM_LIMIT:
+        m = np.arange(math.ceil(M), dtype=float)
+        log_gaps = np.log(M - m)
+        lower = log_degeneracy_array(m, n) + (r - 1.0) * log_gaps
+        pair = (logsumexp(lower + log_gaps), logsumexp(lower))
+    else:
+        pair = _log_B_tail(M, n, (r, r - 1.0))
+    for log_b, order in zip(pair, (r, r - 1.0)):
+        if not math.isfinite(log_b):
+            raise SolverError(
+                f"cutoff sum of order {order} is "
+                f"{'zero' if log_b == -math.inf else 'non-finite'} at M={M!r} (n={n})"
+            )
+    return pair
+
+
+def log_B_exact(M, n, r) -> float:
+    """ln of :func:`B_exact`; -inf at M = 0, where the sum is empty.
+
+    The first of :func:`_log_B_pair`: sums of up to 20k terms go direct and
+    larger ones take the tail.  Raises SolverError when the sum at M > 0
+    comes out zero or non-finite.
     """
     n = check_dimension(n)
     M = float(M)
@@ -414,13 +408,7 @@ def log_B_exact(M, n, r, branch=None) -> float:
         raise ValueError(f"exponent r must be >= 1, got {r}")
     if M == 0.0:
         return -math.inf
-    if branch is None:
-        branch = "direct" if M <= _DIRECT_TERM_LIMIT else "tail"
-    if branch == "direct":
-        return _log_B_direct(M, n, r)
-    if branch == "tail":
-        return _log_B_tail(M, n, (r,))[0]
-    raise ValueError(f"unknown branch {branch!r}")
+    return _log_B_pair(M, n, r)[0]
 
 
 def B_exact(M, n, r) -> float:
@@ -463,31 +451,6 @@ def B_asymptotic(M, n, r) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _check_log_sum(log_b, M, n, r):
-    # a cutoff sum at M > 0 holds the positive m = 0 term, so it is never 0
-    if not math.isfinite(log_b):
-        raise SolverError(
-            f"cutoff sum of order {r} is "
-            f"{'zero' if log_b == -math.inf else 'non-finite'} at M={M!r} (n={n})"
-        )
-    return log_b
-
-
-def _log_B_pair(M, n, r):
-    """(ln B_r(M), ln B_{r-1}(M)) for M > 0, in one pass over the levels.
-
-    Both branches share the levels, degeneracies and ln(M - m) between the
-    two sums.
-    """
-    if M <= _DIRECT_TERM_LIMIT:
-        log_g, log_gaps = _direct_terms(M, n)
-        lower = log_g + (r - 1.0) * log_gaps
-        pair = (logsumexp(lower + log_gaps), logsumexp(lower))
-    else:
-        pair = _log_B_tail(M, n, (r, r - 1.0))
-    return _check_log_sum(pair[0], M, n, r), _check_log_sum(pair[1], M, n, r - 1.0)
-
-
 def holder_bracket(M, n, r, mu) -> float:
     """Per-dimension bound (2M + n - 2 [mu B(M)]^(1/r)) / n, valid for all M.
 
@@ -506,7 +469,7 @@ def holder_bracket(M, n, r, mu) -> float:
         raise ValueError(f"mu must be in (0, 1], got {mu}")
     if M == 0.0:
         return 1.0
-    log_b = _check_log_sum(log_B_exact(M, n, r), M, n, r)
+    log_b = _log_B_pair(M, n, r)[0]
     return (2.0 * M + n - 2.0 * math.exp((math.log(mu) + log_b) / r)) / n
 
 

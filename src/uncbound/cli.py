@@ -33,7 +33,7 @@ from uncbound import bounds as bd
 from uncbound import oracle as oc
 from uncbound.purity import PurityOrder, Spectrum, entropy_from_grouped
 from uncbound.solvers import SolverError
-from uncbound.spectrum_bound import bound_from_spectrum, volume_of
+from uncbound.spectrum_bound import bound_from_grouped, bound_from_spectrum, volume_of
 
 EXIT_VERIFY_FAILED = 1
 EXIT_DOMAIN_ERROR = 2
@@ -351,12 +351,12 @@ _seed_option = click.option(
 
 @verify.command("lemma")
 @click.option("--dim", type=int, default=30, help="Unitary dimension.")
-@click.option("--trials", type=int, default=1000)
+@click.option("--trials", type=click.IntRange(min=1), default=1000)
 @_seed_option
 @click.option("--tol", type=float, default=1e-10)
 def verify_lemma(dim, trials, seed, tol):
     """Mixed-vs-sorted energy inequality over random unitaries."""
-    cfg = oc.OracleConfig(seed=seed, trials=trials)
+    cfg = oc.OracleConfig(seed=seed)
     worst = math.inf
     failures = 0
     for trial in range(trials):
@@ -394,7 +394,7 @@ def verify_holder(n, r, mu, seed, tol, truncation):
 
 
 @verify.command("b-approx")
-@click.option("--trials", type=int, default=50)
+@click.option("--trials", type=click.IntRange(min=1), default=50)
 @_seed_option
 @click.option("--tol", type=float, default=1e-9)
 def verify_b_approx(trials, seed, tol):
@@ -422,7 +422,7 @@ def verify_b_approx(trials, seed, tol):
 
 
 @verify.command("appendix-d")
-@click.option("--n-max", type=int, default=10)
+@click.option("--n-max", type=click.IntRange(min=1), default=10)
 @click.option("--tol", type=float, default=1e-10)
 def verify_appendix_d(n_max, tol):
     """Alternating-sum identity behind the cutoff-integral constant."""
@@ -440,29 +440,33 @@ def verify_appendix_d(n_max, tol):
 
 
 @verify.command("roundtrip")
-@click.option("--trials", type=int, default=100)
+@click.option("--trials", type=click.IntRange(min=1), default=100)
 @_seed_option
 @click.option("--tol", type=float, default=1e-10)
 def verify_roundtrip(trials, seed, tol):
-    """Entropy -> thermal state -> entropy self-consistency."""
+    """Entropy -> thermal state -> entropy, and that state's bound vs the closed form."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
     failures = 0
     worst = 0.0
     for _ in range(trials):
         n = int(rng.integers(1, 7))
         s_target = float(rng.uniform(1e-3, 50.0))
-        params = bd.thermal_beta_from_entropy(s_target, n)
+        beta = bd.thermal_beta_from_entropy(s_target, n)
         try:
-            grouped = bd.thermal_grouped_spectrum(params.beta, n,
-                                                  max_levels=400_000)
-            gap = abs(entropy_from_grouped(grouped) - s_target)
-            gap_tol = max(tol, 1e-9)  # summing ~1e5 terms costs one digit
+            grouped = bd.thermal_grouped_spectrum(beta, n)
         except ValueError:
             # too mixed to materialize; check the closed form instead
-            gap = abs(bd.thermal_entropy(params.beta, n) - s_target)
+            gap = abs(bd.thermal_entropy(beta, n) - s_target)
             gap_tol = tol
+            bound_gap = 0.0
+        else:
+            gap = abs(entropy_from_grouped(grouped) - s_target)
+            gap_tol = max(tol, 1e-9)  # summing ~1e5 terms costs one digit
+            closed = bd.entropy_bound(s_target, n).per_dim_product
+            grouped_bound = bound_from_grouped(grouped).per_dim_product
+            bound_gap = abs(grouped_bound - closed) / closed
         worst = max(worst, gap)
-        if gap > gap_tol:
+        if gap > gap_tol or bound_gap > 1e-9:
             failures += 1
     _verdict("roundtrip", trials, failures, "worst_gap", worst)
 

@@ -38,15 +38,12 @@ MAX_TRUNCATION = 1_000_000
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Seed, trial count and truncation of an oracle run."""
+    """Seed and truncation of an oracle run."""
 
     seed: int = 0
-    trials: int = 1000
     truncation: int = 256
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
         if self.truncation < 1:
             raise ValueError("truncation must be >= 1")
         if self.truncation > MAX_TRUNCATION:

@@ -1,4 +1,4 @@
-"""Fock-level degeneracy counts, the log-gamma function and log-sum-exp.
+"""Fock-level degeneracy counts and log-sum-exp.
 
 A level with total excitation number k in n dimensions contains
 (k+n-1)! / (k! (n-1)!) basis states.  The exact count is an arbitrary
@@ -22,7 +22,6 @@ __all__ = [
     "degeneracy",
     "log_degeneracy",
     "log_degeneracy_array",
-    "log_gamma",
     "logsumexp",
 ]
 
@@ -100,18 +99,6 @@ def log_degeneracy_array(levels, n) -> np.ndarray:
     for j in range(1, n):
         out += np.log((levels + j) / j)
     return out
-
-
-def log_gamma(x) -> float:
-    """ln Gamma(x) for x > 0.
-
-    Relative accuracy is better than 1e-12 across [1e-3, 1e6]; the argument
-    range of every solver in this package.
-    """
-    x = float(x)
-    if not x > 0:
-        raise ValueError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
 
 
 def logsumexp(values) -> float:

@@ -117,7 +117,7 @@ def test_criterion_08_oracle_agreement():
 
 
 def test_criterion_09_lemma_suite():
-    cfg = OracleConfig(seed=42, trials=1000)
+    cfg = OracleConfig(seed=42)
     worst = min(lemma_trial(30, cfg, trial=t).margin for t in range(1000))
     identity = lemma_trial(30, cfg, identity=True).margin
     ok = worst >= -1e-10 and abs(identity) <= 1e-10

@@ -9,7 +9,6 @@ import uncbound.bounds as bounds
 from uncbound.bounds import (
     B_asymptotic,
     B_exact,
-    ThermalParams,
     asymptotic_C,
     asymptotic_C_entropy_limit,
     asymptotic_cutoff,
@@ -38,7 +37,7 @@ from uncbound.spectrum_bound import bound_from_grouped
 class TestParamTypes:
     def test_thermal_and_interp(self):
         with pytest.raises(ValueError):
-            ThermalParams(beta=0.0)
+            thermal_entropy(0.0, 1)
 
 
 class TestInterpolatedBound:
@@ -90,12 +89,11 @@ class TestInterpolatedBound:
 class TestThermalFamily:
     def test_geometric_entropy_hand_value(self):
         # theta_k = (1/2)^(k+1) gives S = 2 ln 2; invert it
-        params = thermal_beta_from_entropy(2.0 * math.log(2.0), 1)
-        assert params.beta == pytest.approx(math.log(2.0), rel=1e-12)
+        beta = thermal_beta_from_entropy(2.0 * math.log(2.0), 1)
+        assert beta == pytest.approx(math.log(2.0), rel=1e-12)
 
     def test_entropy_zero_is_vacuum(self):
-        params = thermal_beta_from_entropy(0.0, 4)
-        assert math.isinf(params.beta)
+        assert math.isinf(thermal_beta_from_entropy(0.0, 4))
         assert entropy_bound(0.0, 4).per_dim_product == 1.0
 
     def test_roundtrip_closed_form(self):
@@ -103,8 +101,8 @@ class TestThermalFamily:
         for _ in range(100):
             n = int(rng.integers(1, 7))
             target = float(rng.uniform(1e-3, 50.0))
-            params = thermal_beta_from_entropy(target, n)
-            assert thermal_entropy(params.beta, n) == pytest.approx(
+            beta = thermal_beta_from_entropy(target, n)
+            assert thermal_entropy(beta, n) == pytest.approx(
                 target, abs=1e-10
             )
 
@@ -113,16 +111,48 @@ class TestThermalFamily:
         for _ in range(30):
             n = int(rng.integers(1, 7))
             target = float(rng.uniform(1e-3, 8.0 * n))
-            params = thermal_beta_from_entropy(target, n)
-            grouped = thermal_grouped_spectrum(params.beta, n)
+            beta = thermal_beta_from_entropy(target, n)
+            grouped = thermal_grouped_spectrum(beta, n)
             assert entropy_from_grouped(grouped) == pytest.approx(target, abs=1e-9)
 
+    @staticmethod
+    def largest_materialized_entropy(n):
+        # the thermal state's level count grows with S; bisect for the cap
+        def fits(target):
+            try:
+                thermal_grouped_spectrum(thermal_beta_from_entropy(target, n), n)
+            except ValueError:
+                return False
+            return True
+
+        lo, hi = 1.0, 50.0 * n
+        assert fits(lo) and not fits(hi)
+        for _ in range(24):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if fits(mid) else (lo, mid)
+        return lo
+
     def test_closed_and_grouped_paths_agree(self):
-        for n, target in ((1, 5.0), (2, 9.0), (3, 20.0), (4, 30.0)):
+        # the closed form against the materialized thermal state, up to the
+        # largest entropy the level cap admits
+        rng = np.random.default_rng(79)
+        cases = [(1, 5.0), (2, 9.0), (3, 20.0), (4, 30.0)]
+        for n in range(1, 7):
+            top = self.largest_materialized_entropy(n)
+            cases += [(n, top)] + [(n, float(s)) for s in rng.uniform(1e-3, top, 6)]
+        for n, target in cases:
             res = entropy_bound(target, n)
             grouped = thermal_grouped_spectrum(res.aux, n)
             other = bound_from_grouped(grouped).per_dim_product
-            assert other == pytest.approx(res.per_dim_product, rel=1e-9)
+            assert other == pytest.approx(res.per_dim_product, rel=1e-9), (n, target)
+
+    def test_bound_does_not_materialize_the_state(self, monkeypatch):
+        def refuse(beta, n):
+            raise AssertionError("entropy_bound materialized the thermal state")
+
+        monkeypatch.setattr(bounds, "thermal_grouped_spectrum", refuse)
+        for n, target in ((1, 0.5), (3, 20.0), (6, 200.0)):
+            assert entropy_bound(target, n).per_dim_product > 1.0
 
     def test_factorization_exact(self):
         for n in (2, 3, 5):
@@ -204,15 +234,13 @@ class TestCutoffSums:
         # at integer M the level m = M carries (M - m)^r = 0 and is left out
         for M in (5e3, 2e4, 2e5, 1e6):
             for n in (1, 2, 3):
-                direct = log_B_exact(M, n, 2.5, branch="direct")
-                tail = log_B_exact(M, n, 2.5, branch="tail")
-                assert tail == pytest.approx(direct, rel=1e-14)
-                direct, tail = self.pair_both_ways(monkeypatch, M, n, 1.5)
-                assert tail == pytest.approx(direct, rel=1e-14)
+                for r in (2.5, 1.5):
+                    direct, tail = self.pair_both_ways(monkeypatch, M, n, r)
+                    assert tail == pytest.approx(direct, rel=1e-14)
 
     def test_tail_needs_separate_end_blocks(self):
         with pytest.raises(ValueError):
-            log_B_exact(4095.0, 2, 2.0, branch="tail")
+            bounds._log_B_tail(4095.0, 2, (2.0,))
 
     @pytest.mark.parametrize("n, r, M", [
         (6, 1.01, 1e8 + 0.37), (6, 10.0, 4096.0), (12, 2.0, 3.3e5),
@@ -290,7 +318,8 @@ class TestHolderBracket:
         # (2M + n)/n
         monkeypatch.setattr(bounds, "_log_B_tail",
                             lambda M, n, orders: [-math.inf] * len(orders))
-        assert log_B_exact(1.5e6, 12, 100.0, branch="tail") == -math.inf
+        with pytest.raises(SolverError):
+            log_B_exact(1.5e6, 12, 100.0)
         with pytest.raises(SolverError):
             holder_bracket(1.5e6, 12, 100.0, 1e-70)
 
@@ -436,6 +465,21 @@ class TestPurityBound:
     def test_requires_finite_order(self):
         with pytest.raises(ValueError):
             purity_bound(0.5, 1, PurityOrder.entropy())
+
+    def test_bracket_at_the_cutoff_is_the_bound(self):
+        # purity_bound and holder_bracket share the cutoff sums, so wherever
+        # the floor is not hit the bracket at the cutoff is the bound, bit for bit
+        rng = np.random.default_rng(56)
+        checked = 0
+        for _ in range(200):
+            n = int(rng.integers(1, 13))
+            r = float(np.exp(rng.uniform(np.log(1.05), np.log(50.0))))
+            mu = float(np.exp(rng.uniform(np.log(1e-40), 0.0)))
+            res = purity_bound(mu, n, PurityOrder.finite(r))
+            if res.per_dim_product > 1.0:
+                checked += 1
+                assert holder_bracket(res.aux, n, r, mu) == res.per_dim_product, (mu, n, r)
+        assert checked >= 150
 
     def test_floor_invariant(self):
         rng = np.random.default_rng(12)

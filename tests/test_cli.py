@@ -412,6 +412,19 @@ class TestVerify:
         assert "Traceback" not in combined(result)
         assert result.stderr == "error: UNCBOUND_SEED must be an integer, got 'abc'\n"
 
+    @pytest.mark.parametrize("args", [
+        ["lemma", "--dim", "4", "--trials", "0"],
+        ["b-approx", "--trials", "0"],
+        ["roundtrip", "--trials", "0"],
+        ["appendix-d", "--n-max", "0"],
+    ])
+    def test_zero_count_is_usage_error(self, runner, args):
+        # a suite that checks nothing must not pass
+        result = runner.invoke(cli.main, ["verify", *args])
+        assert result.exit_code == 2
+        assert "PASS" not in result.output
+        assert "Traceback" not in combined(result)
+
     def test_zero_truncation_is_domain_error(self, runner):
         result = runner.invoke(cli.main, [
             "verify", "holder", "--n", "2", "--r", "3", "--mu", "1e-3",

@@ -47,7 +47,7 @@ class TestLemmaTrials:
         assert lemma_trial(30, cfg, identity=True).margin == 0.0
 
     def test_seeded_stream(self):
-        cfg = OracleConfig(seed=42, trials=1000)
+        cfg = OracleConfig(seed=42)
         margins = [lemma_trial(30, cfg, trial=t).margin for t in range(1000)]
         assert min(margins) >= -1e-10
 
@@ -192,8 +192,6 @@ class TestAlternatingSumIdentity:
 
 class TestConfig:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            OracleConfig(trials=0)
         with pytest.raises(ValueError):
             OracleConfig(truncation=0)
 

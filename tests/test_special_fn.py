@@ -13,7 +13,6 @@ from uncbound.special_fn import (
     degeneracy,
     log_degeneracy,
     log_degeneracy_array,
-    log_gamma,
     logsumexp,
 )
 
@@ -98,32 +97,6 @@ def test_validation():
     with pytest.raises(ValueError):
         check_level(-1)
     assert check_dimension(np.int64(3)) == 3
-
-
-def test_log_gamma_known_values():
-    assert log_gamma(1.0) == 0.0
-    assert log_gamma(5.0) == pytest.approx(math.log(24.0), rel=1e-14)
-    assert log_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi), rel=1e-14)
-
-
-def test_log_gamma_recurrence():
-    # exp(lg(x+1)) = x exp(lg(x)), checked in log form to dodge overflow
-    for x in np.geomspace(1e-3, 1e6, 60):
-        lhs = log_gamma(x + 1.0)
-        rhs = log_gamma(x) + math.log(x)
-        assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
-
-
-def test_log_gamma_accuracy_against_mpmath():
-    for x in np.geomspace(1e-3, 1e6, 80):
-        reference = float(mpmath.loggamma(mpmath.mpf(float(x))))
-        assert log_gamma(float(x)) == pytest.approx(reference, rel=1e-12, abs=1e-13)
-
-
-def test_log_gamma_domain():
-    for bad in (0.0, -1.0, -0.5):
-        with pytest.raises(ValueError):
-            log_gamma(bad)
 
 
 def _lse_inputs():

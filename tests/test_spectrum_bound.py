@@ -123,7 +123,7 @@ class TestMajorization:
 
 class TestRearrangementOptimality:
     def test_random_unitary_mixing_never_beats_sorted(self):
-        cfg = OracleConfig(seed=2024, trials=1000)
+        cfg = OracleConfig(seed=2024)
         worst = min(
             lemma_trial(int(5 + trial % 36), cfg, trial=trial).margin
             for trial in range(1000)
