@@ -74,7 +74,61 @@ class TestLemmaTrials:
             lemma_trial(1, OracleConfig())
 
 
+def _reference_projection(v):
+    """The sort-based projection as first written, kept verbatim as a
+    bit-for-bit reference for the leaner implementation."""
+    v = np.asarray(v, dtype=float)
+    ordered = np.sort(v)[::-1]
+    shifted = np.cumsum(ordered) - 1.0
+    ranks = np.arange(1, v.size + 1)
+    active = ordered - shifted / ranks > 0
+    pivot = ranks[active][-1]
+    threshold = shifted[pivot - 1] / pivot
+    return np.maximum(v - threshold, 0.0)
+
+
+def _seeded_vectors(count=200):
+    rng = np.random.default_rng(20040)
+    for k in range(count):
+        size = (1, 2000)[k] if k < 2 else int(rng.integers(1, 2001))
+        kind = k % 5
+        if kind == 0:  # mixed signs over a range of scales
+            v = rng.normal(scale=10.0 ** rng.uniform(-3, 2), size=size)
+        elif kind == 1:  # heavy ties
+            v = rng.integers(-3, 4, size=size) * 0.25
+        elif kind == 2:  # already on the simplex
+            v = rng.dirichlet(np.ones(size))
+        elif kind == 3:  # all negative
+            v = -rng.exponential(size=size)
+        else:  # a descent step: sparse weights minus a scaled gradient
+            v = np.where(rng.random(size) < 0.2, rng.random(size), 0.0)
+            v /= max(v.sum(), 1.0)
+            v -= 10.0 ** rng.uniform(-6, 1) * rng.normal(size=size)
+        yield v
+
+
 class TestSimplexProjection:
+    def test_bit_identical_to_reference(self):
+        for v in _seeded_vectors():
+            assert np.array_equal(project_to_simplex(v), _reference_projection(v))
+
+    def test_empty_vector_is_a_value_error(self):
+        with pytest.raises(ValueError, match="empty"):
+            project_to_simplex(np.array([]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_is_a_value_error(self, bad):
+        with pytest.raises(ValueError, match="NaN or inf"):
+            project_to_simplex(np.array([0.3, bad, 0.1]))
+
+    def test_unresolvable_magnitude_is_a_value_error(self):
+        with pytest.raises(ValueError, match="too large"):
+            project_to_simplex(np.array([1e20, 0.0]))
+        # at 1e15 the unit sum still registers
+        np.testing.assert_array_equal(
+            project_to_simplex(np.array([1e15, 0.0])), [1.0, 0.0]
+        )
+
     def test_already_feasible(self):
         v = np.array([0.2, 0.5, 0.3])
         np.testing.assert_allclose(project_to_simplex(v), v, atol=1e-15)
@@ -105,6 +159,25 @@ class TestBruteForceBound:
         )
         # valid lower bound: the search never undercuts the closed form
         assert brute.per_dim_product >= closed.per_dim_product - 1e-5
+
+    # `verify holder` prints these to 16 digits; any change to the search's
+    # arithmetic (summation order, powers, start order) shows up here.
+    @pytest.mark.parametrize("mu,n,r,seed,truncation,value,residual", [
+        (0.07365940630386791, 1, 1.670712365446924, 40, None,
+         12.409212902727127, 1.1102230246251565e-16),
+        (0.25, 2, 2.0, 5, 128, 1.8062870566380125, 1.869060461956451e-13),
+        (0.1, 2, 3.0, 7, 96, 2.680223978086697, 5.1361692676721304e-14),
+    ])
+    def test_pinned_to_the_bit(self, mu, n, r, seed, truncation, value,
+                               residual):
+        if truncation is None:
+            truncation = suggest_truncation(mu, n, r)
+        res = brute_force_purity_bound(
+            mu, n, r, OracleConfig(seed=seed, truncation=truncation)
+        )
+        assert res.per_dim_product == value
+        assert res.residual == residual
+        assert res.iterations == 20
 
     def test_purity_constraint_met(self):
         cfg = OracleConfig(seed=5, truncation=128)
