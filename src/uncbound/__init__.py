@@ -5,7 +5,9 @@ dimension, is bounded below by quantities that depend only on the spectrum
 of the density matrix.  This package computes those bounds three ways:
 
 * from a full eigenspectrum (or its per-Fock-level grouping),
-* from a generalized purity value mu^(r), 1 <= r <= infinity,
+* from a generalized purity value mu^(r): purities take 1 <= r <= infinity,
+  ``purity_bound`` takes 1 < r <= infinity (r = 1 raises, and r = infinity
+  is the entropy bound at S = -ln mu),
 * from a von Neumann entropy S,
 
 and ships independent brute-force / quadrature oracles that verify every
@@ -31,7 +33,6 @@ from uncbound.bounds import (
     B_asymptotic,
     B_exact,
     asymptotic_C,
-    asymptotic_C_entropy_limit,
     entropy_bound,
     holder_bracket,
     interpolated_bound_r2,
@@ -51,7 +52,6 @@ __all__ = [
     "SolverError",
     "Spectrum",
     "asymptotic_C",
-    "asymptotic_C_entropy_limit",
     "bound_from_grouped",
     "bound_from_spectrum",
     "degeneracy",

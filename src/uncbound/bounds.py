@@ -8,8 +8,9 @@ Four routes to a lower bound are implemented:
   product of one-dimensional thermal states, so it is their closed form;
   ``thermal_grouped_spectrum`` materializes that state as the reference the
   tests and ``verify roundtrip`` check it against, and no bound calls it;
-* ``purity_bound`` -- the general mu^(r) bound, the supremum over cutoffs M
-  of a bracket that is a valid bound for every M;
+* ``purity_bound`` -- the general mu^(r) bound for 1 < r <= inf: the
+  supremum over cutoffs M of a bracket that is a valid bound for every M,
+  and at r = inf the entropy bound at S = -ln mu;
 * ``asymptotic_C`` -- closed forms for the highly mixed limit mu -> 0,
   with ``asymptotic_purity_bound`` and ``asymptotic_entropy_bound`` the
   per-dimension bounds they give (floats: away from the limit they may fall
@@ -49,7 +50,6 @@ __all__ = [
     "B_asymptotic",
     "B_exact",
     "asymptotic_C",
-    "asymptotic_C_entropy_limit",
     "asymptotic_cutoff",
     "asymptotic_entropy_bound",
     "asymptotic_purity_bound",
@@ -491,14 +491,20 @@ def purity_bound(mu, n, order: PurityOrder) -> BoundResult:
     the root, from the ln B_r already summed there.  ``aux`` is the cutoff,
     ``residual`` is |h| at it and ``iterations`` counts the evaluations of
     the pair (B_r, B_{r-1}).
+
+    The order r = inf is the entropy end, mu = exp(-S): the result is
+    :func:`entropy_bound` at S = -ln mu.  The superpurity order r = 1 has
+    no bound yet and raises ValueError.
     """
     n = check_dimension(n)
     mu = float(mu)
     if not 0.0 < mu <= 1.0:
         raise ValueError(f"mu must be in (0, 1], got {mu}")
-    if order.variant != "finite":
-        raise ValueError("purity_bound requires a finite purity order (r > 1)")
     r = order.r
+    if r == math.inf:
+        return entropy_bound(-math.log(mu), n)
+    if r == 1.0:
+        raise ValueError("purity_bound has no bound for the superpurity order r = 1 yet")
     if mu == 1.0:  # every cutoff in (0, 1] carries the vacuum alone
         return BoundResult.from_per_dim(1.0, n, method="holder-root", aux=1.0)
 
@@ -567,12 +573,15 @@ def asymptotic_C(n, r) -> float:
     """Uncertainty constant 2^n r^r prod_{k=1..n}(r+k) / (n+r)^(n+r).
 
     The product mu^(r) (bound)^n approaches this value as mu -> 0; r = 1
-    gives the superpurity member and r -> infinity tends to (2/e)^n.
+    gives the superpurity member and r = inf its limit (2/e)^n, the
+    entropy member.
     """
     n = check_dimension(n)
     r = float(r)
     if not r >= 1.0:
         raise ValueError(f"exponent r must be >= 1, got {r}")
+    if r == math.inf:
+        return (2.0 / math.e) ** n
     log_c = n * math.log(2.0) - r * math.log1p(n / r)
     log_c += math.fsum(math.log((r + k) / (n + r)) for k in range(1, n + 1))
     return math.exp(log_c)
@@ -615,9 +624,3 @@ def asymptotic_entropy_bound(S, n) -> float:
     if not math.isfinite(value):
         raise ValueError(f"bound for S/n = {S / n!r} is beyond the float range")
     return value
-
-
-def asymptotic_C_entropy_limit(n) -> float:
-    """Limit of :func:`asymptotic_C` as r -> infinity: (2/e)^n."""
-    n = check_dimension(n)
-    return (2.0 / math.e) ** n

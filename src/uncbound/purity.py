@@ -1,14 +1,16 @@
 """Generalized purity measures for density-matrix spectra.
 
-The family mu^(r) = [sum_m rho_m^(r/(r-1))]^(r-1) interpolates between the
-largest eigenvalue (r -> 1, "superpurity") and exp(-S) built from the von
-Neumann entropy (r -> infinity).  It is non-increasing in r, so the two
-limits bracket every member of the family.  Both raw spectra and spectra
-grouped per Fock level (weight xi_k spread over g_k degenerate states)
-are supported.
+The family mu^(r) = [sum_m rho_m^(r/(r-1))]^(r-1) runs along one order
+axis, 1 <= r <= inf, from the largest eigenvalue (r = 1, "superpurity") to
+exp(-S) built from the von Neumann entropy (r = inf).  It is non-increasing
+in r, so the two ends bracket every member of the family.  Spectra grouped
+per Fock level (weight xi_k spread over g_k degenerate states) carry the one
+formula; a raw spectrum is the n = 1 grouping.  The bound on the same axis,
+``bounds.purity_bound``, takes 1 < r <= inf; r = 1 raises.
 """
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -104,65 +106,50 @@ class GroupedSpectrum:
 
 @dataclass(frozen=True)
 class PurityOrder:
-    """Selects one member of the generalized purity family.
+    """One member of the generalized purity family: its order r, 1 <= r <= inf.
 
-    variant "finite" carries r > 1; "superpurity" and "entropy" are the
-    r -> 1 and r -> infinity limits, handled as separate code paths because
-    the finite-r formula is numerically unstable at both ends.
+    r = 1 is the superpurity (the largest per-state weight) and r = inf is
+    exp(-S), the von Neumann end.  The finite-r formula is unstable at both
+    ends, so :func:`purity_from_grouped` takes each as its limit.
     """
 
-    variant: str
-    r: float | None = field(default=None)
-
-    _VARIANTS = ("finite", "superpurity", "entropy")
+    r: float
 
     def __post_init__(self):
-        if self.variant not in self._VARIANTS:
-            raise ValueError(f"unknown purity variant {self.variant!r}")
-        if self.variant == "finite":
-            if self.r is None or not np.isfinite(self.r) or self.r <= 1.0:
-                raise ValueError(f"finite purity order requires r > 1, got {self.r!r}")
-            object.__setattr__(self, "r", float(self.r))
-        elif self.r is not None:
-            raise ValueError(f"variant {self.variant!r} takes no r value")
+        r = float(self.r)
+        if not r >= 1.0:
+            raise ValueError(f"purity order requires 1 <= r <= inf, got {self.r!r}")
+        object.__setattr__(self, "r", r)
 
     @classmethod
     def finite(cls, r) -> "PurityOrder":
-        return cls("finite", r)
+        if not 1.0 < r < math.inf:
+            raise ValueError(f"finite purity order requires r > 1, got {r!r}")
+        return cls(r)
 
     @classmethod
     def superpurity(cls) -> "PurityOrder":
-        return cls("superpurity")
+        return cls(1.0)
 
     @classmethod
     def entropy(cls) -> "PurityOrder":
-        return cls("entropy")
+        return cls(math.inf)
 
 
 def purity_from_spectrum(s: Spectrum, order: PurityOrder) -> float:
-    """Generalized purity of a raw spectrum; value in (0, 1]."""
-    rho = s.eigenvalues
-    pos = rho[rho > 0.0]
-    if order.variant == "superpurity":
-        return float(rho[0])
-    if order.variant == "entropy":
-        return float(np.exp(np.sum(pos * np.log(pos))))
-    r = order.r
-    p = r / (r - 1.0)
-    log_mu = (r - 1.0) * logsumexp(p * np.log(pos))
-    return float(min(np.exp(log_mu), 1.0))
+    """Generalized purity of a raw spectrum: its n = 1 grouping, where g = 1."""
+    return purity_from_grouped(GroupedSpectrum(1, s.eigenvalues), order)
 
 
 def purity_from_grouped(g: GroupedSpectrum, order: PurityOrder) -> float:
     """Generalized purity of a grouped spectrum; value in (0, 1]."""
-    xi = g.weights
-    pos = xi > 0.0
-    log_theta = g.log_theta()[pos]
-    if order.variant == "superpurity":
-        return float(np.exp(log_theta.max()))
-    if order.variant == "entropy":
-        return float(np.exp(np.sum(xi[pos] * log_theta)))
     r = order.r
+    if r == math.inf:
+        return math.exp(-entropy_from_grouped(g))
+    pos = g.weights > 0.0
+    log_theta = g.log_theta()[pos]
+    if r == 1.0:
+        return float(np.exp(log_theta.max()))
     p = r / (r - 1.0)
     log_g = g.log_degeneracies()[pos]
     log_mu = (r - 1.0) * logsumexp(log_g + p * log_theta)

@@ -4,8 +4,8 @@ Both solvers work on a sign-change bracket: the bisection expands its upper
 end geometrically until the sign changes, Brent's method expects the
 bracket, with the function values at its ends, from the caller (see
 bounds.purity_bound for the bracketing loop).  Tolerances follow the
-package-wide solver contract: relative 1e-12, iteration cap 200 unless
-stated otherwise.
+package-wide solver contract: relative 1e-12 unless stated otherwise, and
+at most _MAX_ITER steps once the bracket is set.
 """
 
 import math
@@ -15,6 +15,7 @@ from dataclasses import dataclass
 __all__ = ["SolverError", "RootResult", "bisect_root", "brent_root"]
 
 _EPS = sys.float_info.epsilon
+_MAX_ITER = 200
 
 
 class SolverError(RuntimeError):
@@ -28,11 +29,12 @@ class RootResult:
     iterations: int
 
 
-def bisect_root(f, lo, hi, rtol=1e-12, max_iter=200, expand=True):
+def bisect_root(f, lo, hi, rtol=1e-12, expand=True):
     """Find x in [lo, hi] with f(x) = 0 for f decreasing through zero.
 
     If ``expand`` is set and f(hi) is still positive, the upper end is
-    doubled (up to 200 times) until the bracket is valid.
+    doubled until the sign changes; a root beyond the float range raises
+    ValueError.
     """
     flo = f(lo)
     fhi = f(hi)
@@ -42,17 +44,16 @@ def bisect_root(f, lo, hi, rtol=1e-12, max_iter=200, expand=True):
         raise SolverError(f"no bracket: f({lo}) = {flo} < 0 at lower end")
     expansions = 0
     while fhi > 0.0:
-        if not expand or expansions >= 200:
-            raise SolverError(
-                f"bracket expansion failed: f({hi}) = {fhi} > 0 after "
-                f"{expansions} doublings"
-            )
+        if not expand:
+            raise SolverError(f"no bracket: f({hi}) = {fhi} > 0 at upper end")
         lo, flo = hi, fhi
         hi *= 2.0
+        if hi == math.inf:
+            raise ValueError(f"no root below the float range: f({lo}) = {flo} > 0")
         fhi = f(hi)
         expansions += 1
     iters = expansions
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:  # exhausted float resolution
             break
@@ -68,7 +69,7 @@ def bisect_root(f, lo, hi, rtol=1e-12, max_iter=200, expand=True):
     return RootResult(x, abs(f(x)), iters)
 
 
-def brent_root(f, a, b, fa, fb, rtol=1e-12, max_iter=200):
+def brent_root(f, a, b, fa, fb, rtol=1e-12):
     """Find x between a and b with f(x) = 0, given f(a) and f(b) of opposite sign.
 
     Brent's zeroin: inverse quadratic interpolation or a secant step when it
@@ -85,7 +86,7 @@ def brent_root(f, a, b, fa, fb, rtol=1e-12, max_iter=200):
         raise SolverError(f"no bracket: f({a}) = {fa} and f({b}) = {fb}")
     c, fc = a, fa
     d = e = b - a
-    for evals in range(max_iter + 1):
+    for evals in range(_MAX_ITER + 1):
         if (fb > 0.0) == (fc > 0.0):  # keep the root between b and c
             c, fc = a, fa
             d = e = b - a
@@ -96,7 +97,7 @@ def brent_root(f, a, b, fa, fb, rtol=1e-12, max_iter=200):
         half = 0.5 * (c - b)
         if abs(half) <= tol or fb == 0.0:
             return RootResult(b, abs(fb), evals)
-        if evals == max_iter:
+        if evals == _MAX_ITER:
             break
         step = half  # bisection unless interpolation is safe
         if abs(e) >= tol and abs(fa) > abs(fb):
@@ -121,6 +122,6 @@ def brent_root(f, a, b, fa, fb, rtol=1e-12, max_iter=200):
         b += step if abs(step) > tol else math.copysign(tol, half)
         fb = f(b)
     raise SolverError(
-        f"Brent iteration did not converge in {max_iter} evaluations: "
+        f"Brent iteration did not converge in {_MAX_ITER} evaluations: "
         f"bracket [{b}, {c}], f = {fb}, {fc}"
     )

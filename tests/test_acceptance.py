@@ -12,7 +12,6 @@ from click.testing import CliRunner
 from uncbound.bounds import (
     B_asymptotic,
     asymptotic_C,
-    asymptotic_C_entropy_limit,
     entropy_bound,
     interpolated_bound_r2,
     purity_bound,
@@ -59,7 +58,7 @@ def test_criterion_03_one_dim_general_order():
 def test_criterion_04_entropy_limit():
     worst = 0.0
     for n in range(1, 7):
-        limit = asymptotic_C_entropy_limit(n)
+        limit = asymptotic_C(n, math.inf)
         worst = max(worst, abs(asymptotic_C(n, 1e6) - limit) / limit)
     report(4, worst <= 1e-4, f"r=1e6 vs (2/e)^n for n=1..6, worst rel gap {worst:.2e}")
 
@@ -179,7 +178,7 @@ def test_criterion_12_curve_shape():
         values = np.array([v for _, v in table[n]])
         ok &= bool(np.all(np.diff(values) <= 1e-15))
         plateau = values[-1]
-        limit = asymptotic_C_entropy_limit(n)
+        limit = asymptotic_C(n, math.inf)
         ok &= abs(plateau - limit) / limit <= 0.02
         detail.append(f"n={n} plateau/(2/e)^n = {plateau / limit:.4f}")
     for (_, v1), (_, v2), (_, v3) in zip(table[1], table[2], table[3]):

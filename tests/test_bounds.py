@@ -10,7 +10,6 @@ from uncbound.bounds import (
     B_asymptotic,
     B_exact,
     asymptotic_C,
-    asymptotic_C_entropy_limit,
     asymptotic_cutoff,
     asymptotic_entropy_bound,
     asymptotic_purity_bound,
@@ -84,6 +83,17 @@ class TestInterpolatedBound:
         for bad in (0.0, -0.3, 1.2):
             with pytest.raises(ValueError):
                 interpolated_bound_r2(bad, 1)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("mu", [1e-61, 1e-100, 1e-300])
+    def test_tiny_purity_reaches_the_asymptote(self, mu, n):
+        # the root L ~ 4/(3 mu) at n = 1 lies beyond 200 doublings of L = 2
+        value = interpolated_bound_r2(mu, n).per_dim_product
+        assert value == pytest.approx(asymptotic_purity_bound(mu, n, 2.0), rel=1e-9)
+
+    def test_root_beyond_float_range_is_a_domain_error(self):
+        with pytest.raises(ValueError, match="float range"):
+            interpolated_bound_r2(5e-324, 1)
 
 
 class TestThermalFamily:
@@ -387,8 +397,8 @@ class TestPurityBound:
             grouped = GroupedSpectrum(n=n, weights=raw / raw.sum())
             family_mu = purity_from_grouped(grouped, PurityOrder.finite(r))
             family_bound = bound_from_grouped(grouped).per_dim_product
-            assert family_mu == pytest.approx(mu, rel=1e-6)
-            assert family_bound == pytest.approx(res.per_dim_product, rel=1e-6)
+            assert family_mu == pytest.approx(mu, rel=1e-12)
+            assert family_bound == pytest.approx(res.per_dim_product, rel=1e-12)
 
     def test_agrees_with_interpolated_within_measured_gap(self):
         # the two r = 2 routes are distinct bounds on the same family; the
@@ -462,9 +472,13 @@ class TestPurityBound:
         res = purity_bound(mu, n, PurityOrder.finite(r))
         assert res.per_dim_product == pytest.approx(expected, rel=1e-9)
 
-    def test_requires_finite_order(self):
-        with pytest.raises(ValueError):
-            purity_bound(0.5, 1, PurityOrder.entropy())
+    def test_order_ends(self):
+        # r = 1 has no bound yet; r = inf is the entropy bound at S = -ln mu
+        with pytest.raises(ValueError, match="superpurity"):
+            purity_bound(0.5, 1, PurityOrder.superpurity())
+        for mu, n in ((1.0, 1), (0.5, 1), (0.01, 2), (1e-12, 6), (5e-324, 64)):
+            res = purity_bound(mu, n, PurityOrder.entropy())
+            assert res == entropy_bound(-math.log(mu), n)
 
     def test_bracket_at_the_cutoff_is_the_bound(self):
         # purity_bound and holder_bracket share the cutoff sums, so wherever
@@ -528,10 +542,11 @@ class TestAsymptoticConstant:
             assert np.all(np.diff(values) <= 1e-15)
 
     def test_entropy_limit(self):
-        for n in range(1, 7):
-            limit = asymptotic_C_entropy_limit(n)
-            assert limit == pytest.approx((2.0 / math.e) ** n, rel=1e-15)
-            assert asymptotic_C(n, 1e6) == pytest.approx(limit, rel=1e-4)
+        for n in range(1, 65):
+            limit = asymptotic_C(n, math.inf)
+            assert limit == (2.0 / math.e) ** n
+            if n <= 6:
+                assert asymptotic_C(n, 1e6) == pytest.approx(limit, rel=1e-4)
 
     def test_domain(self):
         with pytest.raises(ValueError):

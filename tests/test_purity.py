@@ -65,9 +65,15 @@ class TestPurityOrder:
             with pytest.raises(ValueError):
                 PurityOrder.finite(bad)
 
-    def test_limits_take_no_r(self):
-        with pytest.raises(ValueError):
-            PurityOrder("entropy", 3.0)
+    def test_rejects_r_below_one_and_nan(self):
+        for bad in (0.999, 0.5, 0.0, -math.inf, math.nan):
+            with pytest.raises(ValueError):
+                PurityOrder(bad)
+
+    def test_one_axis(self):
+        assert PurityOrder.superpurity() == PurityOrder(1.0)
+        assert PurityOrder.entropy() == PurityOrder(math.inf)
+        assert PurityOrder.finite(2) == PurityOrder(2.0)
 
 
 class TestSpectrumPurity:

@@ -1,8 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 
+from uncbound.bounds import purity_bound, thermal_beta_from_entropy, thermal_grouped_spectrum
 from uncbound.oracle import OracleConfig, lemma_trial
-from uncbound.purity import GroupedSpectrum, Spectrum
+from uncbound.purity import (
+    GroupedSpectrum,
+    PurityOrder,
+    Spectrum,
+    purity_from_grouped,
+    purity_from_spectrum,
+)
 from uncbound.spectrum_bound import (
     BoundResult,
     bound_from_grouped,
@@ -133,6 +142,37 @@ class TestRearrangementOptimality:
     def test_identity_mixing_is_equality(self):
         cfg = OracleConfig(seed=2024)
         assert abs(lemma_trial(40, cfg, identity=True).margin) <= 1e-10
+
+
+class TestCrossRoute:
+    """The spectrum route never falls below the purity route at any order."""
+
+    ORDERS = [PurityOrder.finite(1.2), PurityOrder.finite(2.0),
+              PurityOrder.finite(7.0), PurityOrder.entropy()]
+
+    def test_spectrum_bound_dominates_purity_bound(self):
+        rng = np.random.default_rng(2025)
+        for _ in range(300):
+            n = int(rng.integers(1, 4))
+            size = int(rng.integers(1, 401))
+            alpha = float(rng.choice([0.1, 1.0, 10.0]))
+            s = Spectrum(np.sort(rng.dirichlet(np.full(size, alpha)))[::-1])
+            direct = bound_from_spectrum(s, n).per_dim_product
+            for order in self.ORDERS:
+                mu = purity_from_spectrum(s, order)
+                via_mu = purity_bound(mu, n, order).per_dim_product
+                assert direct >= via_mu * (1.0 - 1e-12), (n, size, order.r)
+
+    def test_thermal_states_attain_the_entropy_order(self):
+        rng = np.random.default_rng(2026)
+        order = PurityOrder.entropy()
+        for _ in range(60):
+            n = int(rng.integers(1, 7))
+            # S/n <= 8 keeps the materialized state under the level cap
+            S = float(rng.uniform(0.01, min(25.0, 8.0 * n)))
+            g = thermal_grouped_spectrum(thermal_beta_from_entropy(S, n), n)
+            via_mu = purity_bound(purity_from_grouped(g, order), n, order).per_dim_product
+            assert bound_from_grouped(g).per_dim_product == pytest.approx(via_mu, rel=1e-12)
 
 
 class TestLinearity:
