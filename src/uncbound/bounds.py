@@ -38,7 +38,7 @@ import math
 import numpy as np
 
 from uncbound.purity import GroupedSpectrum, PurityOrder
-from uncbound.solvers import SolverError, bisect_root, brent_root
+from uncbound.solvers import SolverError, brent_root, seeded_root
 from uncbound.special_fn import (
     check_dimension,
     log_degeneracy_array,
@@ -88,8 +88,12 @@ def _log_interp_mu(L, n):
 def interpolated_bound_r2(mu, n) -> BoundResult:
     """Per-dimension bound (n + 2L)/(n + 2) for the usual purity mu.
 
-    L solves a strictly decreasing gamma-function equation, so a bracketed
-    bisection starting from L = 1 (the pure state) always converges.
+    L solves a strictly decreasing gamma-function equation whose root is 1
+    at mu = 1 (the pure state) and tends to L* = (2 (n+1)! / ((n+2) mu))^(1/n)
+    as mu -> 0.  From L = 1 and the seed L* the search doubles or halves to
+    a bracket of ratio 2 and closes it with Brent's method; ``iterations``
+    counts the evaluations of the equation.  A root beyond the float range
+    raises ValueError.
     """
     n = check_dimension(n)
     mu = float(mu)
@@ -98,18 +102,24 @@ def interpolated_bound_r2(mu, n) -> BoundResult:
     if mu == 1.0:
         return BoundResult.from_per_dim(1.0, n, method="interpolated-r2", aux=1.0)
     target = math.log(mu)
-    root = bisect_root(lambda L: _log_interp_mu(L, n) - target, 1.0, 2.0,
-                       rtol=_ROOT_RTOL)
-    L = root.x  # >= 1: the bisection bracket starts at L = 1
-    residual = abs(_log_interp_mu(L, n) - target)
-    if residual > 1e-10:
+
+    def f(L):  # increasing, and -ln mu < 0 at L = 1
+        if not L < math.inf:
+            raise ValueError(f"no root below the float range for mu={mu!r} (n={n})")
+        return target - _log_interp_mu(L, n)
+
+    # the n-th roots are taken apart: the quotient can overflow where L* does not
+    seed = (2.0 * math.factorial(n + 1) / (n + 2.0)) ** (1.0 / n) / mu ** (1.0 / n)
+    root = seeded_root(f, 1.0, target, seed, rtol=_ROOT_RTOL)
+    L = root.x  # >= 1: the bracket starts at L = 1
+    if root.residual > 1e-10:
         raise SolverError(
-            f"interpolation root stalled at L={L} with residual {residual:.3e}"
+            f"interpolation root stalled at L={L} with residual {root.residual:.3e}"
         )
     per_dim = (n + 2.0 * L) / (n + 2.0)
     return BoundResult.from_per_dim(
         per_dim, n, method="interpolated-r2", aux=L,
-        residual=residual, iterations=root.iterations,
+        residual=root.residual, iterations=root.iterations,
     )
 
 
@@ -145,15 +155,22 @@ def thermal_entropy(beta, n) -> float:
         return 0.0
     u = -math.expm1(-beta)  # 1 - e^{-beta}
     x = math.exp(-beta)
-    return n * (-math.log(u) + beta * x / u)
+    # ln u from whichever of u, x kept full precision: ln(1 - x) -> -x as x -> 0
+    log_u = math.log(u) if x > 0.5 else math.log1p(-x)
+    return n * (-log_u + beta * x / u)
 
 
 def _solve_thermal(S, n):
+    # Brent's method in y = ln(-t), t = -e^y: the entropy rises with y, and the
+    # root spans hundreds of decades in t but a few hundred units in y
     s1 = float(S) / n  # per-dimension entropy; the solve depends on S only via s1
-    lo = -(s1 + 2.0)
-    root = bisect_root(lambda t: _one_dim_entropy(t) - s1, lo, -1e-300,
-                       rtol=1e-14, expand=False)
-    t = root.x
+
+    def f(y):
+        return _one_dim_entropy(-math.exp(y)) - s1
+
+    lo, hi = math.log(1e-300), math.log(s1 + 2.0)
+    root = brent_root(f, lo, hi, f(lo), f(hi), rtol=1e-14)
+    t = -math.exp(root.x)
     beta = _beta_of(math.exp(t), -math.expm1(t))
     if not beta > 0.0:  # S/n above 746.13: beta rounds to 0
         raise ValueError(f"beta must be > 0, got {beta!r}")
@@ -510,41 +527,25 @@ def purity_bound(mu, n, order: PurityOrder) -> BoundResult:
 
     log_mu = math.log(mu)
     log_b_at = {1.0: 0.0}  # ln B_r(1) = 0: the m = 0 term alone
-    evals = 0
 
     def h(M):
-        nonlocal evals
         if not M < math.inf:
             raise SolverError(
                 f"no cutoff below the float range has family purity mu={mu} "
                 f"(n={n}, r={r})"
             )
-        evals += 1
         log_b, log_b_lower = _log_B_pair(M, n, r)
         log_b_at[M] = log_b
         return log_mu / r + log_b_lower - (r - 1.0) / r * log_b
 
-    # bracket the root from the mu -> 0 cutoff; h(1) = ln(mu)/r < 0
-    lo, h_lo = 1.0, log_mu / r
-    hi = max(asymptotic_cutoff(mu, n, r), 1.0)
-    h_hi = h(hi) if hi > 1.0 else h_lo
-    while h_hi < 0.0:  # the root lies above: double
-        lo, h_lo = hi, h_hi
-        hi *= 2.0
-        h_hi = h(hi)
-    while hi > 2.0 * lo:  # the root lies below the seed: halve
-        M = 0.5 * hi
-        h_M = h(M)
-        if h_M < 0.0:
-            lo, h_lo = M, h_M
-        else:
-            hi, h_hi = M, h_M
-    root = brent_root(h, lo, hi, h_lo, h_hi, rtol=_ROOT_RTOL)
+    # h(1) = ln(mu)/r < 0; the search starts from the mu -> 0 cutoff
+    root = seeded_root(h, 1.0, log_mu / r, asymptotic_cutoff(mu, n, r),
+                       rtol=_ROOT_RTOL)
     term = math.exp((log_mu + log_b_at[root.x]) / r)
     per_dim = max((2.0 * root.x + n - 2.0 * term) / n, 1.0)
     return BoundResult.from_per_dim(
         per_dim, n, method="holder-root", aux=root.x,
-        residual=root.residual, iterations=evals,
+        residual=root.residual, iterations=root.iterations,
     )
 
 

@@ -59,18 +59,22 @@ def _fmt(value):
 def _emit(records, fmt):
     """Print rows, dicts with the same keys, as CSV or JSON.
 
-    Every row's value is checked before anything is printed.
+    Every row's value is checked before anything is printed.  Like every
+    ``click.echo`` here it names its stream: without ``file=``, click caches
+    each new sys.stdout against itself in a weak-keyed dict, so a stream
+    that an in-process caller swaps in is never freed.
     """
     for record in records:
         value = record["value"]
         if not math.isfinite(value) or value < 0.0:
             raise ValueError(f"record value must be finite and >= 0, got {value!r}")
     if fmt == "json":
-        click.echo(json.dumps(records, indent=2))
+        click.echo(json.dumps(records, indent=2), file=sys.stdout)
     else:
-        click.echo(",".join(records[0]))
+        click.echo(",".join(records[0]), file=sys.stdout)
         for record in records:
-            click.echo(",".join(_fmt(value) for value in record.values()))
+            click.echo(",".join(_fmt(value) for value in record.values()),
+                       file=sys.stdout)
 
 
 def parse_range(text):
@@ -180,10 +184,10 @@ class ErrorBoundary(click.Group):
         try:
             return super().invoke(ctx)
         except SolverError as exc:
-            click.echo(f"solver error: {exc}", err=True)
+            click.echo(f"solver error: {exc}", file=sys.stderr)
             sys.exit(EXIT_SOLVER_ERROR)
         except ValueError as exc:
-            click.echo(f"error: {exc}", err=True)
+            click.echo(f"error: {exc}", file=sys.stderr)
             sys.exit(EXIT_DOMAIN_ERROR)
 
 
@@ -337,9 +341,10 @@ def verify():
 
 def _verdict(name, checks, failures, worst_label, worst):
     click.echo(
-        f"{name}: checks={checks} failures={failures} {worst_label}={_fmt(worst)}"
+        f"{name}: checks={checks} failures={failures} {worst_label}={_fmt(worst)}",
+        file=sys.stdout,
     )
-    click.echo("PASS" if failures == 0 else "FAIL")
+    click.echo("PASS" if failures == 0 else "FAIL", file=sys.stdout)
     sys.exit(0 if failures == 0 else EXIT_VERIFY_FAILED)
 
 
@@ -365,7 +370,7 @@ def verify_lemma(dim, trials, seed, tol):
         if margin < -tol:
             failures += 1
     identity_margin = oc.lemma_trial(dim, cfg, identity=True).margin
-    click.echo(f"identity margin={_fmt(identity_margin)}")
+    click.echo(f"identity margin={_fmt(identity_margin)}", file=sys.stdout)
     if abs(identity_margin) > tol:
         failures += 1
     _verdict("lemma", trials + 1, failures, "worst_margin", worst)
@@ -388,7 +393,7 @@ def verify_holder(n, r, mu, seed, tol, truncation):
     closed = bd.purity_bound(mu, n, PurityOrder.finite(r))
     gap = brute.per_dim_product - closed.per_dim_product
     click.echo(f"brute={_fmt(brute.per_dim_product)} "
-               f"closed={_fmt(closed.per_dim_product)}")
+               f"closed={_fmt(closed.per_dim_product)}", file=sys.stdout)
     failures = 0 if abs(gap) <= tol else 1
     _verdict("holder", 1, failures, "gap", gap)
 

@@ -1,18 +1,18 @@
-"""Bracketed root finders: bisection and Brent's method.
+"""Bracketed root finding by Brent's method.
 
-Both solvers work on a sign-change bracket: the bisection expands its upper
-end geometrically until the sign changes, Brent's method expects the
-bracket, with the function values at its ends, from the caller (see
-bounds.purity_bound for the bracketing loop).  Tolerances follow the
-package-wide solver contract: relative 1e-12 unless stated otherwise, and
-at most _MAX_ITER steps once the bracket is set.
+``brent_root`` closes a sign-change bracket whose ends, and the function
+values there, come from the caller.  ``seeded_root`` builds that bracket
+for the package's increasing roots from an estimate of the root: it
+doubles or halves from the estimate to a bracket of ratio 2.  Tolerances
+follow the package-wide solver contract: relative 1e-12 unless stated
+otherwise, and at most _MAX_ITER steps once the bracket is set.
 """
 
 import math
 import sys
 from dataclasses import dataclass
 
-__all__ = ["SolverError", "RootResult", "bisect_root", "brent_root"]
+__all__ = ["SolverError", "RootResult", "brent_root", "seeded_root"]
 
 _EPS = sys.float_info.epsilon
 _MAX_ITER = 200
@@ -27,46 +27,6 @@ class RootResult:
     x: float
     residual: float
     iterations: int
-
-
-def bisect_root(f, lo, hi, rtol=1e-12, expand=True):
-    """Find x in [lo, hi] with f(x) = 0 for f decreasing through zero.
-
-    If ``expand`` is set and f(hi) is still positive, the upper end is
-    doubled until the sign changes; a root beyond the float range raises
-    ValueError.
-    """
-    flo = f(lo)
-    fhi = f(hi)
-    if flo == 0.0:
-        return RootResult(lo, 0.0, 0)
-    if flo < 0.0:
-        raise SolverError(f"no bracket: f({lo}) = {flo} < 0 at lower end")
-    expansions = 0
-    while fhi > 0.0:
-        if not expand:
-            raise SolverError(f"no bracket: f({hi}) = {fhi} > 0 at upper end")
-        lo, flo = hi, fhi
-        hi *= 2.0
-        if hi == math.inf:
-            raise ValueError(f"no root below the float range: f({lo}) = {flo} > 0")
-        fhi = f(hi)
-        expansions += 1
-    iters = expansions
-    for _ in range(_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:  # exhausted float resolution
-            break
-        fmid = f(mid)
-        iters += 1
-        if fmid > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= rtol * max(abs(lo), abs(hi)):
-            break
-    x = 0.5 * (lo + hi)
-    return RootResult(x, abs(f(x)), iters)
 
 
 def brent_root(f, a, b, fa, fb, rtol=1e-12):
@@ -125,3 +85,33 @@ def brent_root(f, a, b, fa, fb, rtol=1e-12):
         f"Brent iteration did not converge in {_MAX_ITER} evaluations: "
         f"bracket [{b}, {c}], f = {fb}, {fc}"
     )
+
+
+def seeded_root(f, lo, f_lo, seed, rtol=1e-12):
+    """Root above lo > 0 of f, increasing through zero, from the estimate ``seed``.
+
+    f(lo) = f_lo < 0 is given, so it costs no evaluation; a seed at or below
+    lo starts the search at lo itself.  The upper end doubles while f stays
+    negative, then halves down to a bracket of ratio 2, which
+    :func:`brent_root` closes.  Doubling past the float range calls f at
+    inf, so f must raise there.  ``iterations`` counts every evaluation of
+    f, bracketing included.
+    """
+    hi = max(seed, lo)
+    f_hi = f(hi) if hi > lo else f_lo
+    evals = int(hi > lo)
+    while f_hi < 0.0:  # the root lies above: double
+        lo, f_lo = hi, f_hi
+        hi *= 2.0
+        f_hi = f(hi)
+        evals += 1
+    while hi > 2.0 * lo:  # the root lies below the seed: halve
+        mid = 0.5 * hi
+        f_mid = f(mid)
+        evals += 1
+        if f_mid < 0.0:
+            lo, f_lo = mid, f_mid
+        else:
+            hi, f_hi = mid, f_mid
+    root = brent_root(f, lo, hi, f_lo, f_hi, rtol=rtol)
+    return RootResult(root.x, root.residual, evals + root.iterations)

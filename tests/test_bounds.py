@@ -39,6 +39,35 @@ class TestParamTypes:
             thermal_entropy(0.0, 1)
 
 
+# the grids on which the closed-form roots are checked
+INTERP_GRID = [(n, 10.0 ** (-7.0 + j / 8.0)) for n in range(1, 7) for j in range(54)]
+ENTROPY_GRID = [i / 8.0 for i in range(1, 400)] + np.logspace(-280, -10, 271).tolist()
+
+
+def mp_interpolated_root(mu, n):
+    # the L >= 1 with (n + 2L) (n+1)! Gamma(L) = mu (n+2) Gamma(L+n+1), at 40 digits
+    with mpmath.workdps(40):
+        def equation(log_L):
+            L = mpmath.exp(log_L)
+            return (mpmath.log(n + 2 * L) + mpmath.loggamma(n + 2) - mpmath.log(n + 2)
+                    + mpmath.loggamma(L) - mpmath.loggamma(L + n + 1) - mpmath.log(mu))
+
+        lo, hi = mpmath.mpf(0), mpmath.mpf(40)  # L up to e^40, ln L to 40/2^64
+        for _ in range(64):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if equation(mid) > 0 else (lo, mid)
+        return float(mpmath.exp((lo + hi) / 2))
+
+
+def mp_thermal_entropy(beta, n):
+    # n (-ln(1 - e^-beta) + beta e^-beta / (1 - e^-beta)) at 60 digits
+    with mpmath.workdps(60):
+        b = mpmath.mpf(beta)
+        x, u = mpmath.exp(-b), -mpmath.expm1(-b)
+        log_u = mpmath.log1p(-x) if x < 0.5 else mpmath.log(u)
+        return float(n * (-log_u + b * x / u))
+
+
 class TestInterpolatedBound:
     def test_pure_state_root_is_one(self):
         for n in range(1, 7):
@@ -71,6 +100,15 @@ class TestInterpolatedBound:
             / ((n + 2.0) * math.gamma(L + n + 1.0))
         )
         assert recovered == pytest.approx(mu, rel=1e-10)
+        for n, mu in INTERP_GRID:
+            L = interpolated_bound_r2(mu, n).aux
+            reference = mp_interpolated_root(mu, n)
+            assert L == pytest.approx(reference, rel=1e-12, abs=0.0), (n, mu)
+
+    def test_root_takes_few_evaluations(self):
+        # the seeded bracket leaves Brent's method a ratio-2 interval
+        for n, mu in INTERP_GRID:
+            assert interpolated_bound_r2(mu, n).iterations <= 12, (n, mu)
 
     def test_monotone_in_mu(self):
         values = [
@@ -115,6 +153,24 @@ class TestThermalFamily:
             assert thermal_entropy(beta, n) == pytest.approx(
                 target, abs=1e-10
             )
+        # tiny entropies: the root e^-beta spans hundreds of decades
+        for _ in range(100):
+            n = int(rng.integers(1, 7))
+            target = 10.0 ** float(rng.uniform(-280.0, -3.0))
+            beta = thermal_beta_from_entropy(target, n)
+            assert thermal_entropy(beta, n) == pytest.approx(target, rel=1e-11, abs=0.0)
+
+    def test_entropy_matches_mpmath(self):
+        # the -ln(1 - e^-beta) term must survive once e^-beta < eps
+        for beta in np.geomspace(1e-3, 700.0, 400).tolist() + [30.0, 37.0, 40.0, 50.0]:
+            for n in (1, 5):
+                assert thermal_entropy(beta, n) == pytest.approx(
+                    mp_thermal_entropy(beta, n), rel=1e-14, abs=0.0), (beta, n)
+
+    def test_root_takes_few_evaluations(self):
+        for target in ENTROPY_GRID:
+            for n in (1, 4):
+                assert entropy_bound(target, n).iterations <= 30, (target, n)
 
     def test_roundtrip_materialized(self):
         rng = np.random.default_rng(78)

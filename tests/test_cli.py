@@ -1,8 +1,12 @@
+import contextlib
+import gc
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -459,3 +463,38 @@ def test_cli_import_loads_no_scipy():
                           text=True, env=package_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n") == ["[]", "[]", ""]
+
+
+def _invoke_in_process(argv):
+    """(exit code, stdout, stderr) of one call on swapped sys streams."""
+    out, err = io.StringIO(), io.StringIO()
+    exit_code = 0
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            cli.main.main(args=argv, prog_name="uncbound", standalone_mode=False)
+        except SystemExit as exc:
+            exit_code = exc.code
+    return exit_code, out, err
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["bound", "entropy", "--n", "2", "--S", "3.5"], 0),
+    (["curve", "--quantity", "interpolated-r2", "--n", "1,2", "--mu", "0.1:1:4"], 0),
+    (["bound", "purity", "--n", "1", "--r", "3", "--mu", "0.5",
+      "--method", "interpolated"], 2),
+    (["verify", "b-approx", "--trials", "2", "--seed", "3"], 0),
+])
+def test_in_process_call_frees_its_streams(argv, code):
+    # an embedding caller swaps sys.stdout and sys.stderr for each call; the
+    # CLI must keep no reference to them, or every call's text stays alive.
+    # The first call may import a module that keeps the stderr of that
+    # moment (scipy's imports make a logging.StreamHandler), so the second
+    # call is the one checked.
+    _invoke_in_process(argv)
+    exit_code, out, err = _invoke_in_process(argv)
+    assert exit_code == code
+    assert (out if code == 0 else err).getvalue()
+    streams = weakref.ref(out), weakref.ref(err)
+    del out, err
+    gc.collect()
+    assert [stream() for stream in streams] == [None, None]

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from uncbound.solvers import SolverError, brent_root
+from uncbound.solvers import SolverError, brent_root, seeded_root
 
 
 def test_brent_finds_smooth_root():
@@ -28,3 +28,30 @@ def test_brent_accepts_root_at_an_end():
 def test_brent_requires_sign_change():
     with pytest.raises(SolverError):
         brent_root(math.exp, 0.0, 1.0, 1.0, math.e)
+
+
+def test_seeded_root_counts_every_evaluation():
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return math.log(x) - 10.0  # root e^10 ~ 22026
+
+    for seed in (0.5, 1.0, 1e3, 3e4, 1e9):  # at or below lo, below the root, above it
+        calls.clear()
+        res = seeded_root(f, 1.0, -10.0, seed)
+        assert res.x == pytest.approx(math.exp(10.0), rel=1e-12)
+        assert res.iterations == len(calls)
+        assert 1.0 not in calls  # f(lo) is given
+
+
+def test_seeded_root_leaves_the_float_range_to_f():
+    def f(x):
+        if not x < math.inf:
+            raise ValueError("no root below the float range")
+        return -1.0
+
+    with pytest.raises(ValueError, match="float range"):
+        seeded_root(f, 1.0, -1.0, 2.0)
+    with pytest.raises(ValueError, match="float range"):
+        seeded_root(f, 1.0, -1.0, math.inf)
