@@ -63,7 +63,6 @@ __all__ = [
     "thermal_grouped_spectrum",
 ]
 
-_ROOT_RTOL = 1e-12
 _DIRECT_TERM_LIMIT = 20_000
 _THERMAL_LEVEL_CAP = 400_000
 
@@ -110,7 +109,7 @@ def interpolated_bound_r2(mu, n) -> BoundResult:
 
     # the n-th roots are taken apart: the quotient can overflow where L* does not
     seed = (2.0 * math.factorial(n + 1) / (n + 2.0)) ** (1.0 / n) / mu ** (1.0 / n)
-    root = seeded_root(f, 1.0, target, seed, rtol=_ROOT_RTOL)
+    root = seeded_root(f, 1.0, target, seed)
     L = root.x  # >= 1: the bracket starts at L = 1
     if root.residual > 1e-10:
         raise SolverError(
@@ -174,7 +173,7 @@ def _solve_thermal(S, n):
     beta = _beta_of(math.exp(t), -math.expm1(t))
     if not beta > 0.0:  # S/n above 746.13: beta rounds to 0
         raise ValueError(f"beta must be > 0, got {beta!r}")
-    return beta, root
+    return beta, root.iterations + 2  # the two bracket ends are evaluations too
 
 
 def thermal_beta_from_entropy(S, n) -> float:
@@ -236,12 +235,12 @@ def entropy_bound(S, n) -> BoundResult:
         raise ValueError(f"entropy must be >= 0, got {S}")
     if S < 1e-290:
         return BoundResult.from_per_dim(1.0, n, method="thermal", aux=math.inf)
-    beta, root = _solve_thermal(S, n)
+    beta, evals = _solve_thermal(S, n)
     x = math.exp(-beta)
     u = -math.expm1(-beta)
     return BoundResult.from_per_dim(
         1.0 + 2.0 * x / u, n, method="thermal", aux=beta,
-        residual=abs(thermal_entropy(beta, n) - S), iterations=root.iterations,
+        residual=abs(thermal_entropy(beta, n) - S), iterations=evals,
     )
 
 
@@ -539,8 +538,7 @@ def purity_bound(mu, n, order: PurityOrder) -> BoundResult:
         return log_mu / r + log_b_lower - (r - 1.0) / r * log_b
 
     # h(1) = ln(mu)/r < 0; the search starts from the mu -> 0 cutoff
-    root = seeded_root(h, 1.0, log_mu / r, asymptotic_cutoff(mu, n, r),
-                       rtol=_ROOT_RTOL)
+    root = seeded_root(h, 1.0, log_mu / r, asymptotic_cutoff(mu, n, r))
     term = math.exp((log_mu + log_b_at[root.x]) / r)
     per_dim = max((2.0 * root.x + n - 2.0 * term) / n, 1.0)
     return BoundResult.from_per_dim(

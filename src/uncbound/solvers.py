@@ -87,7 +87,7 @@ def brent_root(f, a, b, fa, fb, rtol=1e-12):
     )
 
 
-def seeded_root(f, lo, f_lo, seed, rtol=1e-12):
+def seeded_root(f, lo, f_lo, seed):
     """Root above lo > 0 of f, increasing through zero, from the estimate ``seed``.
 
     f(lo) = f_lo < 0 is given, so it costs no evaluation; a seed at or below
@@ -113,5 +113,5 @@ def seeded_root(f, lo, f_lo, seed, rtol=1e-12):
             lo, f_lo = mid, f_mid
         else:
             hi, f_hi = mid, f_mid
-    root = brent_root(f, lo, hi, f_lo, f_hi, rtol=rtol)
+    root = brent_root(f, lo, hi, f_lo, f_hi)
     return RootResult(root.x, root.residual, evals + root.iterations)
