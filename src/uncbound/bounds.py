@@ -163,6 +163,8 @@ def _solve_thermal(S, n):
     # Brent's method in y = ln(-t), t = -e^y: the entropy rises with y, and the
     # root spans hundreds of decades in t but a few hundred units in y
     s1 = float(S) / n  # per-dimension entropy; the solve depends on S only via s1
+    if s1 == math.inf:
+        raise ValueError(f"entropy S/n = {s1} is beyond the float range")
 
     def f(y):
         return _one_dim_entropy(-math.exp(y)) - s1
@@ -186,7 +188,7 @@ def thermal_beta_from_entropy(S, n) -> float:
     """
     n = check_dimension(n)
     S = float(S)
-    if S < 0.0:
+    if not S >= 0.0:
         raise ValueError(f"entropy must be >= 0, got {S}")
     if S < 1e-290:
         return math.inf
@@ -231,7 +233,7 @@ def entropy_bound(S, n) -> BoundResult:
     """
     n = check_dimension(n)
     S = float(S)
-    if S < 0.0:
+    if not S >= 0.0:
         raise ValueError(f"entropy must be >= 0, got {S}")
     if S < 1e-290:
         return BoundResult.from_per_dim(1.0, n, method="thermal", aux=math.inf)
@@ -557,9 +559,15 @@ def asymptotic_cutoff(mu, n, r) -> float:
 
     The cutoff at which the lower-bound family's purity equals mu once the
     cutoff sums are replaced by their large-M closed forms; inf when it
-    exceeds the float range.
+    exceeds the float range.  Raises ValueError for mu outside (0, 1] and
+    for an r that is not finite and >= 1.
     """
     n = check_dimension(n)
+    mu, r = float(mu), float(r)
+    if not 0.0 < mu <= 1.0:
+        raise ValueError(f"mu must be in (0, 1], got {mu}")
+    if not 1.0 <= r < math.inf:
+        raise ValueError(f"exponent r must be finite and >= 1, got {r}")
     scale = (r / (n + r)) ** (r / n)
     scale *= math.exp(sum(math.log(r + k) for k in range(1, n + 1)) / n)
     try:
@@ -614,7 +622,7 @@ def asymptotic_entropy_bound(S, n) -> float:
     """
     n = check_dimension(n)
     S = float(S)
-    if S < 0.0:
+    if not S >= 0.0:
         raise ValueError(f"entropy must be >= 0, got {S}")
     try:
         value = math.exp(S / n) * 2.0 / math.e

@@ -234,8 +234,12 @@ class TestThermalFamily:
             assert res.volume / target == pytest.approx(1.0, rel=0.01)
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            entropy_bound(-1.0, 2)
+        # NaN and inf are domain errors too, not a solver's "no bracket"
+        for s_value in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                entropy_bound(s_value, 2)
+            with pytest.raises(ValueError):
+                thermal_beta_from_entropy(s_value, 2)
 
     def test_float_range_edges(self):
         # 2 e^(S-1) passes the float range at S = 710.09: below it a finite
@@ -576,6 +580,15 @@ class TestAsymptoticCutoff:
 
     def test_overflow_is_inf(self):
         assert asymptotic_cutoff(5e-324, 1, 2.0) == math.inf
+
+    @pytest.mark.parametrize("mu, r", [
+        (0.0, 3.0), (-1.0, 3.0), (1.5, 3.0), (math.nan, 3.0),
+        (1e-3, math.inf), (1e-3, math.nan), (1e-3, 0.5),
+    ])
+    def test_outside_domain_raises(self, mu, r):
+        # mu = -1 gave a complex number, mu = 0 a ZeroDivisionError
+        with pytest.raises(ValueError):
+            asymptotic_cutoff(mu, 2, r)
 
 
 class TestAsymptoticConstant:

@@ -107,6 +107,8 @@ class TestBoundCommands:
         ["--n", "1", "--S", "760"],
         ["--n", "0", "--S", "1", "--asymptotic"],
         ["--n", "1", "--S", "800", "--asymptotic"],
+        ["--n", "1", "--S", "inf"],
+        ["--n", "2", "--S", "nan"],
     ])
     def test_entropy_out_of_float_range_is_domain_error(self, runner, args):
         result = runner.invoke(cli.main, ["bound", "entropy"] + args)
@@ -366,7 +368,7 @@ class TestVerify:
         ).output
 
     def test_appendix_d_passes(self, runner):
-        result = runner.invoke(cli.main, ["verify", "appendix-d", "--n-max", "10"])
+        result = runner.invoke(cli.main, ["verify", "appendix-d"])
         assert result.exit_code == 0
 
     def test_b_approx_passes(self, runner):
@@ -389,38 +391,18 @@ class TestVerify:
         assert result.exit_code == 0
         assert "PASS" in result.output
 
-    def test_failure_exits_one(self, runner):
-        result = runner.invoke(cli.main, [
-            "verify", "holder", "--n", "1", "--r", "2", "--mu", "0.5",
-            "--seed", "7", "--tol", "1e-18",
-        ])
-        assert result.exit_code == 1
-        assert "FAIL" in result.output
-
-    def test_seed_env_var(self, runner):
-        explicit = runner.invoke(cli.main, [
-            "verify", "lemma", "--dim", "8", "--trials", "20", "--seed", "99",
-        ])
-        via_env = runner.invoke(
-            cli.main,
-            ["verify", "lemma", "--dim", "8", "--trials", "20"],
-            env={"UNCBOUND_SEED": "99"},
-        )
-        assert via_env.output == explicit.output
-
-    def test_non_integer_seed_env_var_is_domain_error(self):
-        result = CliRunner(env={"UNCBOUND_SEED": "abc"}).invoke(
-            cli.main, ["verify", "lemma", "--dim", "4", "--trials", "3"])
-        assert result.exit_code == 2
-        assert isinstance(result.exception, SystemExit)
-        assert "Traceback" not in combined(result)
-        assert result.stderr == "error: UNCBOUND_SEED must be an integer, got 'abc'\n"
+    def test_no_seed_is_seed_zero(self, runner):
+        args = ["verify", "lemma", "--dim", "8", "--trials", "20"]
+        explicit = runner.invoke(cli.main, args + ["--seed", "0"])
+        # the environment sets no seed: UNCBOUND_SEED is not read
+        implicit = runner.invoke(cli.main, args, env={"UNCBOUND_SEED": "99"})
+        assert explicit.exit_code == implicit.exit_code == 0
+        assert implicit.output == explicit.output
 
     @pytest.mark.parametrize("args", [
         ["lemma", "--dim", "4", "--trials", "0"],
         ["b-approx", "--trials", "0"],
         ["roundtrip", "--trials", "0"],
-        ["appendix-d", "--n-max", "0"],
     ])
     def test_zero_count_is_usage_error(self, runner, args):
         # a suite that checks nothing must not pass
@@ -429,14 +411,65 @@ class TestVerify:
         assert "PASS" not in result.output
         assert "Traceback" not in combined(result)
 
-    def test_zero_truncation_is_domain_error(self, runner):
+    @pytest.mark.parametrize("mu, r", [
+        ("0", "3"), ("-1", "3"), ("1e-3", "inf"), ("1e-3", "nan"),
+    ])
+    def test_bad_holder_input_is_domain_error(self, runner, mu, r):
         result = runner.invoke(cli.main, [
-            "verify", "holder", "--n", "2", "--r", "3", "--mu", "1e-3",
-            "--seed", "7", "--truncation", "0",
+            "verify", "holder", "--n", "2", "--r", r, "--mu", mu,
         ])
         assert result.exit_code == 2
-        assert "PASS" not in result.output
-        assert result.stderr == "error: truncation must be >= 1\n"
+        assert isinstance(result.exception, SystemExit)
+        assert result.stdout == ""
+        assert "Traceback" not in combined(result)
+        assert result.stderr.startswith("error: ")
+        assert result.stderr.count("\n") == 1
+
+
+# every command's settable options; the verify suites fix their tolerances,
+# the holder oracle sizes itself and appendix-d always runs n = 1..10
+OPTIONS = {
+    (): {"--version"},
+    ("bound",): set(),
+    ("bound", "purity"): {"--n", "--r", "--mu", "--method", "--format"},
+    ("bound", "entropy"): {"--n", "--S", "--asymptotic", "--format"},
+    ("bound", "spectrum"): {"--n", "--input", "--format"},
+    ("curve",): {"--quantity", "--n", "--r", "--mu", "--S", "--format"},
+    ("verify",): set(),
+    ("verify", "lemma"): {"--dim", "--trials", "--seed"},
+    ("verify", "holder"): {"--n", "--r", "--mu", "--seed"},
+    ("verify", "b-approx"): {"--trials", "--seed"},
+    ("verify", "appendix-d"): set(),
+    ("verify", "roundtrip"): {"--trials", "--seed"},
+}
+
+
+def _option_surface(command, path=()):
+    surface = {path: {opt for param in command.params for opt in param.opts}}
+    for name, sub in getattr(command, "commands", {}).items():
+        surface.update(_option_surface(sub, path + (name,)))
+    return surface
+
+
+def test_option_surface():
+    assert _option_surface(cli.main) == OPTIONS
+
+
+@pytest.mark.parametrize("argv", [
+    ["lemma", "--trials", "2", "--tol", "1e-10"],
+    ["holder", "--n", "2", "--r", "3", "--mu", "1e-3", "--tol", "1e-5"],
+    ["holder", "--n", "2", "--r", "3", "--mu", "1e-3", "--truncation", "200"],
+    ["b-approx", "--trials", "2", "--tol", "1e-9"],
+    ["appendix-d", "--tol", "1e-10"],
+    ["appendix-d", "--n-max", "10"],
+    ["roundtrip", "--trials", "2", "--tol", "1e-10"],
+])
+def test_removed_verify_flag_is_usage_error(runner, argv):
+    result = runner.invoke(cli.main, ["verify", *argv])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    error = result.stderr.splitlines()[-1]
+    assert "No such option" in error and argv[-2] in error
 
 
 def test_console_script_help():

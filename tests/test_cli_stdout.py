@@ -6,8 +6,10 @@ were rewritten onto a single row builder, so any drift in formatting,
 column order, values or error messages shows up here.  The seven
 ``interpolated`` and ``entropy`` cases were recorded again when those roots
 moved from bisection to Brent's method: only the digits the root sets
-moved, by at most 5e-13 relative.  ``{spectrum}`` and ``{garbage}`` stand
-for two files written by the test.
+moved, by at most 5e-13 relative.  The ``verify`` cases were recorded
+before the suites' tolerance flags were removed, with the flags that
+remain.  ``{spectrum}`` and ``{garbage}`` stand for two files written by
+the test.
 """
 
 from collections import namedtuple
@@ -419,6 +421,42 @@ CASES = [
          2,
          "",
          "error: mu must be in (0, 1], got 1.25\n"),
+    Case(["verify", "lemma", "--dim", "12", "--trials", "100", "--seed", "42"],
+         0,
+         "identity margin=0\n"
+         "lemma: checks=101 failures=0 worst_margin=3.1215342160980359\n"
+         "PASS\n",
+         ""),
+    Case(["verify", "holder", "--n", "2", "--r", "3", "--mu", "1e-3", "--seed", "7"],
+         0,
+         "brute=26.295754620238018 closed=26.295754620238\n"
+         "holder: checks=1 failures=0 gap=1.7763568394002505e-14\n"
+         "PASS\n",
+         ""),
+    Case(["verify", "b-approx", "--trials", "20", "--seed", "3"],
+         0,
+         "b-approx: checks=23 failures=0 worst_gap=7.4384942649885488e-15\n"
+         "PASS\n",
+         ""),
+    Case(["verify", "appendix-d"],
+         0,
+         "appendix-d: checks=40 failures=0 worst_gap=1.0429376047456061e-11\n"
+         "PASS\n",
+         ""),
+    Case(["verify", "roundtrip", "--trials", "30", "--seed", "2"],
+         0,
+         "roundtrip: checks=30 failures=0 worst_gap=1.7053025658242404e-13\n"
+         "PASS\n",
+         ""),
+    # the test of exit 1: the brute-force oracle overstates the minimum
+    # here, so the suite fails.  ROADMAP item 4's primal-dual certificate,
+    # which replaces that oracle, will change this case.
+    Case(["verify", "holder", "--n", "2", "--r", "2.010041770264862", "--mu", "0.0049748612669626826", "--seed", "1"],
+         1,
+         "brute=12.28373272241701 closed=12.281767919782743\n"
+         "holder: checks=1 failures=1 gap=0.0019648026342675706\n"
+         "FAIL\n",
+         ""),
 ]
 
 
