@@ -20,8 +20,11 @@ The bracket's supremum is not searched for.  Because dB_r/dM = r B_{r-1},
 the bracket is stationary exactly where the lower-bound family
 xi_m ~ g_m (M - m)^(r-1) has purity mu, and that family purity,
 ln mu(M) = (r-1) ln B_r(M) - r ln B_{r-1}(M), falls monotonically in M.
-So the optimal cutoff is one scalar root, found by Brent's method from a
-bracket around the mu -> 0 cutoff M*.
+So the optimal cutoff is one scalar root.  The sums expand as
+B_r(M) = K (M + n/2)^(n+r) (1 + O(M^-2)), which puts the root near M* - n/2,
+M* the mu -> 0 cutoff, with ln mu(M) falling like -n ln(M + n/2); from that
+seed one Newton step in ln M brackets the root, and Brent's method closes
+the bracket.
 
 The cutoff sums are exact up to rounding, and ``_log_B_pair`` alone picks
 how they are taken.  Up to 20k terms they are summed directly in log
@@ -89,10 +92,11 @@ def interpolated_bound_r2(mu, n) -> BoundResult:
 
     L solves a strictly decreasing gamma-function equation whose root is 1
     at mu = 1 (the pure state) and tends to L* = (2 (n+1)! / ((n+2) mu))^(1/n)
-    as mu -> 0.  From L = 1 and the seed L* the search doubles or halves to
-    a bracket of ratio 2 and closes it with Brent's method; ``iterations``
-    counts the evaluations of the equation.  A root beyond the float range
-    raises ValueError.
+    as mu -> 0; ln mu(L) falls like -n ln(L + n/2).  From L = 1, the seed
+    L* - n/2 and one Newton step of slope n in ln L, :func:`seeded_root`
+    brackets the root and Brent's method closes it; ``iterations`` counts
+    the evaluations of the equation.  A root beyond the float range raises
+    ValueError.
     """
     n = check_dimension(n)
     mu = float(mu)
@@ -109,7 +113,8 @@ def interpolated_bound_r2(mu, n) -> BoundResult:
 
     # the n-th roots are taken apart: the quotient can overflow where L* does not
     seed = (2.0 * math.factorial(n + 1) / (n + 2.0)) ** (1.0 / n) / mu ** (1.0 / n)
-    root = seeded_root(f, 1.0, target, seed)
+    # ln mu(L) ~ c - n ln(L + n/2): start at L* - n/2, with slope n in ln L
+    root = seeded_root(f, 1.0, target, seed - 0.5 * n, n)
     L = root.x  # >= 1: the bracket starts at L = 1
     if root.residual > 1e-10:
         raise SolverError(
@@ -503,12 +508,15 @@ def purity_bound(mu, n, order: PurityOrder) -> BoundResult:
 
     and mu(M) is the purity of the family xi_m ~ g_m (M - m)^(r-1).  So the
     supremum sits at the root of h: the cutoff whose family has purity mu.
-    h = ln(mu)/r < 0 on (0, 1]; from the mu -> 0 cutoff
-    :func:`asymptotic_cutoff` the search doubles or halves to a sign
-    change and closes it with Brent's method.  The value is the bracket at
-    the root, from the ln B_r already summed there.  ``aux`` is the cutoff,
-    ``residual`` is |h| at it and ``iterations`` counts the evaluations of
-    the pair (B_r, B_{r-1}).
+    h = ln(mu)/r < 0 on (0, 1].  The search starts from
+    :func:`asymptotic_cutoff` minus n/2, where the second-order expansion of
+    the sums puts the root, and takes one Newton step in ln M with the
+    slope n/r of h there; Brent's method closes the pair once it straddles
+    the root, and :func:`seeded_root` falls back to doubling or halving
+    when it does not.  The value is the bracket at the root, from the
+    ln B_r already summed there.  ``aux`` is the cutoff, ``residual`` is
+    |h| at it and ``iterations`` counts the evaluations of the pair
+    (B_r, B_{r-1}).
 
     The order r = inf is the entropy end, mu = exp(-S): the result is
     :func:`entropy_bound` at S = -ln mu.  The superpurity order r = 1 has
@@ -539,8 +547,10 @@ def purity_bound(mu, n, order: PurityOrder) -> BoundResult:
         log_b_at[M] = log_b
         return log_mu / r + log_b_lower - (r - 1.0) / r * log_b
 
-    # h(1) = ln(mu)/r < 0; the search starts from the mu -> 0 cutoff
-    root = seeded_root(h, 1.0, log_mu / r, asymptotic_cutoff(mu, n, r))
+    # h(1) = ln(mu)/r < 0.  B_r(M) ~ K (M + n/2)^(n+r) puts the root near
+    # M* - n/2, where h rises like (n/r) ln(M + n/2)
+    seed = asymptotic_cutoff(mu, n, r) - 0.5 * n
+    root = seeded_root(h, 1.0, log_mu / r, seed, n / r)
     term = math.exp((log_mu + log_b_at[root.x]) / r)
     per_dim = max((2.0 * root.x + n - 2.0 * term) / n, 1.0)
     return BoundResult.from_per_dim(

@@ -194,7 +194,13 @@ def _penalty_descent(xi, costs, g_term, r, mu_target):
         for _ in range(300):
             gap = total ** (r - 1.0) - mu_target
             value = energy + penalty * gap * gap
-            grad_mu = r * total ** (r - 2.0) * g_term * _powers(xi, p - 1.0)
+            try:  # below r = 2, a power sum near 0 has no finite power
+                scale = total ** (r - 2.0)
+            except (OverflowError, ZeroDivisionError):
+                raise SolverError(
+                    f"purity gradient is not finite at r={r}: power sum {total!r}"
+                ) from None
+            grad_mu = r * scale * g_term * _powers(xi, p - 1.0)
             grad = costs + 2.0 * penalty * gap * grad_mu
             for _ in range(40):
                 trial = project_to_simplex(xi - step * grad)

@@ -2,8 +2,9 @@
 
 ``brent_root`` closes a sign-change bracket whose ends, and the function
 values there, come from the caller.  ``seeded_root`` builds that bracket
-for the package's increasing roots from an estimate of the root: it
-doubles or halves from the estimate to a bracket of ratio 2.  Tolerances
+for the package's increasing roots from an estimate of the root and of
+the slope there: the estimate and one Newton step from it straddle the
+root, or the bracket doubles or halves from them to ratio 2.  Tolerances
 follow the package-wide solver contract: relative 1e-12 unless stated
 otherwise, and at most _MAX_ITER steps once the bracket is set.
 """
@@ -16,6 +17,10 @@ __all__ = ["SolverError", "RootResult", "brent_root", "seeded_root"]
 
 _EPS = sys.float_info.epsilon
 _MAX_ITER = 200
+# seeded_root lengthens its Newton step by this factor, so that a slope
+# estimate a little too steep still carries the step across the root
+_OVERSHOOT = 1.25
+_MAX_LOG_STEP = 709.0  # e^709.78 is the largest float
 
 
 class SolverError(RuntimeError):
@@ -87,25 +92,48 @@ def brent_root(f, a, b, fa, fb, rtol=1e-12):
     )
 
 
-def seeded_root(f, lo, f_lo, seed):
+def seeded_root(f, lo, f_lo, seed, log_slope):
     """Root above lo > 0 of f, increasing through zero, from the estimate ``seed``.
 
     f(lo) = f_lo < 0 is given, so it costs no evaluation; a seed at or below
-    lo starts the search at lo itself.  The upper end doubles while f stays
-    negative, then halves down to a bracket of ratio 2, which
-    :func:`brent_root` closes.  Doubling past the float range calls f at
-    inf, so f must raise there.  ``iterations`` counts every evaluation of
-    f, bracketing included.
+    lo starts the search at lo itself.  ``log_slope`` > 0 estimates
+    df/d(ln x) near the root.  After f at the seed, one Newton step in ln x,
+    lengthened by a quarter, gives a second point, which lands across the
+    root when the estimate holds; it is kept within [lo, largest float].
+    :func:`brent_root` closes the tightest sign change among lo and the two
+    points.  Only if both points lie below the root does the upper end
+    double until f turns positive, and a bracket wider than ratio 2 is first
+    halved down to ratio 2.  Doubling past the float range calls f at inf,
+    so f must raise there.  ``iterations`` counts every evaluation of f,
+    bracketing included.
     """
-    hi = max(seed, lo)
-    f_hi = f(hi) if hi > lo else f_lo
-    evals = int(hi > lo)
-    while f_hi < 0.0:  # the root lies above: double
-        lo, f_lo = hi, f_hi
-        hi *= 2.0
-        f_hi = f(hi)
+    x = max(seed, lo)
+    f_x = f(x) if x > lo else f_lo
+    evals = int(x > lo)
+    if f_x == 0.0:
+        return RootResult(x, 0.0, evals)
+    step = min(-_OVERSHOOT * f_x / log_slope, _MAX_LOG_STEP)
+    newton = min(x * math.exp(step), sys.float_info.max)
+    f_newton = f(newton) if newton > lo else f_lo
+    evals += int(newton > lo)
+    if f_newton == 0.0:
+        return RootResult(newton, 0.0, evals)
+    hi, f_hi = math.inf, math.nan
+    for point, f_point in ((x, f_x), (newton, f_newton)):
+        if f_point < 0.0:
+            if point > lo:
+                lo, f_lo = point, f_point
+        elif point < hi:
+            hi, f_hi = point, f_point
+    while hi == math.inf:  # the root lies above both points: double
+        point = 2.0 * lo
+        f_point = f(point)
         evals += 1
-    while hi > 2.0 * lo:  # the root lies below the seed: halve
+        if f_point < 0.0:
+            lo, f_lo = point, f_point
+        else:
+            hi, f_hi = point, f_point
+    while hi > 2.0 * lo:  # a wide bracket: halve down to ratio 2
         mid = 0.5 * hi
         f_mid = f(mid)
         evals += 1

@@ -106,9 +106,11 @@ class TestInterpolatedBound:
             assert L == pytest.approx(reference, rel=1e-12, abs=0.0), (n, mu)
 
     def test_root_takes_few_evaluations(self):
-        # the seeded bracket leaves Brent's method a ratio-2 interval
-        for n, mu in INTERP_GRID:
-            assert interpolated_bound_r2(mu, n).iterations <= 12, (n, mu)
+        # L* - n/2 and one Newton step of slope n in ln L bracket the root
+        for n in range(1, 7):
+            for k in range(57):
+                mu = 10.0 ** (-7.0 + k / 8.0)
+                assert interpolated_bound_r2(mu, n).iterations <= 9, (n, mu)
 
     def test_monotone_in_mu(self):
         values = [
@@ -499,6 +501,40 @@ class TestPurityBound:
                 family_mu = purity_from_grouped(grouped, PurityOrder.finite(r))
                 assert family_mu == pytest.approx(mu, rel=1e-9)
 
+    def test_evaluation_budget(self):
+        # a grid shaped like the purity-sweep benchmark pool, where the
+        # doubling bracket from M* took 6.9 sum pairs per point (max 22 here)
+        rng = np.random.default_rng(10)
+        evals, tail = [], []
+        for _ in range(600):
+            n = int(rng.integers(1, 4))
+            r = float(np.exp(rng.uniform(np.log(1.5), np.log(10.0))))
+            mu = float(np.exp(rng.uniform(np.log(1e-7), np.log(0.5))))
+            res = purity_bound(mu, n, PurityOrder.finite(r))
+            evals.append(res.iterations)
+            if res.aux > bounds._DIRECT_TERM_LIMIT:
+                tail.append(res.iterations)
+        assert np.mean(evals) <= 5.0
+        # the costliest roots sit just above an integer cutoff, where a new
+        # level enters h with an infinite slope and Brent's method bisects
+        assert max(evals) <= 20
+        assert len(tail) >= 50 and np.mean(tail) <= 3.0
+
+    def test_seed_is_second_order(self):
+        # B_r(M) = K (M + n/2)^(n+r) (1 + O(M^-2)) moves the root to M* - n/2
+        rng = np.random.default_rng(9)
+        checked = 0
+        for _ in range(1500):
+            n = int(rng.integers(1, 7))
+            r = float(np.exp(rng.uniform(np.log(1.5), np.log(10.0))))
+            mu = float(10.0 ** rng.uniform(-30.0, math.log10(0.5)))
+            M = purity_bound(mu, n, PurityOrder.finite(r)).aux
+            star = asymptotic_cutoff(mu, n, r)
+            if M >= 20.0 and abs(star - M) > 1e-9 * M:
+                checked += 1
+                assert 5.0 * abs(star - 0.5 * n - M) <= abs(star - M), (n, r, mu)
+        assert checked >= 800
+
     def test_tiny_mu_one_dim_reaches_asymptote(self):
         # the optimal cutoff (~0.9/mu) lies far beyond a doubling search from M = 1
         for mu in (1e-61, 1e-70, 1e-200):
@@ -636,6 +672,16 @@ class TestAsymptoticBounds:
         for n in (1, 2, 3):
             exact = purity_bound(1e-12, n, PurityOrder.finite(2.0)).per_dim_product
             assert exact == pytest.approx(asymptotic_purity_bound(1e-12, n, 2.0), rel=1e-8)
+
+    def test_purity_sits_below_the_exact_bound(self):
+        # B_r(M) <= K (M + n/2)^(n+r) makes the closed form a bound for every mu
+        rng = np.random.default_rng(11)
+        for _ in range(600):
+            n = int(rng.integers(1, 13))
+            r = float(np.exp(rng.uniform(np.log(1.05), np.log(50.0))))
+            mu = float(10.0 ** rng.uniform(-40.0, 0.0))
+            exact = purity_bound(mu, n, PurityOrder.finite(r)).per_dim_product
+            assert asymptotic_purity_bound(mu, n, r) <= exact * (1.0 + 1e-12), (n, r, mu)
 
     def test_purity_beyond_float_range(self):
         with pytest.raises(ValueError, match="beyond the float range"):

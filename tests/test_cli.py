@@ -425,6 +425,20 @@ class TestVerify:
         assert result.stderr.startswith("error: ")
         assert result.stderr.count("\n") == 1
 
+    @pytest.mark.parametrize("r", ["1.0001", "1.001"])
+    def test_holder_near_r_one_is_solver_error(self, runner, r):
+        # the oracle's power sum at p = r/(r-1) ~ 1e3..1e4 leaves the float
+        # range, where its purity gradient has no finite value
+        result = runner.invoke(cli.main, [
+            "verify", "holder", "--n", "1", "--r", r, "--mu", "0.5",
+        ])
+        assert result.exit_code == 3
+        assert isinstance(result.exception, SystemExit)
+        assert result.stdout == ""
+        assert "Traceback" not in combined(result)
+        assert result.stderr.startswith("solver error: purity gradient is not finite")
+        assert result.stderr.count("\n") == 1
+
 
 # every command's settable options; the verify suites fix their tolerances,
 # the holder oracle sizes itself and appendix-d always runs n = 1..10

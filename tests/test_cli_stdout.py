@@ -6,9 +6,12 @@ were rewritten onto a single row builder, so any drift in formatting,
 column order, values or error messages shows up here.  The seven
 ``interpolated`` and ``entropy`` cases were recorded again when those roots
 moved from bisection to Brent's method: only the digits the root sets
-moved, by at most 5e-13 relative.  The ``verify`` cases were recorded
-before the suites' tolerance flags were removed, with the flags that
-remain.  ``{spectrum}`` and ``{garbage}`` stand for two files written by
+moved, by at most 5e-13 relative.  The eleven cases that print a cutoff
+or interpolation root (``purity-bound``, ``interpolated`` and the
+``closed=`` of ``verify holder``) were recorded again when those roots
+started from one Newton step: values moved by at most 2e-13 relative.
+The ``verify`` cases were recorded before the suites' tolerance flags were
+removed, with the flags that remain.  ``{spectrum}`` and ``{garbage}`` stand for two files written by
 the test.
 """
 
@@ -28,7 +31,7 @@ CASES = [
     Case(["bound", "purity", "--n", "1", "--r", "2", "--mu", "1e-6"],
          0,
          "n,r,mu,value,volume,aux,method,residual\n"
-         "1,2,9.9999999999999995e-07,888888.88888901612,888888.88888901612,1333332.8333335856,exact,1.0302869668521453e-13\n",
+         "1,2,9.9999999999999995e-07,888888.88888901519,888888.88888901519,1333332.8333332979,exact,3.5527136788005009e-15\n",
          ""),
     Case(["bound", "purity", "--n", "2", "--r", "3", "--mu", "0.01", "--format", "json"],
          0,
@@ -37,11 +40,11 @@ CASES = [
          "    \"n\": 2,\n"
          "    \"r\": 3.0,\n"
          "    \"mu\": 0.01,\n"
-         "    \"value\": 8.32989146892117,\n"
-         "    \"volume\": 69.3870918840057,\n"
-         "    \"aux\": 19.775888856837717,\n"
+         "    \"value\": 8.329891468921161,\n"
+         "    \"volume\": 69.38709188400554,\n"
+         "    \"aux\": 19.775888856836847,\n"
          "    \"method\": \"exact\",\n"
-         "    \"residual\": 2.842170943040401e-14\n"
+         "    \"residual\": 1.7763568394002505e-15\n"
          "  }\n"
          "]\n",
          ""),
@@ -73,7 +76,7 @@ CASES = [
     Case(["bound", "purity", "--n", "3", "--r", "2", "--mu", "0.05", "--method", "interpolated"],
          0,
          "n,r,mu,value,volume,aux,method,residual\n"
-         "3,2,0.050000000000000003,2.3649959748649554,13.227909584657072,4.4124899371623885,interpolated,1.3322676295501878e-15\n",
+         "3,2,0.050000000000000003,2.3649959748649518,13.227909584657011,4.4124899371623796,interpolated,3.1086244689504383e-15\n",
          ""),
     Case(["bound", "purity", "--n", "2", "--r", "2", "--mu", "1", "--method", "interpolated", "--format", "json"],
          0,
@@ -195,11 +198,11 @@ CASES = [
     Case(["curve", "--quantity", "interpolated-r2", "--n", "1,3", "--mu", "0.001:1:3:log"],
          0,
          "n,mu,value,aux,method,residual\n"
-         "1,0.001,888.88901388904731,1332.8335208335709,interpolated-r2,1.9806378759312793e-13\n"
-         "1,0.031622776601683791,28.113087048414901,41.669630572622353,interpolated-r2,1.0658141036401503e-14\n"
+         "1,0.001,888.88901388887234,1332.8335208333085,interpolated-r2,2.6645352591003757e-15\n"
+         "1,0.031622776601683791,28.113087048414602,41.669630572621905,interpolated-r2,0\n"
          "1,1,1,1,interpolated-r2,0\n"
-         "3,0.001,8.5169446857733213,19.792361714433305,interpolated-r2,8.8817841970012523e-16\n"
-         "3,0.031622776601683791,2.7376904461709199,5.3442261154272996,interpolated-r2,8.8817841970012523e-16\n"
+         "3,0.001,8.5169446857730993,19.792361714432747,interpolated-r2,7.9047879353311146e-14\n"
+         "3,0.031622776601683791,2.7376904461709186,5.344226115427297,interpolated-r2,0\n"
          "3,1,1,1,interpolated-r2,0\n",
          ""),
     Case(["curve", "--quantity", "interpolated-r2", "--n", "2", "--mu", "0.2:0.8:2", "--format", "json"],
@@ -216,10 +219,10 @@ CASES = [
          "  {\n"
          "    \"n\": 2,\n"
          "    \"mu\": 0.8,\n"
-         "    \"value\": 1.0897247358851692,\n"
-         "    \"aux\": 1.179449471770338,\n"
+         "    \"value\": 1.0897247358852087,\n"
+         "    \"aux\": 1.1794494717704174,\n"
          "    \"method\": \"interpolated-r2\",\n"
-         "    \"residual\": 1.1102230246251565e-15\n"
+         "    \"residual\": 9.303668946358812e-14\n"
          "  }\n"
          "]\n",
          ""),
@@ -257,18 +260,18 @@ CASES = [
     Case(["curve", "--quantity", "purity-bound", "--n", "1,2", "--r", "1.5:3:3", "--mu", "0.01"],
          0,
          "n,r,mu,value,aux,method,residual\n"
-         "1,1.5,0.01,92.95263824606991,115.69287792317849,holder-root,9.9920072216264089e-14\n"
-         "1,2.25,0.01,87.439900209108146,141.58654886892873,holder-root,0\n"
-         "1,3,0.01,84.37648149161376,168.24852342602622,holder-root,0\n"
-         "2,1.5,0.01,8.9656446095842952,14.682062458890645,holder-root,1.1501910535116622e-13\n"
-         "2,2.25,0.01,8.5665121534643216,17.174910468173817,holder-root,1.7763568394002505e-15\n"
-         "2,3,0.01,8.3298914689211703,19.775888856837717,holder-root,2.8421709430404007e-14\n",
+         "1,1.5,0.01,92.952638246069881,115.69287792315922,holder-root,0\n"
+         "1,2.25,0.01,87.439900209108174,141.5865488689291,holder-root,0\n"
+         "1,3,0.01,84.376481491613873,168.24852342602495,holder-root,1.7763568394002505e-15\n"
+         "2,1.5,0.01,8.965644609584297,14.682062458892712,holder-root,4.4408920985006262e-16\n"
+         "2,2.25,0.01,8.5665121534643163,17.174910468173849,holder-root,8.8817841970012523e-16\n"
+         "2,3,0.01,8.3298914689211614,19.775888856836847,holder-root,1.7763568394002505e-15\n",
          ""),
     Case(["curve", "--quantity", "purity-bound", "--n", "2", "--r", "2", "--mu", "1e-4:1:3:log"],
          0,
          "n,r,mu,value,aux,method,residual\n"
-         "2,2,0.0001,86.603985364962099,172.20513687396101,holder-root,0\n"
-         "2,2,0.01,8.674825910357745,16.311649225740009,holder-root,5.3290705182007514e-15\n"
+         "2,2,0.0001,86.603985364962028,172.20513687397755,holder-root,9.5923269327613525e-14\n"
+         "2,2,0.01,8.6748259103577503,16.311649225740091,holder-root,0\n"
          "2,2,1,1,1,holder-root,0\n",
          ""),
     Case(["curve", "--quantity", "purity-bound", "--n", "1", "--r", "1.5:6:2:log", "--mu", "0.1", "--format", "json"],
@@ -278,19 +281,19 @@ CASES = [
          "    \"n\": 1,\n"
          "    \"r\": 1.5,\n"
          "    \"mu\": 0.1,\n"
-         "    \"value\": 9.30745972216897,\n"
-         "    \"aux\": 11.096097169343166,\n"
+         "    \"value\": 9.307459722168971,\n"
+         "    \"aux\": 11.096097169343158,\n"
          "    \"method\": \"holder-root\",\n"
-         "    \"residual\": 8.881784197001252e-16\n"
+         "    \"residual\": 2.220446049250313e-16\n"
          "  },\n"
          "  {\n"
          "    \"n\": 1,\n"
          "    \"r\": 6.0,\n"
          "    \"mu\": 0.1,\n"
-         "    \"value\": 7.949416378408799,\n"
-         "    \"aux\": 27.214699787027183,\n"
+         "    \"value\": 7.949416378408785,\n"
+         "    \"aux\": 27.214699787024763,\n"
          "    \"method\": \"holder-root\",\n"
-         "    \"residual\": 1.4210854715202004e-14\n"
+         "    \"residual\": 0.0\n"
          "  }\n"
          "]\n",
          ""),
@@ -301,8 +304,8 @@ CASES = [
          "    \"n\": 3,\n"
          "    \"r\": 3.0,\n"
          "    \"mu\": 0.001,\n"
-         "    \"value\": 8.23761156245612,\n"
-         "    \"aux\": 23.1628691402376,\n"
+         "    \"value\": 8.237611562456117,\n"
+         "    \"aux\": 23.16286914023763,\n"
          "    \"method\": \"holder-root\",\n"
          "    \"residual\": 0.0\n"
          "  },\n"
@@ -310,10 +313,10 @@ CASES = [
          "    \"n\": 3,\n"
          "    \"r\": 3.0,\n"
          "    \"mu\": 0.5,\n"
-         "    \"value\": 1.1780860584503057,\n"
-         "    \"aux\": 1.5350771927660134,\n"
+         "    \"value\": 1.178086058450306,\n"
+         "    \"aux\": 1.5350771927660132,\n"
          "    \"method\": \"holder-root\",\n"
-         "    \"residual\": 2.220446049250313e-16\n"
+         "    \"residual\": 1.1102230246251565e-16\n"
          "  }\n"
          "]\n",
          ""),
@@ -429,8 +432,8 @@ CASES = [
          ""),
     Case(["verify", "holder", "--n", "2", "--r", "3", "--mu", "1e-3", "--seed", "7"],
          0,
-         "brute=26.295754620238018 closed=26.295754620238\n"
-         "holder: checks=1 failures=0 gap=1.7763568394002505e-14\n"
+         "brute=26.295754620238018 closed=26.295754620238007\n"
+         "holder: checks=1 failures=0 gap=1.0658141036401503e-14\n"
          "PASS\n",
          ""),
     Case(["verify", "b-approx", "--trials", "20", "--seed", "3"],
@@ -453,8 +456,8 @@ CASES = [
     # which replaces that oracle, will change this case.
     Case(["verify", "holder", "--n", "2", "--r", "2.010041770264862", "--mu", "0.0049748612669626826", "--seed", "1"],
          1,
-         "brute=12.28373272241701 closed=12.281767919782743\n"
-         "holder: checks=1 failures=1 gap=0.0019648026342675706\n"
+         "brute=12.28373272241701 closed=12.281767919782746\n"
+         "holder: checks=1 failures=1 gap=0.0019648026342640179\n"
          "FAIL\n",
          ""),
 ]

@@ -35,14 +35,46 @@ def test_seeded_root_counts_every_evaluation():
 
     def f(x):
         calls.append(x)
-        return math.log(x) - 10.0  # root e^10 ~ 22026
+        return math.log(x) - 10.0  # root e^10 ~ 22026, slope 1 in ln x
 
     for seed in (0.5, 1.0, 1e3, 3e4, 1e9):  # at or below lo, below the root, above it
         calls.clear()
-        res = seeded_root(f, 1.0, -10.0, seed)
+        res = seeded_root(f, 1.0, -10.0, seed, 1.0)
         assert res.x == pytest.approx(math.exp(10.0), rel=1e-12)
         assert res.iterations == len(calls)
         assert 1.0 not in calls  # f(lo) is given
+
+
+def test_seeded_root_newton_step_straddles_the_root():
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return 2.0 * math.log(x) - 20.0
+
+    res = seeded_root(f, 1.0, -20.0, 2e4, 2.0)
+    assert res.x == pytest.approx(math.exp(10.0), rel=1e-12)
+    assert res.iterations == len(calls)
+    lo, hi = sorted(calls[:2])  # the seed and its Newton point
+    assert (lo, hi) == (2e4, pytest.approx(2e4 * (math.exp(10.0) / 2e4) ** 1.25))
+    assert all(lo <= x <= hi for x in calls)
+
+
+@pytest.mark.parametrize("log_slope", [1e6, 1e-6])
+@pytest.mark.parametrize("seed", [0.5, 1e3, 1e9])
+def test_seeded_root_survives_a_wrong_slope(seed, log_slope):
+    # 1e6: the Newton point stays on the seed's side, and the doubling or
+    # halving fallback takes over; 1e-6: it lands far across the root
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return math.log(x) - 10.0
+
+    res = seeded_root(f, 1.0, -10.0, seed, log_slope)
+    assert res.x == pytest.approx(math.exp(10.0), rel=1e-12)
+    assert res.iterations == len(calls)
+    assert 1.0 not in calls
 
 
 def test_seeded_root_leaves_the_float_range_to_f():
@@ -52,6 +84,6 @@ def test_seeded_root_leaves_the_float_range_to_f():
         return -1.0
 
     with pytest.raises(ValueError, match="float range"):
-        seeded_root(f, 1.0, -1.0, 2.0)
+        seeded_root(f, 1.0, -1.0, 2.0, 1.0)
     with pytest.raises(ValueError, match="float range"):
-        seeded_root(f, 1.0, -1.0, math.inf)
+        seeded_root(f, 1.0, -1.0, math.inf, 1.0)
