@@ -168,8 +168,8 @@ def _solve_thermal(S, n):
     # Brent's method in y = ln(-t), t = -e^y: the entropy rises with y, and the
     # root spans hundreds of decades in t but a few hundred units in y
     s1 = float(S) / n  # per-dimension entropy; the solve depends on S only via s1
-    if s1 == math.inf:
-        raise ValueError(f"entropy S/n = {s1} is beyond the float range")
+    if s1 > 750.0:  # beta ~ e^(1 - S/n) rounds to 0 from S/n = 746.13 on
+        return 0.0, 0
 
     def f(y):
         return _one_dim_entropy(-math.exp(y)) - s1
@@ -178,8 +178,6 @@ def _solve_thermal(S, n):
     root = brent_root(f, lo, hi, f(lo), f(hi), rtol=1e-14)
     t = -math.exp(root.x)
     beta = _beta_of(math.exp(t), -math.expm1(t))
-    if not beta > 0.0:  # S/n above 746.13: beta rounds to 0
-        raise ValueError(f"beta must be > 0, got {beta!r}")
     return beta, root.iterations + 2  # the two bracket ends are evaluations too
 
 
@@ -197,7 +195,10 @@ def thermal_beta_from_entropy(S, n) -> float:
         raise ValueError(f"entropy must be >= 0, got {S}")
     if S < 1e-290:
         return math.inf
-    return _solve_thermal(S, n)[0]
+    beta = _solve_thermal(S, n)[0]
+    if not beta > 0.0:
+        raise ValueError(f"beta for S/n = {S / n!r} rounds to 0")
+    return beta
 
 
 def thermal_grouped_spectrum(beta, n) -> GroupedSpectrum:
@@ -234,7 +235,8 @@ def entropy_bound(S, n) -> BoundResult:
 
     The minimizer is the thermal product state, so the bound is the closed
     form (1 + e^{-beta})/(1 - e^{-beta}) at the beta of S/n; ``aux`` is
-    that beta.
+    that beta.  Raises ValueError where the bound is beyond the float
+    range (S/n above 710.09).
     """
     n = check_dimension(n)
     S = float(S)
@@ -243,10 +245,12 @@ def entropy_bound(S, n) -> BoundResult:
     if S < 1e-290:
         return BoundResult.from_per_dim(1.0, n, method="thermal", aux=math.inf)
     beta, evals = _solve_thermal(S, n)
-    x = math.exp(-beta)
     u = -math.expm1(-beta)
+    per_dim = 1.0 + 2.0 * math.exp(-beta) / u if u > 0.0 else math.inf
+    if per_dim == math.inf:
+        raise ValueError(f"bound for S/n = {S / n!r} is beyond the float range")
     return BoundResult.from_per_dim(
-        1.0 + 2.0 * x / u, n, method="thermal", aux=beta,
+        per_dim, n, method="thermal", aux=beta,
         residual=abs(thermal_entropy(beta, n) - S), iterations=evals,
     )
 
@@ -454,7 +458,7 @@ def B_asymptotic(M, n, r) -> float:
     """Large-M closed form M^(n+r) / prod_{k=1..n} (r+k).
 
     Exact value of the integral that replaces the cutoff sum when M is
-    large; the quadrature oracle checks this to 1e-9.
+    large; ``verify b-approx`` checks it against the Beta function to 1e-9.
     """
     n = check_dimension(n)
     M = float(M)

@@ -375,14 +375,14 @@ def verify_holder(n, r, mu, seed):
 @click.option("--trials", type=click.IntRange(min=1), default=50)
 @_seed_option
 def verify_b_approx(trials, seed):
-    """Quadrature vs the large-M closed form to 1e-9, and the sum/integral trend."""
+    """Beta function vs the large-M closed form to 1e-9, and the sum/integral trend."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
     gaps = []
     for _ in range(trials):
         n = int(rng.integers(1, 5))
         r = float(rng.uniform(1.0, 6.0))
         M = float(rng.uniform(0.5, 200.0))
-        gaps.append(abs(oc.quadrature_B(M, n, r) / bd.B_asymptotic(M, n, r) - 1.0))
+        gaps.append(abs(oc.beta_integral_B(M, n, r) / bd.B_asymptotic(M, n, r) - 1.0))
     # the sum's drift from the integral shrinks as the cutoff grows
     drifts = [[abs(bd.B_exact(M, n, 2.0) / bd.B_asymptotic(M, n, 2.0) - 1.0)
                for M in (1e2, 1e3, 1e4)] for n in (1, 2, 3)]

@@ -3,7 +3,8 @@
 Nothing in here reuses the closed forms it is meant to check: the purity
 bound is re-derived by constrained minimization over truncated grouped
 spectra, the rearrangement inequality is sampled with random unitaries,
-and the large-cutoff closed form is integrated by adaptive quadrature.
+and the large-cutoff closed form is re-evaluated as a Beta function through
+``math.lgamma`` and as an alternating sum.
 """
 
 import math
@@ -20,11 +21,11 @@ __all__ = [
     "LemmaTrial",
     "OracleConfig",
     "appendix_d_identity_check",
+    "beta_integral_B",
     "brute_force_purity_bound",
     "lemma_trial",
     "lemma_trial_multidim",
     "project_to_simplex",
-    "quadrature_B",
     "random_nonincreasing_probabilities",
     "random_unitary",
 ]
@@ -222,15 +223,14 @@ def _penalty_descent(xi, costs, g_term, r, mu_target):
     return xi
 
 
-def _retilt_to_purity(xi, log_g, g_term, r, mu_target, tol=None):
+def _retilt_to_purity(xi, log_g, g_term, r, mu_target):
     """Exact feasibility polish: tilt theta -> theta^t, bisect t on the purity.
 
     Tilting moves the purity monotonically (it purifies for t > 1, mixes for
-    t < 1), so a plain bisection restores mu to ``tol`` without leaving the
-    simplex.
+    t < 1), so a plain bisection restores mu to min(1e-10, 1e-8 mu) without
+    leaving the simplex.
     """
-    if tol is None:
-        tol = min(1e-10, 1e-8 * mu_target)
+    tol = min(1e-10, 1e-8 * mu_target)
     support = np.flatnonzero(xi > 0.0)
     log_g_support = log_g[support]
     log_theta = np.log(xi[support]) - log_g_support
@@ -275,13 +275,13 @@ def _retilt_to_purity(xi, log_g, g_term, r, mu_target, tol=None):
     return tilted(0.5 * (lo + hi))
 
 
-def _equality_newton(support, costs, log_g, g_term, r, mu_target, sweeps=80):
+def _equality_newton(support, costs, log_g, g_term, r, mu_target):
     """Damped KKT Newton for min costs.xi on a fixed contiguous support.
 
     Solves the two-equality system (unit sum, target purity) with the exact
-    Lagrangian Hessian, which is diagonal plus rank-one, so every step costs
-    O(support).  Returns a feasible weight vector over the support, or None
-    when the support cannot hold the target purity or Newton degenerates.
+    Lagrangian Hessian, which is diagonal plus rank-one, so each of its at
+    most 80 steps costs O(support).  Returns a feasible weight vector, or
+    None when the support cannot hold the target purity or Newton degenerates.
     """
     p = r / (r - 1.0)
     c = costs[:support]
@@ -307,7 +307,7 @@ def _equality_newton(support, costs, log_g, g_term, r, mu_target, sweeps=80):
         grad_mu = (r - 1.0) * total ** (r - 2.0) * grad_t
         return xf, total, mu, grad_t, grad_mu
 
-    for _ in range(sweeps):
+    for _ in range(80):
         xf, total, mu, grad_t, grad_mu = kkt(xi)
         gram = np.array([
             [grad_mu @ grad_mu, grad_mu @ ones],
@@ -470,7 +470,6 @@ def brute_force_purity_bound(mu, n, r, cfg: OracleConfig,
     g_term = np.exp((1.0 - r / (r - 1.0)) * log_g)
     ladder_scale = max(2.0, cfg.truncation / 3.0)
     candidates = []
-    iterations = 0
     for index in range(20):
         rng = cfg.rng(index)
         if index < 6:  # thermal-profile ladder spanning a range of purities
@@ -484,7 +483,6 @@ def brute_force_purity_bound(mu, n, r, cfg: OracleConfig,
         xi = _retilt_to_purity(raw / raw.sum(), log_g, g_term, r, mu)
         xi = _penalty_descent(xi, costs, g_term, r, mu)
         xi = _retilt_to_purity(xi, log_g, g_term, r, mu)
-        iterations += 1
         candidates.append((float(costs @ xi), xi))
     best_value, best_xi = min(candidates, key=lambda c: c[0])
 
@@ -506,7 +504,7 @@ def brute_force_purity_bound(mu, n, r, cfg: OracleConfig,
         )
     result = BoundResult.from_per_dim(
         best_value, n, method="brute-force",
-        residual=abs(_purity(best_xi, g_term, r) - mu), iterations=iterations,
+        residual=abs(_purity(best_xi, g_term, r) - mu), iterations=len(candidates),
     )
     return (result, best_xi) if return_weights else result
 
@@ -529,24 +527,23 @@ def suggest_truncation(mu, n, r) -> int:
 
 
 # ---------------------------------------------------------------------------
-# quadrature and series identities
+# closed-form and series identities
 # ---------------------------------------------------------------------------
 
 
-def quadrature_B(M, n, r) -> float:
-    """Adaptive integration of m^(n-1) (M-m)^r / (n-1)! over [0, M]."""
-    from scipy.integrate import quad  # imported on use: it dominates a cold start
+def beta_integral_B(M, n, r) -> float:
+    """Integral of m^(n-1) (M-m)^r / (n-1)! over [0, M], by its Beta form.
 
+    The integral is M^(n+r) Gamma(r+1) / Gamma(n+r+1).  The gamma ratio
+    comes from ``math.lgamma``, not from the product over k that
+    ``bounds.B_asymptotic`` sums, so it checks that closed form.
+    """
     n = check_dimension(n)
     M = float(M)
     r = float(r)
     if not M > 0.0:
         raise ValueError(f"M must be > 0, got {M}")
-    value, _ = quad(
-        lambda m: m ** (n - 1) * (M - m) ** r, 0.0, M,
-        epsabs=0.0, epsrel=1e-12, limit=200,
-    )
-    return value / math.factorial(n - 1)
+    return M ** (n + r) * math.exp(math.lgamma(r + 1.0) - math.lgamma(n + r + 1.0))
 
 
 def appendix_d_identity_check(n, r):

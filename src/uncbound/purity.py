@@ -152,8 +152,13 @@ def purity_from_grouped(g: GroupedSpectrum, order: PurityOrder) -> float:
         return float(np.exp(log_theta.max()))
     p = r / (r - 1.0)
     log_g = g.log_degeneracies()[pos]
-    log_mu = (r - 1.0) * logsumexp(log_g + p * log_theta)
-    return float(min(np.exp(log_mu), 1.0))
+    log_sum = logsumexp(log_g + p * log_theta)
+    if abs(log_sum) < 1.0:
+        # r - 1 would multiply this sum's rounding; as 1 + sum xi (theta^(1/(r-1)) - 1)
+        # every term is <= 0, so none cancel
+        drop = np.dot(g.weights[pos], np.expm1(log_theta / (r - 1.0)))
+        log_sum = math.log1p(float(drop))
+    return float(min(np.exp((r - 1.0) * log_sum), 1.0))
 
 
 def entropy_from_grouped(g: GroupedSpectrum) -> float:

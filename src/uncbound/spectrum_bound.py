@@ -7,8 +7,8 @@ mixing of sorted weights onto nondecreasing level energies can only raise
 the average (see oracle.lemma_trial for the Monte-Carlo check).
 """
 
+import dataclasses
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,10 +24,9 @@ __all__ = [
 ]
 
 _FLOOR_TOL = 1e-12
-_VOLUME_RTOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class BoundResult:
     """A normalized uncertainty bound plus solver diagnostics.
 
@@ -39,7 +38,6 @@ class BoundResult:
     """
 
     per_dim_product: float
-    volume: float
     n: int
     method: str
     aux: float | None = None
@@ -57,20 +55,16 @@ class BoundResult:
                 f"{self.method} bound {self.per_dim_product!r} is beyond the "
                 "float range"
             )
-        if math.isfinite(self.volume):
-            expected = self.per_dim_product**self.n
-            if abs(self.volume - expected) > _VOLUME_RTOL * expected:
-                raise ValueError(
-                    f"volume {self.volume!r} inconsistent with "
-                    f"per_dim_product**n = {expected!r}"
-                )
+
+    @property
+    def volume(self) -> float:
+        return volume_of(self.per_dim_product, self.n)
 
     @classmethod
     def from_per_dim(cls, per_dim, n, method, aux=None, residual=0.0, iterations=0):
         per_dim = float(per_dim)
         return cls(
             per_dim_product=per_dim,
-            volume=volume_of(per_dim, n),
             n=int(n),
             method=method,
             aux=None if aux is None else float(aux),
@@ -124,6 +118,4 @@ def bound_from_grouped(g: GroupedSpectrum) -> BoundResult:
 def bound_from_spectrum(s: Spectrum, n) -> BoundResult:
     """Minimal per-dimension uncertainty product of a raw spectrum."""
     result = bound_from_grouped(group_spectrum(s, n))
-    return BoundResult.from_per_dim(
-        result.per_dim_product, result.n, method="spectrum-sum"
-    )
+    return dataclasses.replace(result, method="spectrum-sum")

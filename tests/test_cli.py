@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import gc
 import io
@@ -495,21 +496,42 @@ def test_console_script_help():
     assert "bound" in proc.stdout and "verify" in proc.stdout
 
 
+def test_package_imports_no_scipy():
+    # scipy is a test dependency only: no module of the package imports it
+    paths = sorted(Path(cli.__file__).parent.glob("*.py"))
+    assert paths
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert all(name.split(".")[0] != "scipy" for name in names), (
+                f"{path.name}:{node.lineno}")
+
+
 def test_cli_import_loads_no_scipy():
-    # scipy is imported on use only: loading it at import triples a cold
-    # start, and scipy.special alone adds 24 MB to a cutoff-sum tail call
-    code = ("import sys\n"
+    # scipy is not a runtime dependency: neither the import, a cutoff-sum
+    # tail call nor the oracle suite that checks the cutoff integral loads it
+    code = ("import contextlib, io, sys\n"
             "import uncbound.cli\n"
             "from uncbound.bounds import purity_bound\n"
             "from uncbound.purity import PurityOrder\n"
             "def loaded(): return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
             "print(loaded())\n"
             "purity_bound(1e-6, 1, PurityOrder.finite(2.0))  # its cutoff takes the tail\n"
-            "print(loaded())\n")
+            "print(loaded())\n"
+            "out = io.StringIO()\n"
+            "with contextlib.redirect_stdout(out), contextlib.suppress(SystemExit):\n"
+            "    uncbound.cli.main.main(['verify', 'b-approx', '--trials', '3'],\n"
+            "                           standalone_mode=False)\n"
+            "print(out.getvalue().split()[-1], loaded())\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=package_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n") == ["[]", "[]", ""]
+    assert proc.stdout.split("\n") == ["[]", "[]", "PASS []", ""]
 
 
 def _invoke_in_process(argv):
@@ -535,8 +557,7 @@ def test_in_process_call_frees_its_streams(argv, code):
     # an embedding caller swaps sys.stdout and sys.stderr for each call; the
     # CLI must keep no reference to them, or every call's text stays alive.
     # The first call may import a module that keeps the stderr of that
-    # moment (scipy's imports make a logging.StreamHandler), so the second
-    # call is the one checked.
+    # moment, so the second call is the one checked.
     _invoke_in_process(argv)
     exit_code, out, err = _invoke_in_process(argv)
     assert exit_code == code

@@ -6,11 +6,11 @@ from uncbound.oracle import (
     MAX_TRUNCATION,
     OracleConfig,
     appendix_d_identity_check,
+    beta_integral_B,
     brute_force_purity_bound,
     lemma_trial,
     lemma_trial_multidim,
     project_to_simplex,
-    quadrature_B,
     random_nonincreasing_probabilities,
     random_unitary,
     suggest_truncation,
@@ -18,6 +18,8 @@ from uncbound.oracle import (
 from uncbound.purity import PurityOrder
 from uncbound.solvers import SolverError
 from uncbound.special_fn import degeneracy, log_degeneracy_array
+
+from quadrature import quadrature_B
 
 
 class TestRandomDraws:
@@ -231,6 +233,18 @@ class TestQuadrature:
             assert quadrature_B(M, n, r) == pytest.approx(
                 B_asymptotic(M, n, r), rel=1e-9
             )
+
+    def test_beta_integral_matches_quadrature(self):
+        rng = np.random.default_rng(23)
+        for _ in range(50):
+            n = int(rng.integers(1, 5))
+            r = float(rng.uniform(1.0, 6.0))
+            M = float(rng.uniform(0.5, 200.0))
+            assert beta_integral_B(M, n, r) == pytest.approx(
+                quadrature_B(M, n, r), rel=1e-12
+            )
+        with pytest.raises(ValueError):
+            beta_integral_B(0.0, 1, 2.0)
 
 
 class TestAlternatingSumIdentity:

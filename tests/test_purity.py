@@ -1,5 +1,7 @@
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from uncbound.purity import (
     purity_from_grouped,
     purity_from_spectrum,
 )
+from uncbound.special_fn import degeneracy
 
 ORDERS = [
     PurityOrder.superpurity(),
@@ -19,6 +22,9 @@ ORDERS = [
     PurityOrder.finite(5.0),
     PurityOrder.entropy(),
 ]
+
+# finite orders from near 1 to far past where r - 1 swallows the float sum
+LARGE_R_GRID = [1.001, 1.5, 2.0, 10.0, 1e3, 1e6, 1e10, 1e15, 1e16, 1e20, 1e100, 1e300]
 
 
 def random_grouped(rng):
@@ -175,3 +181,47 @@ class TestFamilyProperties:
             near_inf = purity_from_grouped(g, PurityOrder.finite(1e7))
             entropy_p = purity_from_grouped(g, PurityOrder.entropy())
             assert near_inf == pytest.approx(entropy_p, rel=1e-3)
+
+
+def seeded_spectra():
+    # n in {1, 2, 3, 6}; a few levels up to a thousand, weights spread unevenly
+    rng = np.random.default_rng(1)
+    for n, levels in ((1, 1000), (1, 30), (2, 150), (3, 60), (6, 12), (6, 3)):
+        yield GroupedSpectrum(n=n, weights=rng.dirichlet(np.full(levels, 0.5)))
+
+
+def mpmath_purity(g, r):
+    """(sum_k g_k theta_k^p)^(r-1) of the normalized weights, at 30 digits
+    beyond the ~log10(r) that p - 1 = 1/(r-1) needs."""
+    with mpmath.workdps(30 + max(0, int(math.log10(r)))):
+        xi = [mpmath.mpf(float(w)) for w in g.weights]
+        total = mpmath.fsum(xi)
+        inverse = 1 / (mpmath.mpf(r) - 1)
+        power_sum = mpmath.fsum(
+            w / total * mpmath.exp(inverse * mpmath.log(w / total / degeneracy(k, g.n)))
+            for k, w in enumerate(xi) if w > 0
+        )
+        return mpmath.exp(mpmath.log(power_sum) / inverse)
+
+
+class TestLargeOrder:
+    def test_matches_mpmath(self):
+        # the float sum rounds to 1 within eps, and r - 1 multiplies that
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for g in seeded_spectra():
+                for r in LARGE_R_GRID:
+                    got = purity_from_grouped(g, PurityOrder.finite(r))
+                    want = mpmath_purity(g, r)
+                    assert abs(got / want - 1) <= 1e-12, (g.n, len(g), r, got)
+
+    def test_falls_to_the_entropy_end(self):
+        # non-increasing along the whole axis up to rounding, and never
+        # below exp(-S)
+        for g in seeded_spectra():
+            orders = [PurityOrder.finite(r) for r in LARGE_R_GRID]
+            values = [purity_from_grouped(g, order)
+                      for order in orders + [PurityOrder.entropy()]]
+            for before, after in zip(values, values[1:]):
+                assert after <= before * (1.0 + 1e-12)
+            assert min(values) >= math.exp(-entropy_from_grouped(g)) * (1.0 - 1e-12)

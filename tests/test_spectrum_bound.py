@@ -77,10 +77,6 @@ class TestBoundResultInvariants:
         with pytest.raises(ValueError):
             BoundResult.from_per_dim(0.9, 1, method="test")
 
-    def test_volume_consistency_enforced(self):
-        with pytest.raises(ValueError):
-            BoundResult(per_dim_product=2.0, volume=5.0, n=2, method="test")
-
     def test_volume_overflow_is_inf(self):
         res = BoundResult.from_per_dim(1e43, 10, method="test")
         assert res.per_dim_product == 1e43 and res.volume == float("inf")
