@@ -28,11 +28,13 @@ the bracket.
 
 The cutoff sums are exact up to rounding, and ``_log_B_pair`` alone picks
 how they are taken.  Up to 20k terms they are summed directly in log
-space.  Above that, the first and last 1024 levels are summed directly
-and the levels between them are integrated by Gauss-Legendre with the B2
-and B4 Euler-Maclaurin end terms; every term is positive, so nothing
-cancels, and the cost grows with log M, not with M.  A sum that comes out
-zero or non-finite at M > 0 raises SolverError.
+space: ln g comes from a table kept per n, the terms of both orders fill
+one buffer, and one row-wise log-sum-exp reduces it.  Above that, the
+first and last 1024 levels are summed directly and the levels between
+them are integrated by Gauss-Legendre with the B2 and B4 Euler-Maclaurin
+end terms; every term is positive, so nothing cancels, and the cost grows
+with log M, not with M.  A sum that comes out zero or non-finite at M > 0
+raises SolverError.
 """
 
 import functools
@@ -43,9 +45,10 @@ import numpy as np
 from uncbound.purity import GroupedSpectrum, PurityOrder
 from uncbound.solvers import SolverError, brent_root, seeded_root
 from uncbound.special_fn import (
+    _level_table,
+    _logsumexp_rows,
     check_dimension,
     log_degeneracy_array,
-    logsumexp,
 )
 from uncbound.spectrum_bound import BoundResult
 
@@ -367,20 +370,21 @@ def _log_B_tail(M, n, orders):
     the blocks are the integral of F(m) = g(m) (M - m)^s over them, by
     Gauss-Legendre on ratio-2 panels, graded in m from the bottom and in u
     from the top to M/2, plus the B2 and B4 Euler-Maclaurin terms at their
-    two end levels.  Every order shares the levels, nodes, ln g and ln u.
+    two end levels.  Every order shares the levels, nodes, ln g and ln u,
+    and the bottom block reads its ln g from the level table.
     Below 4 _TAIL_BLOCK the blocks would overlap, and ValueError is raised.
     """
     if not M >= 4 * _TAIL_BLOCK:
         raise ValueError(f"the tail sum needs M >= {4 * _TAIL_BLOCK}, got {M!r}")
     s = np.asarray(orders, dtype=float)[:, None]
-    block = np.arange(_TAIL_BLOCK, dtype=float)
+    block, block_lg = _level_table(_TAIL_BLOCK, n)
     f = (M - math.ceil(M)) + 1.0  # the smallest gap M - m, in (0, 1]
     ends_m = np.array([_TAIL_BLOCK, M - (f + _TAIL_BLOCK)])
     ends_u = np.array([M - _TAIL_BLOCK, f + _TAIL_BLOCK])
     lower = _ratio2_edges(ends_m[0], 0.5 * M)
     upper = _ratio2_edges(ends_u[1], 0.5 * M)
-    lg = log_degeneracy_array(
-        np.concatenate([block, M - (f + block), ends_m, lower, M - upper]), n)
+    lg = np.concatenate([block_lg, log_degeneracy_array(
+        np.concatenate([M - (f + block), ends_m, lower, M - upper]), n)])
     lu = np.log(np.concatenate([M - block, f + block, ends_u, M - lower, upper]))
     levels = 2 * _TAIL_BLOCK
     log_refs = np.max(lg[:levels] + s * lu[:levels], axis=1)  # one term of each sum
@@ -391,23 +395,31 @@ def _log_B_tail(M, n, orders):
     all_lg = np.concatenate([lg[:levels], log_degeneracy_array(node_m, n) + node_w])
     all_lu = np.concatenate([lu[:levels], np.log(node_u)])
     terms = np.concatenate([all_lg + s * all_lu, ends], axis=1)
-    return [logsumexp(row) for row in terms]
+    return _logsumexp_rows(terms).tolist()
 
 
 def _log_B_pair(M, n, r):
     """(ln B_r(M), ln B_{r-1}(M)) for M > 0, in one pass over the levels.
 
     The one place the branch is chosen: sums of up to _DIRECT_TERM_LIMIT
-    terms are summed directly, sharing ln g and ln(M - m) between the two
-    orders, and larger ones take :func:`_log_B_tail`.  A cutoff sum at
+    terms are summed directly, and larger ones take :func:`_log_B_tail`.
+    A direct sum reads ln g from :func:`_level_table` and fills one
+    (2, ceil(M)) buffer: ln(M - m) in place in row 0, the order r - 1 terms
+    (r - 1) ln(M - m) + ln g in row 1, then row 0 += row 1 for order r; one
+    row-wise log-sum-exp then reduces the buffer in place.  A cutoff sum at
     M > 0 holds the positive m = 0 term, so one that comes out zero or
     non-finite raises SolverError.
     """
     if M <= _DIRECT_TERM_LIMIT:
-        m = np.arange(math.ceil(M), dtype=float)
-        log_gaps = np.log(M - m)
-        lower = log_degeneracy_array(m, n) + (r - 1.0) * log_gaps
-        pair = (logsumexp(lower + log_gaps), logsumexp(lower))
+        levels, log_g = _level_table(math.ceil(M), n)
+        terms = np.empty((2, levels.size))
+        upper, lower = terms  # orders r and r - 1
+        np.subtract(M, levels, out=upper)
+        np.log(upper, out=upper)
+        np.multiply(upper, r - 1.0, out=lower)
+        lower += log_g
+        upper += lower
+        pair = _logsumexp_rows(terms).tolist()
     else:
         pair = _log_B_tail(M, n, (r, r - 1.0))
     for log_b, order in zip(pair, (r, r - 1.0)):
@@ -440,12 +452,10 @@ def log_B_exact(M, n, r) -> float:
 
 def B_exact(M, n, r) -> float:
     """Sum of degeneracy(m, n) * (M - m)^r over integer 0 <= m <= M."""
-    log_value = log_B_exact(M, n, r)
-    if log_value == -math.inf:
-        return 0.0
-    if log_value > 709.0:  # exp would overflow float64
+    try:
+        return math.exp(log_B_exact(M, n, r))  # exp(-inf) = 0 at M = 0
+    except OverflowError:
         return math.inf
-    return math.exp(log_value)
 
 
 def _log_B_asymptotic(M, n, r):
@@ -467,10 +477,10 @@ def B_asymptotic(M, n, r) -> float:
         raise ValueError(f"M must be > 0, got {M}")
     if not r >= 1.0:
         raise ValueError(f"exponent r must be >= 1, got {r}")
-    log_value = _log_B_asymptotic(M, n, r)
-    if log_value > 709.0:
+    try:
+        return math.exp(_log_B_asymptotic(M, n, r))
+    except OverflowError:
         return math.inf
-    return math.exp(log_value)
 
 
 # ---------------------------------------------------------------------------

@@ -98,9 +98,12 @@ class GroupedSpectrum:
 
     def log_theta(self) -> np.ndarray:
         """ln theta_k on the support; -inf where xi_k = 0."""
+        return self._log_theta(self.log_degeneracies())
+
+    def _log_theta(self, log_g):
         out = np.full(len(self), -np.inf)
         pos = self.weights > 0.0
-        out[pos] = np.log(self.weights[pos]) - self.log_degeneracies()[pos]
+        out[pos] = np.log(self.weights[pos]) - log_g[pos]
         return out
 
 
@@ -147,12 +150,12 @@ def purity_from_grouped(g: GroupedSpectrum, order: PurityOrder) -> float:
     if r == math.inf:
         return math.exp(-entropy_from_grouped(g))
     pos = g.weights > 0.0
-    log_theta = g.log_theta()[pos]
+    log_g = g.log_degeneracies()
+    log_theta = g._log_theta(log_g)[pos]
     if r == 1.0:
         return float(np.exp(log_theta.max()))
     p = r / (r - 1.0)
-    log_g = g.log_degeneracies()[pos]
-    log_sum = logsumexp(log_g + p * log_theta)
+    log_sum = logsumexp(log_g[pos] + p * log_theta)
     if abs(log_sum) < 1.0:
         # r - 1 would multiply this sum's rounding; as 1 + sum xi (theta^(1/(r-1)) - 1)
         # every term is <= 0, so none cancel

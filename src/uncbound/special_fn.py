@@ -5,10 +5,14 @@ A level with total excitation number k in n dimensions contains
 precision integer, so it never wraps; converting a too-large count to a
 float raises ``OverflowError``, which is why every floating-point consumer
 in this package works with :func:`log_degeneracy` instead.
+``_level_table`` keeps the levels 0, 1, 2, ... and their ln g per n,
+grown by doubling on demand, for the cutoff sums, which read them at
+every cutoff.
 
-:func:`logsumexp` is the package's one log-sum-exp: a numpy max shift with
-the largest term split off into ``log1p``, so a sum dominated by one term
-keeps its small remainder.
+:func:`logsumexp` is the package's one log-sum-exp kernel.  It reduces
+along the last axis, row by row: one max shift per row, one exp pass over
+all rows, and each row's largest term split off into ``log1p``, so a sum
+dominated by one term keeps its small remainder.
 """
 
 import math
@@ -95,20 +99,76 @@ def log_degeneracy_array(levels, n) -> np.ndarray:
     levels = np.asarray(levels, dtype=float)
     if np.any(levels < 0):
         raise ValueError("level indices must be >= 0")
+    return _log_g(levels, n)
+
+
+def _log_g(levels, n):
+    # log_degeneracy_array without its checks; elementwise, so an entry
+    # does not depend on the array it sits in
     out = np.zeros_like(levels)
     for j in range(1, n):
         out += np.log((levels + j) / j)
     return out
 
 
-def logsumexp(values) -> float:
-    """ln sum_i exp(values_i); -inf for an empty or all -inf input."""
-    a = np.asarray(values, dtype=float)
-    if not a.size:
-        return -math.inf
-    top = int(np.argmax(a))
-    if not np.isfinite(a[top]):
-        return float(a[top])
-    scaled = np.exp(a - a[top])
-    scaled[top] = 0.0  # the largest term is log1p's 1
-    return float(a[top] + np.log1p(scaled.sum()))
+# _level_table's cache: the levels 0..K-1 as floats, and ln g over them per n;
+# all read-only, and replaced, never written, when a caller needs more levels
+_LEVELS = np.zeros(0)
+_LOG_G = {}
+
+
+def _level_table(count, n):
+    """(levels 0..count-1 as floats, their ln g), read-only views of a cache.
+
+    ``n`` must be a valid dimension.  The cache holds one ln g array per n;
+    one that is too short is rebuilt at twice its length, or more if
+    ``count`` needs it.  Every entry is computed on its own, so the views
+    equal ``log_degeneracy_array(np.arange(count), n)`` bit for bit.
+    """
+    global _LEVELS
+    log_g = _LOG_G.get(n)
+    if log_g is None or log_g.size < count:
+        size = max(1024, 2 * (0 if log_g is None else log_g.size))
+        while size < count:
+            size *= 2
+        if _LEVELS.size < size:
+            _LEVELS = np.arange(size, dtype=float)
+            _LEVELS.setflags(write=False)
+        log_g = _log_g(_LEVELS[:size], n)
+        log_g.setflags(write=False)
+        _LOG_G[n] = log_g
+    return _LEVELS[:count], log_g[:count]
+
+
+def _logsumexp_rows(a):
+    """ln sum exp along axis 1 of a 2-d float array, overwriting the array.
+
+    A row whose largest entry is not finite returns that entry: -inf for an
+    empty sum, +inf or nan as they came.
+    """
+    count, width = a.shape
+    if not width:
+        return np.full(count, -np.inf)
+    top = a.argmax(axis=1)
+    top += np.arange(0, a.size, width)  # flat index of each row's largest entry
+    peak = a.take(top)
+    finite = np.isfinite(peak)
+    # a row whose peak is not finite is left unshifted, and returns its peak
+    shift = peak if finite.all() else np.where(finite, peak, 0.0)
+    a -= shift[:, None]
+    np.exp(a, out=a)
+    a.put(top, 0.0)  # the largest term is log1p's 1
+    sums = np.log1p(a.sum(axis=1))
+    sums += shift
+    return sums if shift is peak else np.where(finite, sums, peak)
+
+
+def logsumexp(values):
+    """ln sum_i exp(values_i) along the last axis; -inf for an empty sum.
+
+    A 1-d input gives a float, a larger one an array of its leading shape.
+    The input is never written to.
+    """
+    a = np.array(values, dtype=float, ndmin=1)
+    sums = _logsumexp_rows(a.reshape(math.prod(a.shape[:-1]), a.shape[-1]))
+    return float(sums[0]) if a.ndim == 1 else sums.reshape(a.shape[:-1])

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -309,6 +311,24 @@ class TestCutoffSums:
                 for r in (2.5, 1.5):
                     direct, tail = self.pair_both_ways(monkeypatch, M, n, r)
                     assert tail == pytest.approx(direct, rel=1e-14)
+
+    def test_sums_keep_their_bits(self):
+        # float.hex of (ln B_r, ln B_{r-1}) on both branches, recorded before
+        # the direct sums moved to one buffer and a row-wise log-sum-exp
+        # (numpy 2.4 on x86-64); a kernel change that moves a bit fails here
+        pinned = json.loads((Path(__file__).parent / "cutoff_sum_bits.json").read_text())
+        assert len(pinned) == 144
+        moved = [(M, n, r) for M, n, r, *bits in pinned
+                 if [float(x).hex() for x in bounds._log_B_pair(M, n, r)] != bits]
+        assert not moved
+
+    @pytest.mark.parametrize("log_b", [709.2, 709.7, 710.2])
+    def test_values_near_the_float_limit(self, log_b):
+        # n = 1, r = 2: B ~ M^3/3; ln of the largest float is 709.78
+        M = math.exp((log_b + math.log(3.0)) / 3.0)
+        expected = math.exp(log_b) if log_b < 709.78 else math.inf
+        assert B_exact(M, 1, 2.0) == pytest.approx(expected, rel=1e-9)
+        assert B_asymptotic(M, 1, 2.0) == pytest.approx(expected, rel=1e-9)
 
     def test_tail_needs_separate_end_blocks(self):
         with pytest.raises(ValueError):

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp as scipy_lse
 
+from uncbound import special_fn
 from uncbound.special_fn import (
     DIMENSION_CEILING,
+    _level_table,
     check_dimension,
     check_level,
     degeneracy,
@@ -128,3 +130,88 @@ def test_logsumexp_matches_scipy():
         _assert_log_close(logsumexp(values), float(scipy_lse(values)))
     assert logsumexp([]) == -math.inf
     assert logsumexp([-np.inf, -np.inf]) == -math.inf
+
+
+def _one_row_lse(values):
+    # the one-row log-sum-exp the row-wise kernel replaced, kept as its reference
+    a = np.asarray(values, dtype=float)
+    if not a.size:
+        return -math.inf
+    top = int(np.argmax(a))
+    if not np.isfinite(a[top]):
+        return float(a[top])
+    scaled = np.exp(a - a[top])
+    scaled[top] = 0.0
+    return float(a[top] + np.log1p(scaled.sum()))
+
+
+def _lse_rows():
+    rng = np.random.default_rng(9)
+    rows = rng.normal(0.0, 30.0, (8, 37))
+    rows[0, [3, 17]] = -np.inf
+    rows[1] = -np.inf
+    rows[2, 5] = np.inf
+    rows[3, 30] = np.nan
+    rows[4] = rows[4, 0]  # ties: the first peak is the one split off
+    rows[5, :] = 700.0 - np.arange(37.0)
+    rows[6:] -= rows[6:].max(axis=1, keepdims=True)  # peak 0: every bit of the sum shows
+    return rows
+
+
+def test_logsumexp_matches_one_row_kernel_bit_for_bit():
+    rng = np.random.default_rng(13)
+    cases = _lse_inputs()
+    for size in (3, 129, 4097):
+        values = rng.normal(0.0, 5.0, size)
+        cases += [values, values - values.max()]  # peak 0: every bit of the sum shows
+    for values in cases:
+        assert logsumexp(values).hex() == _one_row_lse(values).hex()
+
+
+def test_logsumexp_rows_bit_for_bit():
+    rows = _lse_rows()
+    sums = logsumexp(rows)
+    assert sums.shape == (rows.shape[0],)
+    for row, got in zip(rows, sums):
+        assert float(got).hex() == logsumexp(row).hex() == _one_row_lse(row).hex()
+    assert sums[1] == -math.inf and sums[2] == math.inf and math.isnan(sums[3])
+    stacked = logsumexp(rows.reshape(2, 4, -1))
+    assert stacked.shape == (2, 4)
+    np.testing.assert_array_equal(stacked.ravel(), sums)
+    np.testing.assert_array_equal(logsumexp(np.zeros((3, 0))), [-np.inf] * 3)
+
+
+def test_logsumexp_leaves_its_input_alone():
+    rows = _lse_rows()
+    kept = rows.copy()
+    logsumexp(rows)
+    logsumexp(rows[0])
+    np.testing.assert_array_equal(rows, kept)
+
+
+def test_level_table_prefixes_bit_for_bit():
+    # the table grows by doubling, and every view keeps its entries
+    for n in (1, 5, 64):
+        for count in (1, 1000, 1025, 5000, 70_000, 3):
+            levels, log_g = _level_table(count, n)
+            np.testing.assert_array_equal(levels, np.arange(count, dtype=float))
+            np.testing.assert_array_equal(
+                log_g, log_degeneracy_array(np.arange(count), n))
+
+
+def test_level_table_is_read_only():
+    levels, log_g = _level_table(10, 3)
+    with pytest.raises(ValueError):
+        levels[0] = 1.0
+    with pytest.raises(ValueError):
+        log_g[0] = 1.0
+
+
+def test_level_table_holds_one_array_per_dimension():
+    _level_table(3000, 7)
+    _level_table(3000, 8)
+    held = {n: log_g.nbytes for n, log_g in special_fn._LOG_G.items()}
+    for count in range(1, 3001, 7):
+        for n in (7, 8):
+            assert _level_table(count, n)[1].base is special_fn._LOG_G[n]
+    assert {n: log_g.nbytes for n, log_g in special_fn._LOG_G.items()} == held
