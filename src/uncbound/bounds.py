@@ -29,12 +29,12 @@ the bracket.
 The cutoff sums are exact up to rounding, and ``_log_B_pair`` alone picks
 how they are taken.  Up to 20k terms they are summed directly in log
 space: ln g comes from a table kept per n, the terms of both orders fill
-one buffer, and one row-wise log-sum-exp reduces it.  Above that, the
-first and last 1024 levels are summed directly and the levels between
-them are integrated by Gauss-Legendre with the B2 and B4 Euler-Maclaurin
-end terms; every term is positive, so nothing cancels, and the cost grows
-with log M, not with M.  A sum that comes out zero or non-finite at M > 0
-raises SolverError.
+one buffer, and one row-wise log-sum-exp reduces it.  Above that, one pass
+sums the first and last 1024 levels directly and integrates the levels
+between them by Gauss-Legendre with the B2 and B4 Euler-Maclaurin end
+terms, skipping panels far below real terms of each sum; every term is
+positive, so nothing cancels, and the cost grows with log M, not with M.
+A sum that comes out zero or non-finite at M > 0 raises SolverError.
 """
 
 import functools
@@ -46,6 +46,7 @@ from uncbound.purity import GroupedSpectrum, PurityOrder
 from uncbound.solvers import SolverError, brent_root, seeded_root
 from uncbound.special_fn import (
     _level_table,
+    _log_g,
     _logsumexp_rows,
     check_dimension,
     log_degeneracy_array,
@@ -287,78 +288,66 @@ def _gauss_rule(count):
     return nodes, log_weights
 
 
-def _ratio2_edges(start, stop):
-    # start, 2 start, 4 start, ..., stop: panels of ratio at most 2
-    edges = start * 2.0 ** np.arange(max(1, math.ceil(math.log2(stop / start))) + 1)
-    edges[-1] = stop
-    return edges
+def _middle_nodes(M, n, orders, terms, x, cut, lg, lu):
+    """Gauss-Legendre nodes of the middle integral.
 
-
-def _middle_nodes(M, n, s, log_refs, lower, upper, lg, lu):
-    """(m, u, ln weight) of the quadrature nodes of the middle integral.
-
-    ``lower`` holds the panel edges in m from the bottom to M/2, ``upper``
-    those in u from the top to M/2, and ``lg``, ``lu`` ln g and ln u at both
-    sets of edges, in that order.  A panel gets N = 12 + floor((n + s)/2)
-    Gauss-Legendre nodes for the largest order s.  ln g and ln u are
-    monotone across a panel, so their edge values bound ln F on it and its
-    variation.  A panel whose bound lies _NEGLIGIBLE_LOG below the lower
-    bound ``log_refs`` of its sum for every order is dropped.  One that
-    varies more than N nodes resolve, which only happens once N is capped,
-    is split into parts of equal ratio; past _MAX_PANELS parts in all, the
-    sum is out of reach and SolverError is raised.
+    ``x`` holds the panel edges, in m up to M/2 and from index ``cut`` on in
+    u up to M/2 (the pair joining the runs is no panel); ``lg`` holds ln g
+    at them, ``lu`` ln u at them, then ln of each pair's width and ratio.
+    A panel gets N = 12 + floor((n + s)/2) nodes for the largest order s.
+    ln g and ln u are monotone across a panel, so their edge values bound
+    ln F on it and its variation.  A panel _NEGLIGIBLE_LOG below the largest
+    of each row of ``terms`` (real terms of the sums) is dropped; one that
+    varies more than N nodes resolve (only once N is capped) is split into
+    parts of equal ratio, and past _MAX_PANELS parts SolverError is raised.
+    Returns the nodes (in m first), how many lie in m, and their ln weights.
     """
+    s = np.asarray(orders, dtype=float)[:, None]
     s_max = float(s.max())
     t, log_w = _gauss_rule(12 + min(int(n + s_max) // 2, _NODE_HALF_CAP))
     resolved = math.log(2.0) * min(n + s_max, 2.0 * _NODE_HALF_CAP)
-    x = np.concatenate([lower, upper])
-    first = np.concatenate([np.arange(lower.size - 1),
-                            lower.size + np.arange(upper.size - 1)])
-    last = first + 1
-    bound = np.maximum(lg[first], lg[last]) + s * np.maximum(lu[first], lu[last])
-    bound += np.log(x[last] - x[first])
-    keep = np.any(bound >= log_refs[:, None] - _NEGLIGIBLE_LOG, axis=0)
-    spread = np.abs(lg[last] - lg[first]) + s_max * np.abs(lu[last] - lu[first])
-    parts = np.maximum(np.ceil(spread[keep] / resolved), 1.0)
-    if not parts.sum() <= _MAX_PANELS:
-        raise SolverError(
-            f"cutoff sum of order {s_max} at M={M!r} (n={n}) needs more than "
-            f"{_MAX_PANELS} quadrature panels"
-        )
-    parts = parts.astype(int)
-    panel = np.repeat(np.flatnonzero(keep), parts)
-    whole = np.repeat(parts, parts)
-    step = np.arange(panel.size) - np.repeat(np.cumsum(parts) - parts, parts)
-    lo, hi = x[first[panel]], x[last[panel]]
-    log_ratio = np.log(hi / lo) / whole
-    a = lo * np.exp(step * log_ratio)
-    b = np.where(step + 1 < whole, lo * np.exp((step + 1) * log_ratio), hi)
+    lu, ln_width, ln_ratio = lu[:x.size], lu[x.size:2 * x.size - 1], lu[2 * x.size - 1:]
+    bound = np.maximum(lg[:-1], lg[1:]) + s * np.maximum(lu[:-1], lu[1:]) + ln_width
+    keep = (bound >= [[max(row) - _NEGLIGIBLE_LOG] for row in terms]).any(0)
+    keep[cut - 1] = False
+    spread = np.abs(lg[1:] - lg[:-1]) + s_max * np.abs(lu[1:] - lu[:-1])
+    parts = np.maximum(np.ceil(spread / resolved), 1.0)
+    count = parts * keep  # no part for a dropped pair
+    if not count.sum() <= _MAX_PANELS:
+        raise SolverError(f"cutoff sum of order {s_max} at M={M!r} (n={n}) needs "
+                          f"more than {_MAX_PANELS} quadrature panels")
+    count = count.astype(int)
+    ends = count.cumsum()
+    step = np.arange(ends[-1]) - (ends - count).repeat(count)
+    a = x[:-1].repeat(count) * np.exp(step * (ln_ratio / parts).repeat(count))
+    b = np.concatenate([a[1:], a[:1]])  # the next part's start, or the panel's end
+    b[ends[keep] - 1] = x[1:][keep]
     radius = 0.5 * (b - a)
     nodes = ((0.5 * (a + b))[:, None] + radius[:, None] * t).ravel()
-    log_weights = (np.log(radius)[:, None] + log_w).ravel()
-    in_m = np.repeat(first[panel] < lower.size, t.size)
-    other = M - nodes  # neither m nor u is a difference of two numbers near M
-    return np.where(in_m, nodes, other), np.where(in_m, other, nodes), log_weights
+    return nodes, int(ends[cut - 2]) * t.size, (np.log(radius)[:, None] + log_w).ravel()
 
 
-def _log_end_weights(m, u, n, s):
+def _log_end_weights(M, f, n, orders):
     """ln of the Euler-Maclaurin weights of the middle's bottom and top level.
 
-    The weight is 1/2 -+ (F'/12 - F'''/720)/F, with F'/F and F'''/F from
-    the log-derivatives of F(m) = g(m) u^s, one row per order in ``s``.  It
-    exceeds 0.4 while |F'/F| < 1.  A steeper end level is below e^-600 of
-    its sum, and is dropped.
+    The weight is 1/2 -+ (F'/12 - F'''/720)/F, from the log-derivatives of
+    F(m) = g(m) u^s, in floats: one pair per order.  It exceeds 0.4 while
+    |F'/F| < 1; a steeper end level is below e^-600 of its sum, and dropped.
     """
-    inverse = 1.0 / (m[:, None] + np.arange(1.0, n))
-    slope = s / u
-    d1 = np.sum(inverse, axis=1) - slope
-    d2 = -np.sum(inverse**2, axis=1) - slope / u
-    d3 = 2.0 * np.sum(inverse**3, axis=1) - 2.0 * slope / u / u
-    flat = np.abs(d1) < 1.0
-    d1 = np.where(flat, d1, 0.0)
-    weight = 0.5 - np.array([1.0, -1.0]) * (
-        d1 / 12.0 - (d3 + 3.0 * d1 * d2 + d1**3) / 720.0)
-    return np.log(weight, out=np.full(weight.shape, -np.inf), where=flat)
+    ends_m = np.array([_TAIL_BLOCK, M - (f + _TAIL_BLOCK)])
+    inverse = 1.0 / (ends_m[:, None] + np.arange(1.0, n))
+    s1, s2, s3 = (inverse ** np.arange(1, 4)[:, None, None]).sum(axis=2).tolist()
+    ends = [(s / u, u, end) for s in orders
+            for end, u in enumerate((M - _TAIL_BLOCK, f + _TAIL_BLOCK))]
+    d1 = [s1[end] - slope for slope, u, end in ends]
+    flat = [abs(d) < 1.0 for d in d1]  # the others are masked out below
+    cubes = (np.where(flat, d1, 0.0) ** 3).tolist()
+    weights = [
+        0.5 - (1 - 2 * end) * (d / 12.0 - (
+            2.0 * s3[end] - 2.0 * slope / u / u + 3.0 * d * (-s2[end] - slope / u) + c
+        ) / 720.0) for (slope, u, end), d, c in zip(ends, d1, cubes)]
+    logs = np.log(weights, out=np.full(len(weights), -np.inf), where=flat)
+    return logs.reshape(-1, 2).tolist()
 
 
 def _log_B_tail(M, n, orders):
@@ -370,32 +359,43 @@ def _log_B_tail(M, n, orders):
     the blocks are the integral of F(m) = g(m) (M - m)^s over them, by
     Gauss-Legendre on ratio-2 panels, graded in m from the bottom and in u
     from the top to M/2, plus the B2 and B4 Euler-Maclaurin terms at their
-    two end levels.  Every order shares the levels, nodes, ln g and ln u,
-    and the bottom block reads its ln g from the level table.
-    Below 4 _TAIL_BLOCK the blocks would overlap, and ValueError is raised.
+    two end levels.  Panels are dropped against real terms of each sum: the
+    m = 0 term, the end levels and the top level u = f.  One pass serves all
+    orders: one ln g and one ln over the edges and those levels, then one
+    (orders, levels + 2) buffer of terms (the bottom block reads ln g from
+    the level table, the rest share one ln g and one ln), one multiply-add
+    and one row-wise log-sum-exp.  Below 4 _TAIL_BLOCK the blocks would
+    overlap, and ValueError is raised.
     """
     if not M >= 4 * _TAIL_BLOCK:
         raise ValueError(f"the tail sum needs M >= {4 * _TAIL_BLOCK}, got {M!r}")
-    s = np.asarray(orders, dtype=float)[:, None]
     block, block_lg = _level_table(_TAIL_BLOCK, n)
     f = (M - math.ceil(M)) + 1.0  # the smallest gap M - m, in (0, 1]
-    ends_m = np.array([_TAIL_BLOCK, M - (f + _TAIL_BLOCK)])
-    ends_u = np.array([M - _TAIL_BLOCK, f + _TAIL_BLOCK])
-    lower = _ratio2_edges(ends_m[0], 0.5 * M)
-    upper = _ratio2_edges(ends_u[1], 0.5 * M)
-    lg = np.concatenate([block_lg, log_degeneracy_array(
-        np.concatenate([M - (f + block), ends_m, lower, M - upper]), n)])
-    lu = np.log(np.concatenate([M - block, f + block, ends_u, M - lower, upper]))
-    levels = 2 * _TAIL_BLOCK
-    log_refs = np.max(lg[:levels] + s * lu[:levels], axis=1)  # one term of each sum
-    node_m, node_u, node_w = _middle_nodes(
-        M, n, s, log_refs, lower, upper, lg[levels + 2:], lu[levels + 2:])
-    ends = lg[levels:levels + 2] + s * lu[levels:levels + 2]
-    ends += _log_end_weights(ends_m, ends_u, n, s)
-    all_lg = np.concatenate([lg[:levels], log_degeneracy_array(node_m, n) + node_w])
-    all_lu = np.concatenate([lu[:levels], np.log(node_u)])
-    terms = np.concatenate([all_lg + s * all_lu, ends], axis=1)
-    return _logsumexp_rows(terms).tolist()
+    # ratio-2 panel edges to M/2, in m from the bottom block, then in u from the top
+    cut, top = (max(1, math.ceil(math.log2(0.5 * M / low))) + 1
+                for low in (_TAIL_BLOCK, f + _TAIL_BLOCK))
+    powers = 2.0 ** np.arange(max(cut, top))
+    x = np.concatenate([_TAIL_BLOCK * powers[:cut], (f + _TAIL_BLOCK) * powers[:top]])
+    x[cut - 1] = x[-1] = 0.5 * M
+    other = M - x
+    # ln g, ln u at the edges and at u = f; ln of pair widths and ratios; ln M
+    lg = _log_g(np.concatenate([x[:cut], other[cut:], [M - f]]), n)
+    lu = np.log(np.concatenate(
+        [other[:cut], x[cut:], np.abs(x[1:] - x[:-1]), x[1:] / x[:-1], [f, M]]))
+    terms = [[lg.item(0) + s * lu.item(0), lg.item(cut) + s * lu.item(cut),
+              lg.item(-1) + s * lu.item(-2), s * lu.item(-1)] for s in orders]
+    nodes, lower, node_w = _middle_nodes(M, n, orders, terms, x, cut, lg[:-1], lu[:-2])
+    other = M - nodes  # the nodes in m come first
+    u = np.concatenate([M - block, block + f, other[:lower], nodes[lower:]])
+    log_g = np.concatenate([block_lg, _log_g(np.concatenate(
+        [M - u[_TAIL_BLOCK:2 * _TAIL_BLOCK], nodes[:lower], other[lower:]]), n)])
+    log_g[2 * _TAIL_BLOCK:] += node_w
+    buffer = np.empty((len(terms), u.size + 2))
+    np.multiply.outer(orders, np.log(u), out=buffer[:, :-2])
+    buffer[:, :-2] += log_g
+    end_w = _log_end_weights(M, f, n, orders)
+    buffer[:, -2:] = [[row[0] + w[0], row[1] + w[1]] for row, w in zip(terms, end_w)]
+    return _logsumexp_rows(buffer).tolist()
 
 
 def _log_B_pair(M, n, r):

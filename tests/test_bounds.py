@@ -8,6 +8,7 @@ import pytest
 from scipy.integrate import quad
 
 import uncbound.bounds as bounds
+import uncbound.special_fn as special_fn
 from uncbound.bounds import (
     B_asymptotic,
     B_exact,
@@ -271,6 +272,27 @@ def brute_cutoff_sum(M, n, r):
     )
 
 
+@pytest.fixture
+def level_table_restored(monkeypatch):
+    # direct sums at large M grow the shared level table to millions of
+    # levels per n; put it back after the test so they do not stay cached
+    monkeypatch.setattr(special_fn, "_LOG_G", dict(special_fn._LOG_G))
+    monkeypatch.setattr(special_fn, "_LEVELS", special_fn._LEVELS)
+
+
+@pytest.fixture
+def pair_both_ways(monkeypatch, level_table_restored):
+    # _log_B_pair from the direct sums and from the tail; the ln g array the
+    # direct sums grew is dropped at once, so one test holds one at a time
+    def both(M, n, r):
+        monkeypatch.setattr(bounds, "_DIRECT_TERM_LIMIT", math.inf)
+        direct = bounds._log_B_pair(M, n, r)
+        del special_fn._LOG_G[n]
+        monkeypatch.setattr(bounds, "_DIRECT_TERM_LIMIT", 0.0)
+        return direct, bounds._log_B_pair(M, n, r)
+    return both
+
+
 class TestCutoffSums:
     def test_examples(self):
         assert B_exact(2.0, 1, 1.0) == pytest.approx(3.0, rel=1e-14)
@@ -287,29 +309,31 @@ class TestCutoffSums:
                 brute_cutoff_sum(M, n, r), rel=1e-11
             )
 
-    @staticmethod
-    def pair_both_ways(monkeypatch, M, n, r):
-        # _log_B_pair from the direct sums and from the tail
-        monkeypatch.setattr(bounds, "_DIRECT_TERM_LIMIT", math.inf)
-        direct = bounds._log_B_pair(M, n, r)
-        monkeypatch.setattr(bounds, "_DIRECT_TERM_LIMIT", 0.0)
-        return direct, bounds._log_B_pair(M, n, r)
-
-    def test_branches_agree(self, monkeypatch):
+    def test_branches_agree(self, pair_both_ways):
         rng = np.random.default_rng(18)
         for _ in range(24):
             n = int(rng.integers(1, 65))
             r = float(rng.uniform(1.01, 100.0))
             M = float(np.exp(rng.uniform(np.log(4.0 * 1024), np.log(3e6))))
-            direct, tail = self.pair_both_ways(monkeypatch, M, n, r)
+            direct, tail = pair_both_ways(M, n, r)
             assert tail == pytest.approx(direct, rel=1e-13), (M, n, r)
 
-    def test_integer_cutoff_edge(self, monkeypatch):
+    def test_branches_agree_at_large_orders(self, pair_both_ways):
+        # from r ~ 100 on, the tail drops negligible panels and splits steep ones
+        rng = np.random.default_rng(19)
+        for _ in range(40):
+            n = int(rng.integers(1, 65))
+            r = float(np.exp(rng.uniform(np.log(100.0), np.log(1e6))))
+            M = float(np.exp(rng.uniform(np.log(4.0 * 1024), np.log(2e5))))
+            direct, tail = pair_both_ways(M, n, r)
+            assert tail == pytest.approx(direct, rel=1e-13), (M, n, r)
+
+    def test_integer_cutoff_edge(self, pair_both_ways):
         # at integer M the level m = M carries (M - m)^r = 0 and is left out
         for M in (5e3, 2e4, 2e5, 1e6):
             for n in (1, 2, 3):
                 for r in (2.5, 1.5):
-                    direct, tail = self.pair_both_ways(monkeypatch, M, n, r)
+                    direct, tail = pair_both_ways(M, n, r)
                     assert tail == pytest.approx(direct, rel=1e-14)
 
     def test_sums_keep_their_bits(self):
@@ -320,6 +344,16 @@ class TestCutoffSums:
         assert len(pinned) == 144
         moved = [(M, n, r) for M, n, r, *bits in pinned
                  if [float(x).hex() for x in bounds._log_B_pair(M, n, r)] != bits]
+        assert not moved
+
+    def test_tail_keeps_its_bits_at_large_orders(self):
+        # float.hex of the tail pair at n <= 64, r in [100, 1e7] and M in
+        # [4096, 1e12], where every row drops panels and a third split one;
+        # recorded before the tail's fixed work went into one pass
+        pinned = json.loads((Path(__file__).parent / "tail_sum_bits.json").read_text())
+        assert len(pinned) == 64
+        moved = [(M, n, r) for M, n, r, *bits in pinned
+                 if [float(x).hex() for x in bounds._log_B_tail(M, n, (r, r - 1.0))] != bits]
         assert not moved
 
     @pytest.mark.parametrize("log_b", [709.2, 709.7, 710.2])
@@ -571,7 +605,7 @@ class TestPurityBound:
         with pytest.raises(SolverError):
             purity_bound(1e-3, 2, PurityOrder.finite(2.0))
 
-    def test_large_cutoff_is_not_overstated(self, monkeypatch):
+    def test_large_cutoff_is_not_overstated(self, monkeypatch, level_table_restored):
         # a tail whose terms cancel put this bound 5.6e-7 above the direct sums
         mu, n, r = 1e-60, 12, 10.0
         res = purity_bound(mu, n, PurityOrder.finite(r))
