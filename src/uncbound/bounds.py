@@ -288,7 +288,7 @@ def _gauss_rule(count):
     return nodes, log_weights
 
 
-def _middle_nodes(M, n, orders, terms, x, cut, lg, lu):
+def _middle_nodes(M, n, orders, refs, x, cut, lg, lu):
     """Gauss-Legendre nodes of the middle integral.
 
     ``x`` holds the panel edges, in m up to M/2 and from index ``cut`` on in
@@ -297,7 +297,7 @@ def _middle_nodes(M, n, orders, terms, x, cut, lg, lu):
     A panel gets N = 12 + floor((n + s)/2) nodes for the largest order s.
     ln g and ln u are monotone across a panel, so their edge values bound
     ln F on it and its variation.  A panel _NEGLIGIBLE_LOG below the largest
-    of each row of ``terms`` (real terms of the sums) is dropped; one that
+    of each row of ``refs`` (real terms of the sums) is dropped; one that
     varies more than N nodes resolve (only once N is capped) is split into
     parts of equal ratio, and past _MAX_PANELS parts SolverError is raised.
     Returns the nodes (in m first), how many lie in m, and their ln weights.
@@ -308,7 +308,7 @@ def _middle_nodes(M, n, orders, terms, x, cut, lg, lu):
     resolved = math.log(2.0) * min(n + s_max, 2.0 * _NODE_HALF_CAP)
     lu, ln_width, ln_ratio = lu[:x.size], lu[x.size:2 * x.size - 1], lu[2 * x.size - 1:]
     bound = np.maximum(lg[:-1], lg[1:]) + s * np.maximum(lu[:-1], lu[1:]) + ln_width
-    keep = (bound >= [[max(row) - _NEGLIGIBLE_LOG] for row in terms]).any(0)
+    keep = (bound >= [[max(row) - _NEGLIGIBLE_LOG] for row in refs]).any(0)
     keep[cut - 1] = False
     spread = np.abs(lg[1:] - lg[:-1]) + s_max * np.abs(lu[1:] - lu[:-1])
     parts = np.maximum(np.ceil(spread / resolved), 1.0)
@@ -334,20 +334,19 @@ def _log_end_weights(M, f, n, orders):
     F(m) = g(m) u^s, in floats: one pair per order.  It exceeds 0.4 while
     |F'/F| < 1; a steeper end level is below e^-600 of its sum, and dropped.
     """
-    ends_m = np.array([_TAIL_BLOCK, M - (f + _TAIL_BLOCK)])
-    inverse = 1.0 / (ends_m[:, None] + np.arange(1.0, n))
+    inverse = 1.0 / np.add.outer(
+        (_TAIL_BLOCK, M - (f + _TAIL_BLOCK)), np.arange(1.0, n))
     s1, s2, s3 = (inverse ** np.arange(1, 4)[:, None, None]).sum(axis=2).tolist()
     ends = [(s / u, u, end) for s in orders
             for end, u in enumerate((M - _TAIL_BLOCK, f + _TAIL_BLOCK))]
     d1 = [s1[end] - slope for slope, u, end in ends]
-    flat = [abs(d) < 1.0 for d in d1]  # the others are masked out below
-    cubes = (np.where(flat, d1, 0.0) ** 3).tolist()
-    weights = [
-        0.5 - (1 - 2 * end) * (d / 12.0 - (
-            2.0 * s3[end] - 2.0 * slope / u / u + 3.0 * d * (-s2[end] - slope / u) + c
-        ) / 720.0) for (slope, u, end), d, c in zip(ends, d1, cubes)]
-    logs = np.log(weights, out=np.full(len(weights), -np.inf), where=flat)
-    return logs.reshape(-1, 2).tolist()
+    flat = [abs(d) < 1.0 for d in d1]  # a steep end gets weight 1, then ln -inf
+    cubes = (np.array([d if ok else 0.0 for d, ok in zip(d1, flat)]) ** 3).tolist()
+    weights = [1.0 if not ok else 0.5 - (1 - 2 * end) * (d / 12.0 - (
+        2.0 * s3[end] - 2.0 * slope / u / u + 3.0 * d * (-s2[end] - slope / u) + c
+    ) / 720.0) for (slope, u, end), d, ok, c in zip(ends, d1, flat, cubes)]
+    logs = [w if ok else -math.inf for w, ok in zip(np.log(weights).tolist(), flat)]
+    return [logs[i:i + 2] for i in range(0, len(logs), 2)]
 
 
 def _log_B_tail(M, n, orders):
@@ -372,7 +371,7 @@ def _log_B_tail(M, n, orders):
     block, block_lg = _level_table(_TAIL_BLOCK, n)
     f = (M - math.ceil(M)) + 1.0  # the smallest gap M - m, in (0, 1]
     # ratio-2 panel edges to M/2, in m from the bottom block, then in u from the top
-    cut, top = (max(1, math.ceil(math.log2(0.5 * M / low))) + 1
+    cut, top = (math.ceil(math.log2(0.5 * M / low)) + 1
                 for low in (_TAIL_BLOCK, f + _TAIL_BLOCK))
     powers = 2.0 ** np.arange(max(cut, top))
     x = np.concatenate([_TAIL_BLOCK * powers[:cut], (f + _TAIL_BLOCK) * powers[:top]])
@@ -382,19 +381,20 @@ def _log_B_tail(M, n, orders):
     lg = _log_g(np.concatenate([x[:cut], other[cut:], [M - f]]), n)
     lu = np.log(np.concatenate(
         [other[:cut], x[cut:], np.abs(x[1:] - x[:-1]), x[1:] / x[:-1], [f, M]]))
-    terms = [[lg.item(0) + s * lu.item(0), lg.item(cut) + s * lu.item(cut),
-              lg.item(-1) + s * lu.item(-2), s * lu.item(-1)] for s in orders]
-    nodes, lower, node_w = _middle_nodes(M, n, orders, terms, x, cut, lg[:-1], lu[:-2])
-    other = M - nodes  # the nodes in m come first
+    # each sum's terms at its two end levels, its top level and m = 0
+    refs = [[lg.item(0) + s * lu.item(0), lg.item(cut) + s * lu.item(cut),
+             lg.item(-1) + s * lu.item(-2), s * lu.item(-1)] for s in orders]
+    nodes, lower, node_w = _middle_nodes(M, n, orders, refs, x, cut, lg[:-1], lu[:-2])
+    other = M - nodes  # in m first; neither m nor u is a difference near M
     u = np.concatenate([M - block, block + f, other[:lower], nodes[lower:]])
     log_g = np.concatenate([block_lg, _log_g(np.concatenate(
         [M - u[_TAIL_BLOCK:2 * _TAIL_BLOCK], nodes[:lower], other[lower:]]), n)])
     log_g[2 * _TAIL_BLOCK:] += node_w
-    buffer = np.empty((len(terms), u.size + 2))
+    buffer = np.empty((len(refs), u.size + 2))
     np.multiply.outer(orders, np.log(u), out=buffer[:, :-2])
     buffer[:, :-2] += log_g
     end_w = _log_end_weights(M, f, n, orders)
-    buffer[:, -2:] = [[row[0] + w[0], row[1] + w[1]] for row, w in zip(terms, end_w)]
+    buffer[:, -2:] = [[row[0] + w[0], row[1] + w[1]] for row, w in zip(refs, end_w)]
     return _logsumexp_rows(buffer).tolist()
 
 

@@ -368,6 +368,12 @@ class TestCutoffSums:
         with pytest.raises(ValueError):
             bounds._log_B_tail(4095.0, 2, (2.0,))
 
+    def test_tail_past_the_panel_cap_raises(self, monkeypatch):
+        # about 58 ratio-2 panels carry weight at M = 1e12
+        monkeypatch.setattr(bounds, "_MAX_PANELS", 8)
+        with pytest.raises(SolverError, match="quadrature panels"):
+            bounds._log_B_tail(1e12, 3, (2.5, 1.5))
+
     @pytest.mark.parametrize("n, r, M", [
         (6, 1.01, 1e8 + 0.37), (6, 10.0, 4096.0), (12, 2.0, 3.3e5),
         (12, 100.0, 1.5e6), (24, 10.0, 1e7 + 0.5), (64, 2.0, 2.5e4),
