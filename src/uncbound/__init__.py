@@ -10,8 +10,8 @@ of the density matrix.  This package computes those bounds three ways:
   is the entropy bound at S = -ln mu),
 * from a von Neumann entropy S,
 
-and ships independent brute-force / quadrature oracles that verify every
-closed form used along the way.
+and ships independent brute-force and Monte-Carlo oracles (``oracle``)
+that check the closed forms used along the way.
 """
 
 from uncbound.special_fn import degeneracy, log_degeneracy
@@ -37,7 +37,6 @@ from uncbound.bounds import (
     holder_bracket,
     interpolated_bound_r2,
     purity_bound,
-    thermal_beta_from_entropy,
 )
 from uncbound.solvers import SolverError
 
@@ -64,5 +63,4 @@ __all__ = [
     "purity_bound",
     "purity_from_grouped",
     "purity_from_spectrum",
-    "thermal_beta_from_entropy",
 ]

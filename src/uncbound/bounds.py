@@ -65,7 +65,6 @@ __all__ = [
     "interpolated_bound_r2",
     "log_B_exact",
     "purity_bound",
-    "thermal_beta_from_entropy",
     "thermal_entropy",
     "thermal_grouped_spectrum",
 ]
@@ -107,7 +106,7 @@ def interpolated_bound_r2(mu, n) -> BoundResult:
     if not 0.0 < mu <= 1.0:
         raise ValueError(f"mu must be in (0, 1], got {mu}")
     if mu == 1.0:
-        return BoundResult.from_per_dim(1.0, n, method="interpolated-r2", aux=1.0)
+        return BoundResult(1.0, n, method="interpolated-r2", aux=1.0)
     target = math.log(mu)
 
     def f(L):  # increasing, and -ln mu < 0 at L = 1
@@ -125,10 +124,8 @@ def interpolated_bound_r2(mu, n) -> BoundResult:
             f"interpolation root stalled at L={L} with residual {root.residual:.3e}"
         )
     per_dim = (n + 2.0 * L) / (n + 2.0)
-    return BoundResult.from_per_dim(
-        per_dim, n, method="interpolated-r2", aux=L,
-        residual=root.residual, iterations=root.iterations,
-    )
+    return BoundResult(per_dim, n, method="interpolated-r2", aux=L,
+                       residual=root.residual, iterations=root.iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -185,26 +182,6 @@ def _solve_thermal(S, n):
     return beta, root.iterations + 2  # the two bracket ends are evaluations too
 
 
-def thermal_beta_from_entropy(S, n) -> float:
-    """Inverse of the thermal-family entropy: the float beta with S(beta) = S.
-
-    S = 0 maps to beta = +inf (the vacuum).  The solve runs on the
-    per-dimension entropy S/n, which makes the bound factorize exactly
-    across dimensions.  Raises ValueError where beta rounds to 0
-    (S/n above 746.13).
-    """
-    n = check_dimension(n)
-    S = float(S)
-    if not S >= 0.0:
-        raise ValueError(f"entropy must be >= 0, got {S}")
-    if S < 1e-290:
-        return math.inf
-    beta = _solve_thermal(S, n)[0]
-    if not beta > 0.0:
-        raise ValueError(f"beta for S/n = {S / n!r} rounds to 0")
-    return beta
-
-
 def thermal_grouped_spectrum(beta, n) -> GroupedSpectrum:
     """Materialize xi_m = A g_m e^{-beta m} as a GroupedSpectrum.
 
@@ -239,24 +216,22 @@ def entropy_bound(S, n) -> BoundResult:
 
     The minimizer is the thermal product state, so the bound is the closed
     form (1 + e^{-beta})/(1 - e^{-beta}) at the beta of S/n; ``aux`` is
-    that beta.  Raises ValueError where the bound is beyond the float
-    range (S/n above 710.09).
+    that beta and ``residual`` is |thermal_entropy(beta, n) - S|.  Raises
+    ValueError where the bound is beyond the float range (S/n above 710.09).
     """
     n = check_dimension(n)
     S = float(S)
     if not S >= 0.0:
         raise ValueError(f"entropy must be >= 0, got {S}")
     if S < 1e-290:
-        return BoundResult.from_per_dim(1.0, n, method="thermal", aux=math.inf)
+        return BoundResult(1.0, n, method="thermal", aux=math.inf)
     beta, evals = _solve_thermal(S, n)
     u = -math.expm1(-beta)
     per_dim = 1.0 + 2.0 * math.exp(-beta) / u if u > 0.0 else math.inf
     if per_dim == math.inf:
         raise ValueError(f"bound for S/n = {S / n!r} is beyond the float range")
-    return BoundResult.from_per_dim(
-        per_dim, n, method="thermal", aux=beta,
-        residual=abs(thermal_entropy(beta, n) - S), iterations=evals,
-    )
+    return BoundResult(per_dim, n, method="thermal", aux=beta,
+                       residual=abs(thermal_entropy(beta, n) - S), iterations=evals)
 
 
 # ---------------------------------------------------------------------------
@@ -441,10 +416,10 @@ def log_B_exact(M, n, r) -> float:
     n = check_dimension(n)
     M = float(M)
     r = float(r)
-    if not M >= 0.0:
-        raise ValueError(f"cutoff M must be >= 0, got {M}")
-    if not r >= 1.0:
-        raise ValueError(f"exponent r must be >= 1, got {r}")
+    if not 0.0 <= M < math.inf:
+        raise ValueError(f"cutoff M must be {'finite' if M > 0 else '>= 0'}, got {M}")
+    if not 1.0 <= r < math.inf:
+        raise ValueError(f"exponent r must be {'finite' if r > 1 else '>= 1'}, got {r}")
     if M == 0.0:
         return -math.inf
     return _log_B_pair(M, n, r)[0]
@@ -458,12 +433,6 @@ def B_exact(M, n, r) -> float:
         return math.inf
 
 
-def _log_B_asymptotic(M, n, r):
-    return (n + r) * math.log(M) - math.fsum(
-        math.log(r + k) for k in range(1, n + 1)
-    )
-
-
 def B_asymptotic(M, n, r) -> float:
     """Large-M closed form M^(n+r) / prod_{k=1..n} (r+k).
 
@@ -473,12 +442,13 @@ def B_asymptotic(M, n, r) -> float:
     n = check_dimension(n)
     M = float(M)
     r = float(r)
-    if not M > 0.0:
-        raise ValueError(f"M must be > 0, got {M}")
-    if not r >= 1.0:
-        raise ValueError(f"exponent r must be >= 1, got {r}")
+    if not 0.0 < M < math.inf:
+        raise ValueError(f"M must be {'finite' if M > 0 else '> 0'}, got {M}")
+    if not 1.0 <= r < math.inf:
+        raise ValueError(f"exponent r must be {'finite' if r > 1 else '>= 1'}, got {r}")
     try:
-        return math.exp(_log_B_asymptotic(M, n, r))
+        return math.exp((n + r) * math.log(M) - math.fsum(
+            math.log(r + k) for k in range(1, n + 1)))
     except OverflowError:
         return math.inf
 
@@ -488,26 +458,43 @@ def B_asymptotic(M, n, r) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _bracket(M, n, r, log_mu, log_b):
+    """(2M + n - 2 e^((ln mu + log_b)/r)) / n, log_b = ln B_r(M); past the float
+    range the difference is scaled by its larger side: +-inf beyond it, never nan."""
+    log_term = (log_mu + log_b) / r
+    try:
+        value = (2.0 * M + n - 2.0 * math.exp(log_term)) / n
+    except OverflowError:
+        value = math.nan
+    if math.isfinite(value):
+        return value
+    log_half = math.log(M + 0.5 * n)  # ln((2M + n)/2)
+    top = max(log_half, log_term)
+    gap = math.exp(log_half - top) - math.exp(log_term - top)
+    # (2/n) e^top in two factors; past e^1400 the value is -inf either way
+    half = math.exp(0.5 * min(top + math.log(2.0 / n), 1400.0))
+    return gap * half * half
+
+
 def holder_bracket(M, n, r, mu) -> float:
     """Per-dimension bound (2M + n - 2 [mu B(M)]^(1/r)) / n, valid for all M.
 
-    Raises SolverError when the cutoff sum at M > 0 comes out zero or
-    non-finite, rather than reporting the unbounded (2M + n)/n.
+    +-inf where the bracket lies beyond the float range.  Raises SolverError
+    when the cutoff sum at M > 0 comes out zero or non-finite, rather than
+    reporting the unbounded (2M + n)/n.
     """
     n = check_dimension(n)
     M = float(M)
     r = float(r)
     mu = float(mu)
-    if not M >= 0.0:
-        raise ValueError(f"cutoff M must be >= 0, got {M}")
-    if not r > 1.0:
-        raise ValueError(f"exponent r must be > 1, got {r}")
+    if not 0.0 <= M < math.inf:
+        raise ValueError(f"cutoff M must be {'finite' if M > 0 else '>= 0'}, got {M}")
+    if not 1.0 < r < math.inf:
+        raise ValueError(f"exponent r must be {'finite' if r > 1 else '> 1'}, got {r}")
     if not 0.0 < mu <= 1.0:
         raise ValueError(f"mu must be in (0, 1], got {mu}")
-    if M == 0.0:
-        return 1.0
-    log_b = _log_B_pair(M, n, r)[0]
-    return (2.0 * M + n - 2.0 * math.exp((math.log(mu) + log_b) / r)) / n
+    log_b = _log_B_pair(M, n, r)[0] if M > 0.0 else -math.inf  # the bracket is 1 at M = 0
+    return _bracket(M, n, r, math.log(mu), log_b)
 
 
 def purity_bound(mu, n, order: PurityOrder) -> BoundResult:
@@ -546,7 +533,7 @@ def purity_bound(mu, n, order: PurityOrder) -> BoundResult:
     if r == 1.0:
         raise ValueError("purity_bound has no bound for the superpurity order r = 1 yet")
     if mu == 1.0:  # every cutoff in (0, 1] carries the vacuum alone
-        return BoundResult.from_per_dim(1.0, n, method="holder-root", aux=1.0)
+        return BoundResult(1.0, n, method="holder-root", aux=1.0)
 
     log_mu = math.log(mu)
     log_b_at = {1.0: 0.0}  # ln B_r(1) = 0: the m = 0 term alone
@@ -565,12 +552,9 @@ def purity_bound(mu, n, order: PurityOrder) -> BoundResult:
     # M* - n/2, where h rises like (n/r) ln(M + n/2)
     seed = asymptotic_cutoff(mu, n, r) - 0.5 * n
     root = seeded_root(h, 1.0, log_mu / r, seed, n / r)
-    term = math.exp((log_mu + log_b_at[root.x]) / r)
-    per_dim = max((2.0 * root.x + n - 2.0 * term) / n, 1.0)
-    return BoundResult.from_per_dim(
-        per_dim, n, method="holder-root", aux=root.x,
-        residual=root.residual, iterations=root.iterations,
-    )
+    per_dim = max(_bracket(root.x, n, r, log_mu, log_b_at[root.x]), 1.0)
+    return BoundResult(per_dim, n, method="holder-root", aux=root.x,
+                       residual=root.residual, iterations=root.iterations)
 
 
 # ---------------------------------------------------------------------------

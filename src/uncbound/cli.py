@@ -349,8 +349,8 @@ _seed_option = click.option("--seed", type=int, default=0, help="RNG seed.")
 def verify_lemma(dim, trials, seed):
     """Mixed-vs-sorted energy inequality over random unitaries, to 1e-10."""
     cfg = oc.OracleConfig(seed=seed)
-    margins = [oc.lemma_trial(dim, cfg, trial=t).margin for t in range(trials)]
-    identity_margin = oc.lemma_trial(dim, cfg, identity=True).margin
+    margins = [oc.lemma_trial(dim, cfg, trial=t) for t in range(trials)]
+    identity_margin = oc.lemma_trial(dim, cfg, identity=True)
     click.echo(f"identity margin={_fmt(identity_margin)}", file=sys.stdout)
     failures = sum(m < -1e-10 for m in margins) + (abs(identity_margin) > 1e-10)
     _verdict("lemma", trials + 1, failures, "worst_margin", min(margins))
@@ -412,20 +412,17 @@ def verify_roundtrip(trials, seed):
     for _ in range(trials):
         n = int(rng.integers(1, 7))
         s_target = float(rng.uniform(1e-3, 50.0))
-        beta = bd.thermal_beta_from_entropy(s_target, n)
+        closed = bd.entropy_bound(s_target, n)  # aux is the thermal beta
         try:
-            grouped = bd.thermal_grouped_spectrum(beta, n)
+            grouped = bd.thermal_grouped_spectrum(closed.aux, n)
         except ValueError:
-            # too mixed to materialize; check the closed form instead
-            gap = abs(bd.thermal_entropy(beta, n) - s_target)
-            gap_tol = 1e-10
-            bound_gap = 0.0
+            # too mixed to materialize; check the closed form's entropy instead
+            gap, gap_tol, bound_gap = closed.residual, 1e-10, 0.0
         else:
             gap = abs(entropy_from_grouped(grouped) - s_target)
             gap_tol = 1e-9  # summing ~1e5 terms costs one digit
-            closed = bd.entropy_bound(s_target, n).per_dim_product
-            grouped_bound = bound_from_grouped(grouped).per_dim_product
-            bound_gap = abs(grouped_bound - closed) / closed
+            value = closed.per_dim_product
+            bound_gap = abs(bound_from_grouped(grouped).per_dim_product - value) / value
         worst = max(worst, gap)
         if gap > gap_tol or bound_gap > 1e-9:
             failures += 1

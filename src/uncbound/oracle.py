@@ -18,7 +18,6 @@ from uncbound.special_fn import check_dimension, log_degeneracy_array
 from uncbound.spectrum_bound import BoundResult
 
 __all__ = [
-    "LemmaTrial",
     "OracleConfig",
     "appendix_d_identity_check",
     "beta_integral_B",
@@ -63,13 +62,6 @@ class OracleConfig:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LemmaTrial:
-    lhs: float
-    rhs: float
-    margin: float
-
-
 def random_unitary(dim, rng) -> np.ndarray:
     """Haar-distributed unitary: QR of a complex Gaussian, phases normalized."""
     z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
@@ -89,17 +81,15 @@ def _run_trial(gammas, dim, cfg, trial, identity):
     rng = cfg.rng(trial)
     mixing = np.eye(dim) if identity else np.abs(random_unitary(dim, rng)) ** 2
     probs = random_nonincreasing_probabilities(dim, rng)
-    lhs = float(probs @ (mixing @ gammas))
-    rhs = float(probs @ gammas)
-    return LemmaTrial(lhs=lhs, rhs=rhs, margin=lhs - rhs)
+    return float(probs @ (mixing @ gammas)) - float(probs @ gammas)
 
 
-def lemma_trial(dim, cfg: OracleConfig, trial=0, identity=False) -> LemmaTrial:
+def lemma_trial(dim, cfg: OracleConfig, trial=0, identity=False) -> float:
     """One rearrangement trial: mixed oscillator energies vs sorted ones.
 
-    Draws a unitary U and a nonincreasing probability vector, and compares
-    sum_m p_m sum_k |U_mk|^2 (2k+1) against sum_m p_m (2m+1).  The margin
-    is nonnegative up to rounding; it vanishes when U is the identity.
+    Draws a unitary U and a nonincreasing probability vector, and returns
+    the margin sum_m p_m sum_k |U_mk|^2 (2k+1) - sum_m p_m (2m+1).  It is
+    nonnegative up to rounding, and vanishes when U is the identity.
     """
     if dim < 2:
         raise ValueError("dim must be >= 2")
@@ -108,8 +98,8 @@ def lemma_trial(dim, cfg: OracleConfig, trial=0, identity=False) -> LemmaTrial:
 
 
 def lemma_trial_multidim(n, max_level, cfg: OracleConfig, trial=0,
-                         identity=False) -> LemmaTrial:
-    """Rearrangement trial with level-degenerate energies 2k + n.
+                         identity=False) -> float:
+    """Margin of a rearrangement trial with level-degenerate energies 2k + n.
 
     The energy vector repeats each level value degeneracy(k, n) times, so
     it is nondecreasing rather than strictly increasing.
@@ -464,7 +454,7 @@ def brute_force_purity_bound(mu, n, r, cfg: OracleConfig,
     if mu == 1.0:
         xi = np.zeros(size)
         xi[0] = 1.0
-        result = BoundResult.from_per_dim(1.0, n, method="brute-force")
+        result = BoundResult(1.0, n, method="brute-force")
         return (result, xi) if return_weights else result
 
     g_term = np.exp((1.0 - r / (r - 1.0)) * log_g)
@@ -502,10 +492,8 @@ def brute_force_purity_bound(mu, n, r, cfg: OracleConfig,
             f"truncation {cfg.truncation} too small: the minimizer support "
             f"reaches level {max(reach, support - 1)} (mu={mu}, n={n}, r={r})"
         )
-    result = BoundResult.from_per_dim(
-        best_value, n, method="brute-force",
-        residual=abs(_purity(best_xi, g_term, r) - mu), iterations=len(candidates),
-    )
+    result = BoundResult(best_value, n, method="brute-force", iterations=len(candidates),
+                         residual=abs(_purity(best_xi, g_term, r) - mu))
     return (result, best_xi) if return_weights else result
 
 
@@ -541,8 +529,10 @@ def beta_integral_B(M, n, r) -> float:
     n = check_dimension(n)
     M = float(M)
     r = float(r)
-    if not M > 0.0:
-        raise ValueError(f"M must be > 0, got {M}")
+    if not 0.0 < M < math.inf:
+        raise ValueError(f"M must be {'finite' if M > 0 else '> 0'}, got {M}")
+    if not 1.0 <= r < math.inf:
+        raise ValueError(f"exponent r must be {'finite' if r > 1 else '>= 1'}, got {r}")
     return M ** (n + r) * math.exp(math.lgamma(r + 1.0) - math.lgamma(n + r + 1.0))
 
 
@@ -560,6 +550,8 @@ def appendix_d_identity_check(n, r):
         raise ValueError("cancellation grows too fast beyond n = 20")
     if r > 50:
         raise ValueError("r above 50 is outside the validated range")
+    if not r >= 1.0:
+        raise ValueError(f"exponent r must be >= 1, got {r}")
     terms = [
         (-1.0) ** k / (math.factorial(k) * math.factorial(n - 1 - k) * (k + r + 1.0))
         for k in range(n)

@@ -93,19 +93,6 @@ class GroupedSpectrum:
     def __len__(self):
         return self.weights.size
 
-    def log_degeneracies(self) -> np.ndarray:
-        return log_degeneracy_array(np.arange(len(self)), self.n)
-
-    def log_theta(self) -> np.ndarray:
-        """ln theta_k on the support; -inf where xi_k = 0."""
-        return self._log_theta(self.log_degeneracies())
-
-    def _log_theta(self, log_g):
-        out = np.full(len(self), -np.inf)
-        pos = self.weights > 0.0
-        out[pos] = np.log(self.weights[pos]) - log_g[pos]
-        return out
-
 
 @dataclass(frozen=True)
 class PurityOrder:
@@ -139,6 +126,14 @@ class PurityOrder:
         return cls(math.inf)
 
 
+def _support(g: GroupedSpectrum):
+    """(xi_k, ln g_k, ln theta_k) on the levels with xi_k > 0."""
+    pos = g.weights > 0.0
+    xi = g.weights[pos]
+    log_g = log_degeneracy_array(np.arange(len(g)), g.n)[pos]
+    return xi, log_g, np.log(xi) - log_g
+
+
 def purity_from_spectrum(s: Spectrum, order: PurityOrder) -> float:
     """Generalized purity of a raw spectrum: its n = 1 grouping, where g = 1."""
     return purity_from_grouped(GroupedSpectrum(1, s.eigenvalues), order)
@@ -149,23 +144,20 @@ def purity_from_grouped(g: GroupedSpectrum, order: PurityOrder) -> float:
     r = order.r
     if r == math.inf:
         return math.exp(-entropy_from_grouped(g))
-    pos = g.weights > 0.0
-    log_g = g.log_degeneracies()
-    log_theta = g._log_theta(log_g)[pos]
+    xi, log_g, log_theta = _support(g)
     if r == 1.0:
         return float(np.exp(log_theta.max()))
     p = r / (r - 1.0)
-    log_sum = logsumexp(log_g[pos] + p * log_theta)
+    log_sum = logsumexp(log_g + p * log_theta)
     if abs(log_sum) < 1.0:
         # r - 1 would multiply this sum's rounding; as 1 + sum xi (theta^(1/(r-1)) - 1)
         # every term is <= 0, so none cancel
-        drop = np.dot(g.weights[pos], np.expm1(log_theta / (r - 1.0)))
+        drop = np.dot(xi, np.expm1(log_theta / (r - 1.0)))
         log_sum = math.log1p(float(drop))
     return float(min(np.exp((r - 1.0) * log_sum), 1.0))
 
 
 def entropy_from_grouped(g: GroupedSpectrum) -> float:
     """Von Neumann entropy of a grouped spectrum, with 0 ln 0 = 0."""
-    xi = g.weights
-    pos = xi > 0.0
-    return float(max(-np.sum(xi[pos] * g.log_theta()[pos]), 0.0))
+    xi, _, log_theta = _support(g)
+    return float(max(-np.sum(xi * log_theta), 0.0))

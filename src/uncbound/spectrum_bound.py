@@ -45,7 +45,12 @@ class BoundResult:
     iterations: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "per_dim_product", float(self.per_dim_product))
         object.__setattr__(self, "n", check_dimension(self.n))
+        if self.aux is not None:
+            object.__setattr__(self, "aux", float(self.aux))
+        object.__setattr__(self, "residual", float(self.residual))
+        object.__setattr__(self, "iterations", int(self.iterations))
         if not self.per_dim_product >= 1.0 - _FLOOR_TOL:
             raise ValueError(
                 f"bound {self.per_dim_product!r} is below the pure-state floor"
@@ -59,18 +64,6 @@ class BoundResult:
     @property
     def volume(self) -> float:
         return volume_of(self.per_dim_product, self.n)
-
-    @classmethod
-    def from_per_dim(cls, per_dim, n, method, aux=None, residual=0.0, iterations=0):
-        per_dim = float(per_dim)
-        return cls(
-            per_dim_product=per_dim,
-            n=int(n),
-            method=method,
-            aux=None if aux is None else float(aux),
-            residual=float(residual),
-            iterations=int(iterations),
-        )
 
 
 def volume_of(per_dim, n) -> float:
@@ -112,7 +105,7 @@ def bound_from_grouped(g: GroupedSpectrum) -> BoundResult:
     """Minimal per-dimension uncertainty product of a grouped spectrum."""
     levels = np.arange(len(g), dtype=float)
     per_dim = 1.0 + (2.0 / g.n) * float(np.dot(levels, g.weights))
-    return BoundResult.from_per_dim(per_dim, g.n, method="grouped-sum")
+    return BoundResult(per_dim, g.n, method="grouped-sum")
 
 
 def bound_from_spectrum(s: Spectrum, n) -> BoundResult:

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from pathlib import Path
 
 import mpmath
@@ -21,10 +22,10 @@ from uncbound.bounds import (
     interpolated_bound_r2,
     log_B_exact,
     purity_bound,
-    thermal_beta_from_entropy,
     thermal_entropy,
     thermal_grouped_spectrum,
 )
+from uncbound.oracle import appendix_d_identity_check, beta_integral_B
 from uncbound.purity import (
     GroupedSpectrum,
     PurityOrder,
@@ -142,11 +143,11 @@ class TestInterpolatedBound:
 class TestThermalFamily:
     def test_geometric_entropy_hand_value(self):
         # theta_k = (1/2)^(k+1) gives S = 2 ln 2; invert it
-        beta = thermal_beta_from_entropy(2.0 * math.log(2.0), 1)
+        beta = entropy_bound(2.0 * math.log(2.0), 1).aux
         assert beta == pytest.approx(math.log(2.0), rel=1e-12)
 
     def test_entropy_zero_is_vacuum(self):
-        assert math.isinf(thermal_beta_from_entropy(0.0, 4))
+        assert math.isinf(entropy_bound(0.0, 4).aux)
         assert entropy_bound(0.0, 4).per_dim_product == 1.0
 
     def test_roundtrip_closed_form(self):
@@ -154,7 +155,7 @@ class TestThermalFamily:
         for _ in range(100):
             n = int(rng.integers(1, 7))
             target = float(rng.uniform(1e-3, 50.0))
-            beta = thermal_beta_from_entropy(target, n)
+            beta = entropy_bound(target, n).aux
             assert thermal_entropy(beta, n) == pytest.approx(
                 target, abs=1e-10
             )
@@ -162,7 +163,7 @@ class TestThermalFamily:
         for _ in range(100):
             n = int(rng.integers(1, 7))
             target = 10.0 ** float(rng.uniform(-280.0, -3.0))
-            beta = thermal_beta_from_entropy(target, n)
+            beta = entropy_bound(target, n).aux
             assert thermal_entropy(beta, n) == pytest.approx(target, rel=1e-11, abs=0.0)
 
     def test_entropy_matches_mpmath(self):
@@ -182,7 +183,7 @@ class TestThermalFamily:
         for _ in range(30):
             n = int(rng.integers(1, 7))
             target = float(rng.uniform(1e-3, 8.0 * n))
-            beta = thermal_beta_from_entropy(target, n)
+            beta = entropy_bound(target, n).aux
             grouped = thermal_grouped_spectrum(beta, n)
             assert entropy_from_grouped(grouped) == pytest.approx(target, abs=1e-9)
 
@@ -191,7 +192,7 @@ class TestThermalFamily:
         # the thermal state's level count grows with S; bisect for the cap
         def fits(target):
             try:
-                thermal_grouped_spectrum(thermal_beta_from_entropy(target, n), n)
+                thermal_grouped_spectrum(entropy_bound(target, n).aux, n)
             except ValueError:
                 return False
             return True
@@ -243,8 +244,6 @@ class TestThermalFamily:
         for s_value in (-1.0, math.nan, math.inf):
             with pytest.raises(ValueError):
                 entropy_bound(s_value, 2)
-            with pytest.raises(ValueError):
-                thermal_beta_from_entropy(s_value, 2)
 
     def test_float_range_edges(self):
         # 2 e^(S-1) passes the float range at S = 710.09: below it a finite
@@ -255,8 +254,6 @@ class TestThermalFamily:
             else:
                 with pytest.raises(ValueError):
                     entropy_bound(s_value, 1)
-        with pytest.raises(ValueError):
-            thermal_beta_from_entropy(760.0, 1)
         res = entropy_bound(1000.0, 10)
         assert math.isfinite(res.per_dim_product) and math.isinf(res.volume)
 
@@ -264,6 +261,34 @@ class TestThermalFamily:
         # mean + 40 sigma is inf here; it must hit the cap, not int()
         with pytest.raises(ValueError, match="above the cap"):
             thermal_grouped_spectrum(1e-308, 1)
+
+
+def test_non_finite_cutoffs_and_orders_are_domain_errors():
+    calls = {
+        "log_B_exact": lambda M, r: log_B_exact(M, 1, r),
+        "B_exact": lambda M, r: B_exact(M, 1, r),
+        "holder_bracket": lambda M, r: holder_bracket(M, 1, r, 0.5),
+        "B_asymptotic": lambda M, r: B_asymptotic(M, 1, r),
+        "beta_integral_B": lambda M, r: beta_integral_B(M, 1, r),
+    }
+    for name, call in calls.items():
+        for bad in (math.nan, math.inf, -math.inf):
+            for M, r in ((bad, 2.0), (10.0, bad), (1e5, bad)):
+                with pytest.raises(ValueError):
+                    call(M, r)
+        with pytest.raises(ValueError, match="must be finite, got inf"):
+            call(math.inf, 2.0)
+        with pytest.raises(ValueError, match="must be finite, got inf"):
+            call(10.0, math.inf)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            appendix_d_identity_check(2, bad)
+    # the messages of inputs rejected before stay as they were
+    with pytest.raises(ValueError, match=r"^cutoff M must be >= 0, got nan$"):
+        log_B_exact(math.nan, 1, 2.0)
+    with pytest.raises(ValueError, match=r"^exponent r must be > 1, got -inf$"):
+        holder_bracket(1.0, 1, -math.inf, 0.5)
+    assert asymptotic_C(2, math.inf) == (2.0 / math.e) ** 2  # the entropy member
 
 
 def brute_cutoff_sum(M, n, r):
@@ -462,6 +487,23 @@ class TestHolderBracket:
             holder_bracket(1.0, 1, 1.0, 0.5)
         with pytest.raises(ValueError):
             holder_bracket(1.0, 1, 2.0, 0.0)
+
+    @pytest.mark.parametrize("M, n, r, mu", [
+        (1e300, 1, 2.0, 0.5), (1e200, 3, 2.0, 1e-3),  # below the float range
+        (1e308, 1, 1000.0, 1e-300),  # 2M and 2 [mu B]^(1/r) both overflow
+        (1.74e15, 64, 3.0, 0.5),  # [mu B]^(1/r) overflows, its 2/n-th does not
+        (1.7e308, 1, 1.0001, 5e-324),  # above the float range
+    ])
+    def test_near_the_float_range(self, M, n, r, mu):
+        # the bracket from the same ln B_r, in 50 digits
+        with mpmath.workdps(50):
+            log_term = (mpmath.log(mu) + mpmath.mpf(log_B_exact(M, n, r))) / r
+            exact = (2 * mpmath.mpf(M) + n - 2 * mpmath.exp(log_term)) / n
+        value = holder_bracket(M, n, r, mu)
+        if abs(exact) > sys.float_info.max:
+            assert value == math.copysign(math.inf, exact)
+        else:
+            assert value == pytest.approx(float(exact), rel=1e-9)
 
 
 class TestPurityBound:
