@@ -1,9 +1,9 @@
 """Purity- and entropy-parameterized uncertainty bounds.
 
-Four routes to a lower bound are implemented:
+One comparison form and three routes to a lower bound are implemented:
 
-* ``interpolated_bound_r2`` -- the r = 2 relation valid for all mu,
-  driven by the root of a gamma-function equation;
+* ``interpolated_bound_r2`` -- a comparison, not a bound: the r = 2
+  gamma-equation form, -2.0e-2 to +1.3e-3 relative to ``purity_bound``;
 * ``entropy_bound`` -- the entropy-constrained minimum, attained by a
   product of one-dimensional thermal states, so it is their closed form;
   ``thermal_grouped_spectrum`` materializes that state as the reference the
@@ -48,7 +48,10 @@ from uncbound.special_fn import (
     _level_table,
     _log_g,
     _logsumexp_rows,
+    check_cutoff,
     check_dimension,
+    check_exponent,
+    check_purity,
     log_degeneracy_array,
 )
 from uncbound.spectrum_bound import BoundResult
@@ -91,7 +94,7 @@ def _log_interp_mu(L, n):
 
 
 def interpolated_bound_r2(mu, n) -> BoundResult:
-    """Per-dimension bound (n + 2L)/(n + 2) for the usual purity mu.
+    """Per-dimension comparison value (n + 2L)/(n + 2) for the usual purity mu.
 
     L solves a strictly decreasing gamma-function equation whose root is 1
     at mu = 1 (the pure state) and tends to L* = (2 (n+1)! / ((n+2) mu))^(1/n)
@@ -99,12 +102,11 @@ def interpolated_bound_r2(mu, n) -> BoundResult:
     L* - n/2 and one Newton step of slope n in ln L, :func:`seeded_root`
     brackets the root and Brent's method closes it; ``iterations`` counts
     the evaluations of the equation.  A root beyond the float range raises
-    ValueError.
+    ValueError.  Not a lower bound: at n = 2, mu = 0.396812 it is 1.33e-3
+    above the valid bound, :func:`purity_bound` at r = 2.
     """
     n = check_dimension(n)
-    mu = float(mu)
-    if not 0.0 < mu <= 1.0:
-        raise ValueError(f"mu must be in (0, 1], got {mu}")
+    mu = check_purity(mu)
     if mu == 1.0:
         return BoundResult(1.0, n, method="interpolated-r2", aux=1.0)
     target = math.log(mu)
@@ -414,12 +416,8 @@ def log_B_exact(M, n, r) -> float:
     comes out zero or non-finite.
     """
     n = check_dimension(n)
-    M = float(M)
-    r = float(r)
-    if not 0.0 <= M < math.inf:
-        raise ValueError(f"cutoff M must be {'finite' if M > 0 else '>= 0'}, got {M}")
-    if not 1.0 <= r < math.inf:
-        raise ValueError(f"exponent r must be {'finite' if r > 1 else '>= 1'}, got {r}")
+    M = check_cutoff(M, ">= 0")
+    r = check_exponent(r, ">= 1")
     if M == 0.0:
         return -math.inf
     return _log_B_pair(M, n, r)[0]
@@ -440,12 +438,8 @@ def B_asymptotic(M, n, r) -> float:
     large; ``verify b-approx`` checks it against the Beta function to 1e-9.
     """
     n = check_dimension(n)
-    M = float(M)
-    r = float(r)
-    if not 0.0 < M < math.inf:
-        raise ValueError(f"M must be {'finite' if M > 0 else '> 0'}, got {M}")
-    if not 1.0 <= r < math.inf:
-        raise ValueError(f"exponent r must be {'finite' if r > 1 else '>= 1'}, got {r}")
+    M = check_cutoff(M, "> 0")
+    r = check_exponent(r, ">= 1")
     try:
         return math.exp((n + r) * math.log(M) - math.fsum(
             math.log(r + k) for k in range(1, n + 1)))
@@ -484,15 +478,9 @@ def holder_bracket(M, n, r, mu) -> float:
     reporting the unbounded (2M + n)/n.
     """
     n = check_dimension(n)
-    M = float(M)
-    r = float(r)
-    mu = float(mu)
-    if not 0.0 <= M < math.inf:
-        raise ValueError(f"cutoff M must be {'finite' if M > 0 else '>= 0'}, got {M}")
-    if not 1.0 < r < math.inf:
-        raise ValueError(f"exponent r must be {'finite' if r > 1 else '> 1'}, got {r}")
-    if not 0.0 < mu <= 1.0:
-        raise ValueError(f"mu must be in (0, 1], got {mu}")
+    M = check_cutoff(M, ">= 0")
+    r = check_exponent(r, "> 1")
+    mu = check_purity(mu)
     log_b = _log_B_pair(M, n, r)[0] if M > 0.0 else -math.inf  # the bracket is 1 at M = 0
     return _bracket(M, n, r, math.log(mu), log_b)
 
@@ -524,9 +512,7 @@ def purity_bound(mu, n, order: PurityOrder) -> BoundResult:
     no bound yet and raises ValueError.
     """
     n = check_dimension(n)
-    mu = float(mu)
-    if not 0.0 < mu <= 1.0:
-        raise ValueError(f"mu must be in (0, 1], got {mu}")
+    mu = check_purity(mu)
     r = order.r
     if r == math.inf:
         return entropy_bound(-math.log(mu), n)
@@ -571,11 +557,7 @@ def asymptotic_cutoff(mu, n, r) -> float:
     for an r that is not finite and >= 1.
     """
     n = check_dimension(n)
-    mu, r = float(mu), float(r)
-    if not 0.0 < mu <= 1.0:
-        raise ValueError(f"mu must be in (0, 1], got {mu}")
-    if not 1.0 <= r < math.inf:
-        raise ValueError(f"exponent r must be finite and >= 1, got {r}")
+    mu, r = check_purity(mu), check_exponent(r, ">= 1")
     scale = (r / (n + r)) ** (r / n)
     scale *= math.exp(sum(math.log(r + k) for k in range(1, n + 1)) / n)
     try:
@@ -609,9 +591,7 @@ def asymptotic_purity_bound(mu, n, r) -> float:
     pure-state floor (mu = 1 gives C^(1/n)).  Raises ValueError where it is
     beyond the float range.
     """
-    mu = float(mu)
-    if not 0.0 < mu <= 1.0:
-        raise ValueError(f"mu must be in (0, 1], got {mu}")
+    mu = check_purity(mu)
     c = asymptotic_C(n, r)
     if c / mu < math.inf:
         value = (c / mu) ** (1.0 / n)

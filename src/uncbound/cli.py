@@ -339,18 +339,18 @@ def _verdict(name, checks, failures, worst_label, worst):
     sys.exit(0 if failures == 0 else EXIT_VERIFY_FAILED)
 
 
-_seed_option = click.option("--seed", type=int, default=0, help="RNG seed.")
+_seed_option = click.option("--seed", type=click.IntRange(0), default=0, help="RNG seed.")
 
 
 @verify.command("lemma")
-@click.option("--dim", type=int, default=30, help="Unitary dimension.")
+@click.option("--dim", type=click.IntRange(min=2), default=30, help="Unitary dimension.")
 @click.option("--trials", type=click.IntRange(min=1), default=1000)
 @_seed_option
 def verify_lemma(dim, trials, seed):
     """Mixed-vs-sorted energy inequality over random unitaries, to 1e-10."""
     cfg = oc.OracleConfig(seed=seed)
-    margins = [oc.lemma_trial(dim, cfg, trial=t) for t in range(trials)]
-    identity_margin = oc.lemma_trial(dim, cfg, identity=True)
+    margins = [oc.lemma_trial(1, dim - 1, cfg, trial=t) for t in range(trials)]
+    identity_margin = oc.lemma_trial(1, dim - 1, cfg, identity=True)
     click.echo(f"identity margin={_fmt(identity_margin)}", file=sys.stdout)
     failures = sum(m < -1e-10 for m in margins) + (abs(identity_margin) > 1e-10)
     _verdict("lemma", trials + 1, failures, "worst_margin", min(margins))

@@ -14,7 +14,9 @@ import numpy as np
 
 from uncbound.bounds import asymptotic_cutoff
 from uncbound.solvers import SolverError
-from uncbound.special_fn import check_dimension, log_degeneracy_array
+from uncbound.special_fn import (_level_table, check_cutoff, check_dimension,
+                                 check_exponent, check_level, check_purity,
+                                 log_degeneracy_array)
 from uncbound.spectrum_bound import BoundResult
 
 __all__ = [
@@ -23,7 +25,6 @@ __all__ = [
     "beta_integral_B",
     "brute_force_purity_bound",
     "lemma_trial",
-    "lemma_trial_multidim",
     "project_to_simplex",
     "random_nonincreasing_probabilities",
     "random_unitary",
@@ -44,13 +45,9 @@ class OracleConfig:
     truncation: int = 256
 
     def __post_init__(self):
-        if self.truncation < 1:
-            raise ValueError("truncation must be >= 1")
-        if self.truncation > MAX_TRUNCATION:
-            raise ValueError(
-                f"truncation {self.truncation} is above the oracle cap "
-                f"{MAX_TRUNCATION}"
-            )
+        if not 1 <= check_level(self.truncation) <= MAX_TRUNCATION:
+            raise ValueError(f"truncation must be in [1, {MAX_TRUNCATION}] (the oracle "
+                             f"cap), got {self.truncation}")
 
     def rng(self, trial=0) -> np.random.Generator:
         # per-trial stream keyed on (seed, trial) so results are order independent
@@ -77,40 +74,24 @@ def random_nonincreasing_probabilities(dim, rng) -> np.ndarray:
     return np.sort(weights)[::-1]
 
 
-def _run_trial(gammas, dim, cfg, trial, identity):
+def lemma_trial(n, max_level, cfg: OracleConfig, trial=0, identity=False) -> float:
+    """One rearrangement trial: mixed oscillator energies vs sorted ones.
+
+    The energies E are 2k + n, level k <= max_level repeated degeneracy(k, n)
+    times.  Draws a unitary U and a nonincreasing probability vector p of
+    that size; the margin sum_m p_m sum_k |U_mk|^2 E_k - sum_m p_m E_m is
+    nonnegative up to rounding, and vanishes when U is the identity.
+    """
+    n, max_level = check_dimension(n), check_level(max_level)
+    if max_level < 1:
+        raise ValueError("max_level must be >= 1")
+    levels, log_g = _level_table(max_level + 1, n)  # cached per n, not rebuilt per trial
+    gammas = np.repeat(2.0 * levels + n, np.rint(np.exp(log_g)).astype(int))
     rng = cfg.rng(trial)
+    dim = gammas.size
     mixing = np.eye(dim) if identity else np.abs(random_unitary(dim, rng)) ** 2
     probs = random_nonincreasing_probabilities(dim, rng)
     return float(probs @ (mixing @ gammas)) - float(probs @ gammas)
-
-
-def lemma_trial(dim, cfg: OracleConfig, trial=0, identity=False) -> float:
-    """One rearrangement trial: mixed oscillator energies vs sorted ones.
-
-    Draws a unitary U and a nonincreasing probability vector, and returns
-    the margin sum_m p_m sum_k |U_mk|^2 (2k+1) - sum_m p_m (2m+1).  It is
-    nonnegative up to rounding, and vanishes when U is the identity.
-    """
-    if dim < 2:
-        raise ValueError("dim must be >= 2")
-    gammas = 2.0 * np.arange(dim) + 1.0
-    return _run_trial(gammas, dim, cfg, trial, identity)
-
-
-def lemma_trial_multidim(n, max_level, cfg: OracleConfig, trial=0,
-                         identity=False) -> float:
-    """Margin of a rearrangement trial with level-degenerate energies 2k + n.
-
-    The energy vector repeats each level value degeneracy(k, n) times, so
-    it is nondecreasing rather than strictly increasing.
-    """
-    n = check_dimension(n)
-    if max_level < 1:
-        raise ValueError("max_level must be >= 1")
-    counts = np.exp(log_degeneracy_array(np.arange(max_level + 1), n))
-    counts = np.rint(counts).astype(int)
-    gammas = np.repeat(2.0 * np.arange(max_level + 1) + n, counts)
-    return _run_trial(gammas, gammas.size, cfg, trial, identity)
 
 
 # ---------------------------------------------------------------------------
@@ -439,12 +420,8 @@ def brute_force_purity_bound(mu, n, r, cfg: OracleConfig,
     powers from ``np.power``; see ``_penalty_descent``.
     """
     n = check_dimension(n)
-    mu = float(mu)
-    r = float(r)
-    if not 0.0 < mu <= 1.0:
-        raise ValueError(f"mu must be in (0, 1], got {mu}")
-    if not r > 1.0:
-        raise ValueError(f"exponent r must be > 1, got {r}")
+    mu = check_purity(mu)
+    r = check_exponent(r, "> 1")
 
     size = cfg.truncation + 1
     levels = np.arange(size, dtype=float)
@@ -524,16 +501,21 @@ def beta_integral_B(M, n, r) -> float:
 
     The integral is M^(n+r) Gamma(r+1) / Gamma(n+r+1).  The gamma ratio
     comes from ``math.lgamma``, not from the product over k that
-    ``bounds.B_asymptotic`` sums, so it checks that closed form.
+    ``bounds.B_asymptotic`` sums, so it checks that closed form.  It is inf
+    past the float range.
     """
     n = check_dimension(n)
-    M = float(M)
-    r = float(r)
-    if not 0.0 < M < math.inf:
-        raise ValueError(f"M must be {'finite' if M > 0 else '> 0'}, got {M}")
-    if not 1.0 <= r < math.inf:
-        raise ValueError(f"exponent r must be {'finite' if r > 1 else '>= 1'}, got {r}")
-    return M ** (n + r) * math.exp(math.lgamma(r + 1.0) - math.lgamma(n + r + 1.0))
+    M = check_cutoff(M, "> 0")
+    r = check_exponent(r, ">= 1")
+    log_ratio = math.lgamma(r + 1.0) - math.lgamma(n + r + 1.0)
+    try:
+        return M ** (n + r) * math.exp(log_ratio)
+    except OverflowError:  # the power alone may overflow: take the product in logs
+        log_value = (n + r) * math.log(M) + log_ratio
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        return math.inf
 
 
 def appendix_d_identity_check(n, r):
@@ -545,13 +527,11 @@ def appendix_d_identity_check(n, r):
     Returns (sum_value, product_value, relative_gap).
     """
     n = check_dimension(n)
-    r = float(r)
     if n > 20:
         raise ValueError("cancellation grows too fast beyond n = 20")
+    r = check_exponent(r, ">= 1")
     if r > 50:
         raise ValueError("r above 50 is outside the validated range")
-    if not r >= 1.0:
-        raise ValueError(f"exponent r must be >= 1, got {r}")
     terms = [
         (-1.0) ** k / (math.factorial(k) * math.factorial(n - 1 - k) * (k + r + 1.0))
         for k in range(n)

@@ -1,13 +1,13 @@
-"""Fock-level degeneracy counts and log-sum-exp.
+"""Fock-level degeneracy counts, input checks and log-sum-exp.
 
 A level with total excitation number k in n dimensions contains
 (k+n-1)! / (k! (n-1)!) basis states.  The exact count is an arbitrary
 precision integer, so it never wraps; converting a too-large count to a
 float raises ``OverflowError``, which is why every floating-point consumer
-in this package works with :func:`log_degeneracy` instead.
-``_level_table`` keeps the levels 0, 1, 2, ... and their ln g per n,
-grown by doubling on demand, for the cutoff sums, which read them at
-every cutoff.
+in this package works with :func:`log_degeneracy` instead.  The ``check_*``
+functions are the package's one domain check per kind of input.
+``_level_table`` keeps the levels 0, 1, 2, ... and their ln g per n, grown
+by doubling on demand, for the cutoff sums, which read them at every cutoff.
 
 :func:`logsumexp` is the package's one log-sum-exp kernel.  It reduces
 along the last axis, row by row: one max shift per row, one exp pass over
@@ -21,8 +21,11 @@ import numpy as np
 
 __all__ = [
     "DIMENSION_CEILING",
+    "check_cutoff",
     "check_dimension",
+    "check_exponent",
     "check_level",
+    "check_purity",
     "degeneracy",
     "log_degeneracy",
     "log_degeneracy_array",
@@ -57,6 +60,30 @@ def check_level(k) -> int:
     if k < 0:
         raise ValueError(f"level index must be >= 0, got {k}")
     return k
+
+
+def check_purity(mu) -> float:
+    """Validate a purity in (0, 1], returning it as a float."""
+    mu = float(mu)
+    if not 0.0 < mu <= 1.0:
+        raise ValueError(f"mu must be in (0, 1], got {mu}")
+    return mu
+
+
+def check_exponent(r, low) -> float:
+    """Validate a finite exponent, ``low`` ">= 1" or "> 1"; returns it as a float."""
+    r = float(r)
+    if not (1.0 < r < math.inf or r == 1.0 and low == ">= 1"):
+        raise ValueError(f"exponent r must be {'finite' if r > 1 else low}, got {r}")
+    return r
+
+
+def check_cutoff(M, low) -> float:
+    """Validate a finite cutoff, ``low`` ">= 0" or "> 0"; returns it as a float."""
+    M = float(M)
+    if not (0.0 < M < math.inf or M == 0.0 and low == ">= 0"):
+        raise ValueError(f"cutoff M must be {'finite' if M > 0 else low}, got {M}")
+    return M
 
 
 def degeneracy(k, n) -> int:

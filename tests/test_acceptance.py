@@ -118,8 +118,8 @@ def test_criterion_08_oracle_agreement():
 
 def test_criterion_09_lemma_suite():
     cfg = OracleConfig(seed=42)
-    worst = min(lemma_trial(30, cfg, trial=t) for t in range(1000))
-    identity = lemma_trial(30, cfg, identity=True)
+    worst = min(lemma_trial(1, 29, cfg, trial=t) for t in range(1000))
+    identity = lemma_trial(1, 29, cfg, identity=True)
     ok = worst >= -1e-10 and abs(identity) <= 1e-10
     report(9, ok, f"1000 trials at dim 30, worst margin {worst:.2e}, "
                   f"identity margin {identity!r}")

@@ -25,7 +25,12 @@ from uncbound.bounds import (
     thermal_entropy,
     thermal_grouped_spectrum,
 )
-from uncbound.oracle import appendix_d_identity_check, beta_integral_B
+from uncbound.oracle import (
+    OracleConfig,
+    appendix_d_identity_check,
+    beta_integral_B,
+    brute_force_purity_bound,
+)
 from uncbound.purity import (
     GroupedSpectrum,
     PurityOrder,
@@ -283,6 +288,41 @@ def test_non_finite_cutoffs_and_orders_are_domain_errors():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
             appendix_d_identity_check(2, bad)
+    # every function that takes mu, a finite r or M checks it the same way
+    takes_mu = {
+        "holder_bracket": lambda mu, r: holder_bracket(1.0, 1, r, mu),
+        "asymptotic_cutoff": lambda mu, r: asymptotic_cutoff(mu, 1, r),
+        "asymptotic_purity_bound": lambda mu, r: asymptotic_purity_bound(mu, 1, r),
+        "brute_force_purity_bound":
+            lambda mu, r: brute_force_purity_bound(mu, 1, r, OracleConfig()),
+    }
+    for name, call in takes_mu.items():
+        for mu in (math.nan, math.inf, -math.inf, 0.0, -0.5, 1.5):
+            with pytest.raises(ValueError, match=rf"^mu must be in \(0, 1\], got {mu}$"):
+                call(mu, 2.0)
+    finite_r = {
+        ">= 1": [lambda r: asymptotic_cutoff(0.5, 1, r),
+                 lambda r: appendix_d_identity_check(2, r)],
+        "> 1": [lambda r: brute_force_purity_bound(0.5, 1, r, OracleConfig())],
+    }
+    for low, calls in finite_r.items():
+        for call in calls:
+            with pytest.raises(ValueError, match=r"^exponent r must be finite, got inf$"):
+                call(math.inf)
+            for r in (math.nan, -math.inf, 0.5) + ((1.0,) if low == "> 1" else ()):
+                with pytest.raises(ValueError, match=rf"^exponent r must be {low}, got"):
+                    call(r)
+    cutoffs = {
+        ">= 0": [lambda M: log_B_exact(M, 1, 2.0), lambda M: holder_bracket(M, 1, 2.0, 0.5)],
+        "> 0": [lambda M: B_asymptotic(M, 1, 2.0), lambda M: beta_integral_B(M, 1, 2.0)],
+    }
+    for low, calls in cutoffs.items():
+        for call in calls:
+            with pytest.raises(ValueError, match=r"^cutoff M must be finite, got inf$"):
+                call(math.inf)
+            for M in (math.nan, -math.inf, -1.0) + ((0.0,) if low == "> 0" else ()):
+                with pytest.raises(ValueError, match=rf"^cutoff M must be {low}, got"):
+                    call(M)
     # the messages of inputs rejected before stay as they were
     with pytest.raises(ValueError, match=r"^cutoff M must be >= 0, got nan$"):
         log_B_exact(math.nan, 1, 2.0)

@@ -412,6 +412,19 @@ class TestVerify:
         assert "PASS" not in result.output
         assert "Traceback" not in combined(result)
 
+    @pytest.mark.parametrize("args", [
+        ["lemma", "--dim", "4", "--trials", "2"],
+        ["holder", "--n", "2", "--r", "3", "--mu", "1e-3"],
+        ["b-approx", "--trials", "2"],
+        ["roundtrip", "--trials", "2"],
+    ])
+    def test_negative_seed_is_usage_error(self, runner, args):
+        result = runner.invoke(cli.main, ["verify", *args, "--seed", "-1"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "--seed" in result.stderr
+        assert "Traceback" not in combined(result)
+
     @pytest.mark.parametrize("mu, r", [
         ("0", "3"), ("-1", "3"), ("1e-3", "inf"), ("1e-3", "nan"),
     ])

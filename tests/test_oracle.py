@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,6 @@ from uncbound.oracle import (
     beta_integral_B,
     brute_force_purity_bound,
     lemma_trial,
-    lemma_trial_multidim,
     project_to_simplex,
     random_nonincreasing_probabilities,
     random_unitary,
@@ -46,33 +47,33 @@ class TestRandomDraws:
 class TestLemmaTrials:
     def test_identity_margin_is_exactly_zero(self):
         cfg = OracleConfig(seed=9)
-        assert lemma_trial(30, cfg, identity=True) == 0.0
+        assert lemma_trial(1, 29, cfg, identity=True) == 0.0
 
     def test_seeded_stream(self):
         cfg = OracleConfig(seed=42)
-        margins = [lemma_trial(30, cfg, trial=t) for t in range(1000)]
+        margins = [lemma_trial(1, 29, cfg, trial=t) for t in range(1000)]
         assert min(margins) >= -1e-10
 
     def test_trials_are_order_independent(self):
         cfg = OracleConfig(seed=6)
-        direct = lemma_trial(12, cfg, trial=37)
-        assert lemma_trial(12, cfg, trial=37) == direct
+        direct = lemma_trial(1, 11, cfg, trial=37)
+        assert lemma_trial(1, 11, cfg, trial=37) == direct
 
     def test_multidim_degenerate_energies(self):
         cfg = OracleConfig(seed=3)
         for trial in range(100):
-            assert lemma_trial_multidim(2, 5, cfg, trial=trial) >= -1e-10
+            assert lemma_trial(2, 5, cfg, trial=trial) >= -1e-10
 
     def test_multidim_size_matches_level_count(self):
         cfg = OracleConfig(seed=0)
-        margin = lemma_trial_multidim(2, 5, cfg, identity=True)
+        margin = lemma_trial(2, 5, cfg, identity=True)
         total_states = sum(degeneracy(k, 2) for k in range(6))
         assert total_states == 21
         assert margin == 0.0
 
     def test_dim_validation(self):
         with pytest.raises(ValueError):
-            lemma_trial(1, OracleConfig())
+            lemma_trial(1, 0, OracleConfig())
 
 
 def _reference_projection(v):
@@ -245,6 +246,14 @@ class TestQuadrature:
         with pytest.raises(ValueError):
             beta_integral_B(0.0, 1, 2.0)
 
+    def test_beta_integral_past_the_float_range(self):
+        # M^(n+r) overflows: the value is inf, as B_asymptotic gives
+        for M, n, r in ((1e200, 3, 2.0), (1e300, 1, 5.0)):
+            assert beta_integral_B(M, n, r) == B_asymptotic(M, n, r) == math.inf
+        # M^(n+r) overflows, but the gamma ratio brings the value back in range
+        M, n, r = math.exp(0.0072), 64, 1e5
+        assert beta_integral_B(M, n, r) == pytest.approx(B_asymptotic(M, n, r), rel=1e-9)
+
 
 class TestAlternatingSumIdentity:
     def test_single_term(self):
@@ -280,6 +289,12 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             OracleConfig(truncation=0)
+
+    def test_sizes_must_be_integers(self):
+        with pytest.raises(ValueError, match="must be an integer, got 100.5"):
+            OracleConfig(truncation=100.5)
+        with pytest.raises(ValueError, match="must be an integer, got 2.5"):
+            lemma_trial(2, 2.5, OracleConfig())
 
     def test_truncation_cap(self):
         assert OracleConfig(truncation=MAX_TRUNCATION).truncation == MAX_TRUNCATION

@@ -130,14 +130,14 @@ class TestRearrangementOptimality:
     def test_random_unitary_mixing_never_beats_sorted(self):
         cfg = OracleConfig(seed=2024)
         worst = min(
-            lemma_trial(int(5 + trial % 36), cfg, trial=trial)
+            lemma_trial(1, int(4 + trial % 36), cfg, trial=trial)
             for trial in range(1000)
         )
         assert worst >= -1e-10
 
     def test_identity_mixing_is_equality(self):
         cfg = OracleConfig(seed=2024)
-        assert abs(lemma_trial(40, cfg, identity=True)) <= 1e-10
+        assert abs(lemma_trial(1, 39, cfg, identity=True)) <= 1e-10
 
 
 class TestCrossRoute:
