@@ -24,7 +24,7 @@ __all__ = [
     "appendix_d_identity_check",
     "beta_integral_B",
     "brute_force_purity_bound",
-    "lemma_trial",
+    "lemma_margins",
     "project_to_simplex",
     "random_nonincreasing_probabilities",
     "random_unitary",
@@ -36,6 +36,15 @@ __all__ = [
 # is already 30 GiB.
 MAX_TRUNCATION = 1_000_000
 
+# Largest lemma trial, in states: its dim x dim complex matrices take
+# 16 MiB each, and the CLI's default is 30.
+MAX_LEMMA_DIM = 1024
+
+# Matrix entries per block of lemma trials: 16 matrices at dim 32, one from
+# dim 128 up.  Blocks amortize the per-call cost of the QR; a fixed count of
+# matrices would make the peak memory grow with dim.
+_BLOCK_ELEMENTS = 2 ** 14
+
 
 @dataclass(frozen=True)
 class OracleConfig:
@@ -45,6 +54,9 @@ class OracleConfig:
     truncation: int = 256
 
     def __post_init__(self):
+        seed = self.seed
+        if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
         if not 1 <= check_level(self.truncation) <= MAX_TRUNCATION:
             raise ValueError(f"truncation must be in [1, {MAX_TRUNCATION}] (the oracle "
                              f"cap), got {self.truncation}")
@@ -59,13 +71,17 @@ class OracleConfig:
 # ---------------------------------------------------------------------------
 
 
-def random_unitary(dim, rng) -> np.ndarray:
-    """Haar-distributed unitary: QR of a complex Gaussian, phases normalized."""
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
-    q, upper = np.linalg.qr(z)
-    phases = np.diagonal(upper).copy()
+def random_unitary(gaussians) -> np.ndarray:
+    """Haar-distributed unitaries from a stack of complex Gaussian matrices.
+
+    One QR over the stack (..., dim, dim); each Q's columns are then
+    multiplied by the unit phases of R's diagonal.  Every matrix gets the
+    same bits as a QR of it alone.
+    """
+    q, upper = np.linalg.qr(gaussians)
+    phases = np.diagonal(upper, axis1=-2, axis2=-1).copy()
     phases /= np.abs(phases)
-    return q * phases
+    return q * phases[..., np.newaxis, :]
 
 
 def random_nonincreasing_probabilities(dim, rng) -> np.ndarray:
@@ -74,24 +90,49 @@ def random_nonincreasing_probabilities(dim, rng) -> np.ndarray:
     return np.sort(weights)[::-1]
 
 
-def lemma_trial(n, max_level, cfg: OracleConfig, trial=0, identity=False) -> float:
-    """One rearrangement trial: mixed oscillator energies vs sorted ones.
+def lemma_margins(n, max_level, cfg: OracleConfig, trials, identity=False) -> np.ndarray:
+    """Rearrangement trials: mixed oscillator energies vs sorted ones.
 
     The energies E are 2k + n, level k <= max_level repeated degeneracy(k, n)
-    times.  Draws a unitary U and a nonincreasing probability vector p of
-    that size; the margin sum_m p_m sum_k |U_mk|^2 E_k - sum_m p_m E_m is
-    nonnegative up to rounding, and vanishes when U is the identity.
+    times.  Trial t of the range ``trials`` draws, from ``cfg.rng(t)``, a
+    unitary U (two dim x dim normals) and then a nonincreasing probability
+    vector p of that size.  Returns each trial's margin
+    sum_m p_m sum_k |U_mk|^2 E_k - sum_m p_m E_m, which is nonnegative up to
+    rounding and exactly 0.0 with ``identity`` (U = 1, no normals drawn).
+
+    The unitaries of a block of trials come from one stacked QR, with the
+    block sized to about ``_BLOCK_ELEMENTS`` matrix entries, so memory does
+    not grow with the trial count.  Raises ValueError past ``MAX_LEMMA_DIM``
+    states, before anything that size is allocated.
     """
     n, max_level = check_dimension(n), check_level(max_level)
     if max_level < 1:
         raise ValueError("max_level must be >= 1")
+    dim = math.comb(max_level + n, n)  # states with level <= max_level
+    if dim > MAX_LEMMA_DIM:
+        raise ValueError(f"{dim} states (n={n}, max_level={max_level}) exceed the "
+                         f"lemma cap of {MAX_LEMMA_DIM}")
     levels, log_g = _level_table(max_level + 1, n)  # cached per n, not rebuilt per trial
     gammas = np.repeat(2.0 * levels + n, np.rint(np.exp(log_g)).astype(int))
-    rng = cfg.rng(trial)
-    dim = gammas.size
-    mixing = np.eye(dim) if identity else np.abs(random_unitary(dim, rng)) ** 2
-    probs = random_nonincreasing_probabilities(dim, rng)
-    return float(probs @ (mixing @ gammas)) - float(probs @ gammas)
+    block = max(1, _BLOCK_ELEMENTS // dim ** 2)
+    margins = np.empty(len(trials))
+    for start in range(0, len(trials), block):
+        rngs = [cfg.rng(t) for t in trials[start:start + block]]
+        if identity:
+            mixing = np.eye(dim)
+        else:
+            gaussians = np.empty((len(rngs), dim, dim), dtype=complex)
+            for slot, rng in zip(gaussians, rngs):
+                slot[...] = (rng.standard_normal((dim, dim))
+                             + 1j * rng.standard_normal((dim, dim)))
+            mixing = np.abs(random_unitary(gaussians)) ** 2
+        mixed = np.broadcast_to(mixing @ gammas, (len(rngs), dim))
+        for index, (rng, row) in enumerate(zip(rngs, mixed), start):
+            # p stays the reversed view of its sort: a contiguous copy would
+            # change the dot products' summation order and their last bits
+            probs = random_nonincreasing_probabilities(dim, rng)
+            margins[index] = float(probs @ row) - float(probs @ gammas)
+    return margins
 
 
 # ---------------------------------------------------------------------------

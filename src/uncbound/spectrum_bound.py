@@ -4,7 +4,7 @@ Sorted eigenvalues are packed greedily into Fock levels (largest weights
 into the cheapest levels); the bound is then the level-energy average
 (1/n) sum_k (2k + n) xi_k.  Greedy packing is optimal: any other unitary
 mixing of sorted weights onto nondecreasing level energies can only raise
-the average (see oracle.lemma_trial for the Monte-Carlo check).
+the average (see oracle.lemma_margins for the Monte-Carlo check).
 """
 
 import dataclasses

@@ -21,7 +21,7 @@ from uncbound.oracle import (
     OracleConfig,
     appendix_d_identity_check,
     brute_force_purity_bound,
-    lemma_trial,
+    lemma_margins,
     suggest_truncation,
 )
 from uncbound.purity import GroupedSpectrum, PurityOrder, purity_from_grouped
@@ -118,8 +118,8 @@ def test_criterion_08_oracle_agreement():
 
 def test_criterion_09_lemma_suite():
     cfg = OracleConfig(seed=42)
-    worst = min(lemma_trial(1, 29, cfg, trial=t) for t in range(1000))
-    identity = lemma_trial(1, 29, cfg, identity=True)
+    worst = lemma_margins(1, 29, cfg, range(1000)).min()
+    identity = float(lemma_margins(1, 29, cfg, range(1), identity=True)[0])
     ok = worst >= -1e-10 and abs(identity) <= 1e-10
     report(9, ok, f"1000 trials at dim 30, worst margin {worst:.2e}, "
                   f"identity margin {identity!r}")

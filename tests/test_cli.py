@@ -412,6 +412,15 @@ class TestVerify:
         assert "PASS" not in result.output
         assert "Traceback" not in combined(result)
 
+    @pytest.mark.parametrize("dim", ["1025", "100000"])
+    def test_lemma_dim_past_cap_is_usage_error(self, runner, dim):
+        # rejected before any dim x dim matrix is allocated
+        result = runner.invoke(cli.main, ["verify", "lemma", "--dim", dim])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "--dim" in result.stderr and "2<=x<=1024" in result.stderr
+        assert "Traceback" not in combined(result)
+
     @pytest.mark.parametrize("args", [
         ["lemma", "--dim", "4", "--trials", "2"],
         ["holder", "--n", "2", "--r", "3", "--mu", "1e-3"],

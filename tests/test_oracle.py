@@ -5,12 +5,13 @@ import pytest
 
 from uncbound.bounds import B_asymptotic, purity_bound
 from uncbound.oracle import (
+    MAX_LEMMA_DIM,
     MAX_TRUNCATION,
     OracleConfig,
     appendix_d_identity_check,
     beta_integral_B,
     brute_force_purity_bound,
-    lemma_trial,
+    lemma_margins,
     project_to_simplex,
     random_nonincreasing_probabilities,
     random_unitary,
@@ -18,23 +19,28 @@ from uncbound.oracle import (
 )
 from uncbound.purity import PurityOrder
 from uncbound.solvers import SolverError
-from uncbound.special_fn import degeneracy, log_degeneracy_array
+from uncbound.special_fn import _level_table, degeneracy, log_degeneracy_array
 
 from quadrature import quadrature_B
+
+
+def _gaussians(dim, rng, count=1):
+    return np.array([rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+                     for _ in range(count)])
 
 
 class TestRandomDraws:
     def test_unitary_is_unitary(self):
         rng = np.random.default_rng(4)
         for dim in (2, 7, 30):
-            u = random_unitary(dim, rng)
-            np.testing.assert_allclose(
-                u @ u.conj().T, np.eye(dim), atol=1e-12
-            )
+            for u in random_unitary(_gaussians(dim, rng, 3)):
+                np.testing.assert_allclose(
+                    u @ u.conj().T, np.eye(dim), atol=1e-12
+                )
 
     def test_unitary_deterministic_per_seed(self):
-        first = random_unitary(8, np.random.default_rng(11))
-        second = random_unitary(8, np.random.default_rng(11))
+        first = random_unitary(_gaussians(8, np.random.default_rng(11)))
+        second = random_unitary(_gaussians(8, np.random.default_rng(11)))
         np.testing.assert_array_equal(first, second)
 
     def test_probability_draw(self):
@@ -44,36 +50,89 @@ class TestRandomDraws:
         assert np.all(np.diff(probs) <= 0.0)
 
 
+def _reference_unitary(dim, rng):
+    """One Haar unitary by its own QR: the per-trial code the blocks replaced."""
+    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    q, upper = np.linalg.qr(z)
+    phases = np.diagonal(upper).copy()
+    phases /= np.abs(phases)
+    return q * phases
+
+
+def _reference_trial(n, max_level, cfg, trial=0, identity=False):
+    """One rearrangement trial with its own QR and matvec, kept verbatim as
+    the bit-for-bit reference for the blocked ``lemma_margins``."""
+    levels, log_g = _level_table(max_level + 1, n)
+    gammas = np.repeat(2.0 * levels + n, np.rint(np.exp(log_g)).astype(int))
+    rng = cfg.rng(trial)
+    dim = gammas.size
+    mixing = np.eye(dim) if identity else np.abs(_reference_unitary(dim, rng)) ** 2
+    probs = random_nonincreasing_probabilities(dim, rng)
+    return float(probs @ (mixing @ gammas)) - float(probs @ gammas)
+
+
 class TestLemmaTrials:
     def test_identity_margin_is_exactly_zero(self):
         cfg = OracleConfig(seed=9)
-        assert lemma_trial(1, 29, cfg, identity=True) == 0.0
+        assert lemma_margins(1, 29, cfg, range(1), identity=True).tolist() == [0.0]
 
     def test_seeded_stream(self):
         cfg = OracleConfig(seed=42)
-        margins = [lemma_trial(1, 29, cfg, trial=t) for t in range(1000)]
-        assert min(margins) >= -1e-10
+        margins = lemma_margins(1, 29, cfg, range(1000))
+        assert margins.shape == (1000,)
+        assert margins.min() >= -1e-10
 
     def test_trials_are_order_independent(self):
         cfg = OracleConfig(seed=6)
-        direct = lemma_trial(1, 11, cfg, trial=37)
-        assert lemma_trial(1, 11, cfg, trial=37) == direct
+        alone = lemma_margins(1, 11, cfg, range(37, 38))
+        assert lemma_margins(1, 11, cfg, range(0, 40))[37] == alone[0]
+
+    # dim 2 and 12 put many matrices in a block (4096 and 113), dim 30 puts
+    # 18, dim 128 one; the ranges start past 0, end off a block boundary or
+    # hold one trial
+    @pytest.mark.parametrize("n, max_level, trials", [
+        (1, 1, range(3, 10)),
+        (1, 11, range(0, 250)),
+        (1, 29, range(5, 46)),
+        (1, 29, range(17, 18)),
+        (1, 127, range(2, 5)),
+        (2, 5, range(1, 30)),
+        (3, 3, range(9, 40)),
+    ])
+    @pytest.mark.parametrize("identity", [False, True])
+    def test_blocks_match_per_trial_reference_bit_for_bit(
+            self, n, max_level, trials, identity):
+        cfg = OracleConfig(seed=42)
+        margins = lemma_margins(n, max_level, cfg, trials, identity=identity)
+        reference = [_reference_trial(n, max_level, cfg, t, identity) for t in trials]
+        assert np.array_equal(margins, reference)
+        if identity:
+            assert np.all(margins == 0.0)
 
     def test_multidim_degenerate_energies(self):
         cfg = OracleConfig(seed=3)
-        for trial in range(100):
-            assert lemma_trial(2, 5, cfg, trial=trial) >= -1e-10
+        assert lemma_margins(2, 5, cfg, range(100)).min() >= -1e-10
 
     def test_multidim_size_matches_level_count(self):
         cfg = OracleConfig(seed=0)
-        margin = lemma_trial(2, 5, cfg, identity=True)
+        margin = lemma_margins(2, 5, cfg, range(1), identity=True)
         total_states = sum(degeneracy(k, 2) for k in range(6))
         assert total_states == 21
-        assert margin == 0.0
+        assert margin.tolist() == [0.0]
 
     def test_dim_validation(self):
         with pytest.raises(ValueError):
-            lemma_trial(1, 0, OracleConfig())
+            lemma_margins(1, 0, OracleConfig(), range(1))
+
+    @pytest.mark.parametrize("n, max_level", [(1, 100_000), (1, 1024), (64, 5)])
+    def test_dim_cap_raises_before_allocating(self, n, max_level):
+        # C(max_level + n, n) states: 100001, 1025 and about 1.1e7
+        with pytest.raises(ValueError, match=f"lemma cap of {MAX_LEMMA_DIM}"):
+            lemma_margins(n, max_level, OracleConfig(), range(1))
+
+    def test_dim_cap_is_inclusive(self):
+        cfg = OracleConfig(seed=1)
+        assert lemma_margins(1, MAX_LEMMA_DIM - 1, cfg, range(1), identity=True)[0] == 0.0
 
 
 def _reference_projection(v):
@@ -294,7 +353,17 @@ class TestConfig:
         with pytest.raises(ValueError, match="must be an integer, got 100.5"):
             OracleConfig(truncation=100.5)
         with pytest.raises(ValueError, match="must be an integer, got 2.5"):
-            lemma_trial(2, 2.5, OracleConfig())
+            lemma_margins(2, 2.5, OracleConfig(), range(1))
+
+    @pytest.mark.parametrize("seed", [1.5, -1, True, "3", None])
+    def test_seed_must_be_nonnegative_integer(self, seed):
+        # rejected on construction, not by numpy at the first draw
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+            OracleConfig(seed=seed)
+
+    def test_seed_accepts_numpy_integer(self):
+        draw = OracleConfig(seed=7).rng(2).random()
+        assert OracleConfig(seed=np.int64(7)).rng(2).random() == draw
 
     def test_truncation_cap(self):
         assert OracleConfig(truncation=MAX_TRUNCATION).truncation == MAX_TRUNCATION

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from uncbound.bounds import entropy_bound, purity_bound, thermal_grouped_spectrum
-from uncbound.oracle import OracleConfig, lemma_trial
+from uncbound.oracle import OracleConfig, lemma_margins
 from uncbound.purity import (
     GroupedSpectrum,
     PurityOrder,
@@ -130,14 +130,14 @@ class TestRearrangementOptimality:
     def test_random_unitary_mixing_never_beats_sorted(self):
         cfg = OracleConfig(seed=2024)
         worst = min(
-            lemma_trial(1, int(4 + trial % 36), cfg, trial=trial)
+            lemma_margins(1, int(4 + trial % 36), cfg, range(trial, trial + 1))[0]
             for trial in range(1000)
         )
         assert worst >= -1e-10
 
     def test_identity_mixing_is_equality(self):
         cfg = OracleConfig(seed=2024)
-        assert abs(lemma_trial(1, 39, cfg, identity=True)) <= 1e-10
+        assert abs(lemma_margins(1, 39, cfg, range(1), identity=True)[0]) <= 1e-10
 
 
 class TestCrossRoute:
