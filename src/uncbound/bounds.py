@@ -135,21 +135,10 @@ def interpolated_bound_r2(mu, n) -> BoundResult:
 # ---------------------------------------------------------------------------
 
 
-def _beta_of(u, x):
-    # beta = -ln(x) = -ln(1-u); branch on which operand kept full precision
-    return -math.log(x) if x <= 0.5 else -math.log1p(-u)
-
-
-def _one_dim_entropy(t):
-    # entropy of the one-dimensional thermal state with u = 1 - e^{-beta} = e^t;
-    # expressed through beta so no log is ever taken of a value near 1
-    u = math.exp(t)
-    x = -math.expm1(t)  # e^{-beta}
-    if x <= 0.0:
-        return 0.0
-    if u == 0.0:  # u underflowed; beta = -ln(1 - u) ~ u, so beta x / u -> 1
-        return 1.0 - t
-    return -t + _beta_of(u, x) * x / u
+def _mode_entropy(nbar):
+    # entropy (nbar+1) ln(nbar+1) - nbar ln(nbar) of one thermal mode with mean
+    # occupation nbar, as a sum of two positive terms so nothing cancels
+    return math.log1p(nbar) + nbar * math.log1p(1.0 / nbar)
 
 
 def thermal_entropy(beta, n) -> float:
@@ -168,20 +157,20 @@ def thermal_entropy(beta, n) -> float:
 
 
 def _solve_thermal(S, n):
-    # Brent's method in y = ln(-t), t = -e^y: the entropy rises with y, and the
-    # root spans hundreds of decades in t but a few hundred units in y
+    # Brent's method in y = ln nbar: the entropy rises with y, and the root
+    # spans hundreds of decades in nbar but a few hundred units in y.
+    # ln(1 + nbar) < S/n bounds y from above; e^709.7 is still a float.
     s1 = float(S) / n  # per-dimension entropy; the solve depends on S only via s1
-    if s1 > 750.0:  # beta ~ e^(1 - S/n) rounds to 0 from S/n = 746.13 on
-        return 0.0, 0
 
     def f(y):
-        return _one_dim_entropy(-math.exp(y)) - s1
+        return _mode_entropy(math.exp(y)) - s1
 
-    lo, hi = math.log(1e-300), math.log(s1 + 2.0)
-    root = brent_root(f, lo, hi, f(lo), f(hi), rtol=1e-14)
-    t = -math.exp(root.x)
-    beta = _beta_of(math.exp(t), -math.expm1(t))
-    return beta, root.iterations + 2  # the two bracket ends are evaluations too
+    lo, hi = math.log(1e-300), min(s1, 709.7)
+    f_hi = f(hi)
+    if f_hi < 0.0:  # S/n above 710.7: the bound is past the float range
+        return math.inf, 1
+    root = brent_root(f, lo, hi, f(lo), f_hi, rtol=1e-14)
+    return math.exp(root.x), root.iterations + 2  # the two bracket ends are evaluations too
 
 
 def thermal_grouped_spectrum(beta, n) -> GroupedSpectrum:
@@ -216,10 +205,12 @@ def thermal_grouped_spectrum(beta, n) -> GroupedSpectrum:
 def entropy_bound(S, n) -> BoundResult:
     """Minimal per-dimension uncertainty product at fixed entropy S.
 
-    The minimizer is the thermal product state, so the bound is the closed
-    form (1 + e^{-beta})/(1 - e^{-beta}) at the beta of S/n; ``aux`` is
-    that beta and ``residual`` is |thermal_entropy(beta, n) - S|.  Raises
-    ValueError where the bound is beyond the float range (S/n above 710.09).
+    The minimizer is the thermal product state, fixed in each dimension by
+    its mean occupation nbar, the root of (nbar+1) ln(nbar+1) - nbar ln(nbar)
+    = S/n; the bound is 2 nbar + 1.  ``aux`` is the inverse temperature
+    beta = ln(1 + 1/nbar) and ``residual`` is |thermal_entropy(beta, n) - S|.
+    Raises ValueError where the bound is beyond the float range (S/n above
+    710.09).
     """
     n = check_dimension(n)
     S = float(S)
@@ -227,11 +218,11 @@ def entropy_bound(S, n) -> BoundResult:
         raise ValueError(f"entropy must be >= 0, got {S}")
     if S < 1e-290:
         return BoundResult(1.0, n, method="thermal", aux=math.inf)
-    beta, evals = _solve_thermal(S, n)
-    u = -math.expm1(-beta)
-    per_dim = 1.0 + 2.0 * math.exp(-beta) / u if u > 0.0 else math.inf
+    nbar, evals = _solve_thermal(S, n)
+    per_dim = 2.0 * nbar + 1.0
     if per_dim == math.inf:
         raise ValueError(f"bound for S/n = {S / n!r} is beyond the float range")
+    beta = math.log1p(1.0 / nbar)
     return BoundResult(per_dim, n, method="thermal", aux=beta,
                        residual=abs(thermal_entropy(beta, n) - S), iterations=evals)
 

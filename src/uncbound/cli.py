@@ -156,9 +156,11 @@ def read_spectrum_file(path) -> Spectrum:
     if table.size == 0:
         raise ValueError(f"{path}: no eigenvalues found")
     array = table.ravel()
+    if not np.isfinite(array).all():
+        raise ValueError(f"{path}: non-finite eigenvalues present")
     if np.any(array < 0):
         raise ValueError(f"{path}: negative eigenvalues present")
-    total = array.sum()
+    total = float(array.sum())
     if abs(total - 1.0) > 1e-6:
         raise ValueError(
             f"{path}: eigenvalues sum to {total!r}; refusing to normalize "

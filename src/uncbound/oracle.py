@@ -220,12 +220,13 @@ def _penalty_descent(xi, costs, g_term, r, mu_target):
                 total_t = _power_sum(trial, g_term, r)
                 energy_t = float(costs @ trial)
                 gap_t = total_t ** (r - 1.0) - mu_target
-                if energy_t + penalty * gap_t * gap_t < value:
+                lowered = energy_t + penalty * gap_t * gap_t < value
+                if lowered:
                     break
                 step *= 0.5
                 if step < 1e-18:
                     break
-            else:
+            if not lowered:  # the line search failed: end this stage, keep xi
                 break
             moved = float(np.abs(trial - xi).max())
             xi, total, energy = trial, total_t, energy_t
@@ -425,9 +426,7 @@ def _support_scan(size, costs, log_g, g_term, r, mu_target, warm):
     hi = grid[min(anchor + 1, len(grid) - 1)]
     while hi - lo > 2:
         third = (hi - lo) // 3
-        m1, m2 = lo + third, hi - third
-        if m2 <= m1:
-            m2 = m1 + 1
+        m1, m2 = lo + third, hi - third  # m2 - m1 >= 1 while hi - lo > 2
         v1, v2 = solve(m1), solve(m2)
         if math.isinf(v1) and math.isinf(v2):
             lo = m2  # feasibility is an up-set: both too small

@@ -42,9 +42,9 @@ def _clean_weights(values, what):
     if np.any(values < -_NEG_TOL):
         raise ValueError(f"{what} contains negative entries")
     values = np.where(values < 0.0, 0.0, values)
-    total = values.sum()
+    total = float(values.sum())
     if abs(total - 1.0) > _SUM_TOL:
-        raise ValueError(f"{what} sums to {total!r}, expected 1 within {_SUM_TOL}")
+        raise ValueError(f"{what} sum to {total!r}, expected 1 within {_SUM_TOL}")
     return values
 
 

@@ -77,6 +77,28 @@ def mp_thermal_entropy(beta, n):
         return float(n * (-log_u + b * x / u))
 
 
+def mp_mean_occupation(S, n):
+    # the nbar with (nbar+1) ln(nbar+1) - nbar ln(nbar) = S/n: bisection in
+    # y = ln nbar below S/n + 1, then Newton; the two terms cancel about
+    # log10(nbar) < S/(2n) digits, so those are added to the 60 working digits
+    with mpmath.workdps(60 + int(S / (2 * n))):
+        s1 = mpmath.mpf(S) / n
+
+        def f(y):
+            nbar = mpmath.exp(y)
+            return (nbar + 1) * mpmath.log1p(nbar) - nbar * y - s1
+
+        lo, hi = mpmath.mpf(-700), s1 + 1
+        for _ in range(12):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if f(mid) < 0 else (lo, mid)
+        y = (lo + hi) / 2
+        for _ in range(10):  # dS/dy = nbar ln(1 + 1/nbar) > 0, and S is convex in y
+            nbar = mpmath.exp(y)
+            y -= f(y) / (nbar * (mpmath.log1p(nbar) - y))
+        return mpmath.exp(y)
+
+
 class TestInterpolatedBound:
     def test_pure_state_root_is_one(self):
         for n in range(1, 7):
@@ -177,6 +199,19 @@ class TestThermalFamily:
             for n in (1, 5):
                 assert thermal_entropy(beta, n) == pytest.approx(
                     mp_thermal_entropy(beta, n), rel=1e-14, abs=0.0), (beta, n)
+
+    def test_matches_mpmath_root(self):
+        # value 2 nbar + 1 and aux ln(1 + 1/nbar) to the solver contract, 1e-12
+        # relative, over n <= 64 and S/n up to the float range's 710
+        rng = np.random.default_rng(80)
+        per_dim = np.concatenate([np.exp(rng.uniform(math.log(1e-280), math.log(710.0), 450)),
+                                  rng.uniform(1.0, 710.0, 450)])
+        for s1, n in zip(per_dim.tolist(), rng.integers(1, 65, per_dim.size).tolist()):
+            res = entropy_bound(s1 * n, n)
+            nbar = mp_mean_occupation(s1 * n, n)
+            value, beta = 2 * nbar + 1, mpmath.log1p(1 / nbar)
+            assert abs(res.per_dim_product - value) <= 1e-12 * value, (s1, n)
+            assert abs(res.aux - beta) <= 1e-12 * beta, (s1, n)
 
     def test_root_takes_few_evaluations(self):
         for target in ENTROPY_GRID:

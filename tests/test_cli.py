@@ -177,6 +177,21 @@ class TestSpectrumIngestion:
                                           "--input", path])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("text, message", [
+        ("0.5\n0.4\n", "eigenvalues sum to 0.9; refusing to normalize anything "
+                        "further than 1e-6 from 1"),
+        ("0.5\nnan\n", "non-finite eigenvalues present"),
+        ("0.5\ninf\n", "non-finite eigenvalues present"),
+        ("1.1\n-0.1\n", "negative eigenvalues present"),
+    ])
+    def test_rejection_message(self, runner, tmp_path, text, message):
+        path = self.write(tmp_path, text)
+        result = runner.invoke(cli.main, ["bound", "spectrum", "--n", "1",
+                                          "--input", path])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == f"error: {path}: {message}\n"
+
     def test_rejects_garbage(self, runner, tmp_path):
         path = self.write(tmp_path, "0.5\npotato\n")
         result = runner.invoke(cli.main, ["bound", "spectrum", "--n", "1",
@@ -518,8 +533,11 @@ def test_console_script_help():
     assert "bound" in proc.stdout and "verify" in proc.stdout
 
 
-def test_package_imports_no_scipy():
-    # scipy is a test dependency only: no module of the package imports it
+def test_package_imports_only_runtime_dependencies():
+    # numpy and click are the only runtime dependencies: a module of the
+    # package imports them, the standard library and itself, nothing else
+    # (mpmath, hypothesis and scipy are installed with the test extra only)
+    allowed = set(sys.stdlib_module_names) | {"numpy", "click", "uncbound"}
     paths = sorted(Path(cli.__file__).parent.glob("*.py"))
     assert paths
     for path in paths:
@@ -527,10 +545,10 @@ def test_package_imports_no_scipy():
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
+                names = ["uncbound" if node.level else node.module]
             else:
                 continue
-            assert all(name.split(".")[0] != "scipy" for name in names), (
+            assert all(name.split(".")[0] in allowed for name in names), (
                 f"{path.name}:{node.lineno}")
 
 

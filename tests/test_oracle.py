@@ -1,8 +1,10 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
+import uncbound.oracle as oracle
 from uncbound.bounds import B_asymptotic, purity_bound
 from uncbound.oracle import (
     MAX_LEMMA_DIM,
@@ -264,6 +266,39 @@ class TestBruteForceBound:
         first = brute_force_purity_bound(0.4, 1, 2.0, cfg)
         second = brute_force_purity_bound(0.4, 1, 2.0, cfg)
         assert first.per_dim_product == second.per_dim_product
+
+    def test_descent_accepts_only_lowering_trials(self, monkeypatch):
+        # every trial the descent moves to lowered costs.xi + penalty
+        # (mu(xi) - mu)^2 at its stage's penalty; on this input the step
+        # fell below 1e-18 with no trial doing so
+        mu, n, r = 0.01973291510992465, 1, 2.3582038695857586
+        cfg = OracleConfig(seed=4, truncation=suggest_truncation(mu, n, r))
+        levels = np.arange(cfg.truncation + 1.0)
+        costs = (2.0 * levels + n) / n
+        g_term = np.exp((1.0 - r / (r - 1.0)) * log_degeneracy_array(levels, n))
+        runs = []  # per descent: (iterate, penalty, objective) at each trial
+        descent, project = oracle._penalty_descent, oracle.project_to_simplex
+
+        def descent_spy(*args):
+            runs.append([])
+            return descent(*args)
+
+        def project_spy(v):
+            caller = sys._getframe(1).f_locals
+            runs[-1].append((caller["xi"], caller["penalty"], caller["value"]))
+            return project(v)
+
+        monkeypatch.setattr(oracle, "_penalty_descent", descent_spy)
+        monkeypatch.setattr(oracle, "project_to_simplex", project_spy)
+        brute_force_purity_bound(mu, n, r, cfg)
+        moves = 0
+        for states in runs:
+            for (xi, penalty, value), (after, _, _) in zip(states, states[1:]):
+                if after is not xi:
+                    gap = oracle._power_sum(after, g_term, r) ** (r - 1.0) - mu
+                    assert float(costs @ after) + penalty * gap * gap < value
+                    moves += 1
+        assert moves > 1000
 
     def test_truncation_too_small_is_loud(self):
         with pytest.raises(SolverError):

@@ -39,8 +39,19 @@ class TestSpectrumValidation:
             Spectrum(np.array([1.1, -0.1]))
 
     def test_rejects_bad_sum(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as info:
             Spectrum(np.array([0.6, 0.5]))
+        assert str(info.value) == "eigenvalues sum to 1.1, expected 1 within 1e-10"
+
+    @pytest.mark.parametrize("bad", [[], [[0.5, 0.5]]])
+    def test_rejects_empty_or_2d(self, bad):
+        with pytest.raises(ValueError, match="^eigenvalues must be a nonempty 1-d sequence$"):
+            Spectrum(np.array(bad))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="^eigenvalues contains non-finite entries$"):
+            Spectrum(np.array([0.5, bad]))
 
     def test_resorts_rounding_noise(self):
         s = Spectrum(np.array([0.5, 0.5 + 1e-13]))
@@ -57,8 +68,14 @@ class TestSpectrumValidation:
 
 class TestGroupedValidation:
     def test_rejects_bad_sum(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as info:
             GroupedSpectrum(n=2, weights=np.array([0.5, 0.6]))
+        assert str(info.value) == "weights sum to 1.1, expected 1 within 1e-10"
+
+    @pytest.mark.parametrize("bad", [[], [[0.5, 0.5]]])
+    def test_rejects_empty_or_2d(self, bad):
+        with pytest.raises(ValueError, match="^weights must be a nonempty 1-d sequence$"):
+            GroupedSpectrum(n=2, weights=np.array(bad))
 
     def test_rejects_bad_dimension(self):
         with pytest.raises(ValueError):

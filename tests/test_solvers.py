@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+import uncbound.solvers as solvers
 from uncbound.solvers import SolverError, brent_root, seeded_root
 
 
@@ -23,6 +24,14 @@ def test_brent_handles_steep_monotone_step():
 def test_brent_accepts_root_at_an_end():
     assert brent_root(math.sin, 0.0, 1.0, 0.0, math.sin(1.0)).x == 0.0
     assert brent_root(math.sin, -1.0, 0.0, math.sin(-1.0), 0.0).x == 0.0
+
+
+def test_brent_reports_no_convergence(monkeypatch):
+    # a budget too small for the 1e-12 contract ends in SolverError, not a
+    # silently loose root
+    monkeypatch.setattr(solvers, "_MAX_ITER", 3)
+    with pytest.raises(SolverError, match="did not converge in 3 evaluations"):
+        brent_root(lambda x: x**3 - 2.0, 0.0, 2.0, -2.0, 6.0)
 
 
 def test_brent_requires_sign_change():
