@@ -160,6 +160,9 @@ def _solve_thermal(S, n):
     # Brent's method in y = ln nbar: the entropy rises with y, and the root
     # spans hundreds of decades in nbar but a few hundred units in y.
     # ln(1 + nbar) < S/n bounds y from above; e^709.7 is still a float.
+    # The error in y is the relative error of nbar, so y is solved to 1e-15
+    # absolute as well: near S/n = 2 ln 2 the root y is close to 0, where a
+    # tolerance relative to |y| alone vanishes.
     s1 = float(S) / n  # per-dimension entropy; the solve depends on S only via s1
 
     def f(y):
@@ -169,7 +172,7 @@ def _solve_thermal(S, n):
     f_hi = f(hi)
     if f_hi < 0.0:  # S/n above 710.7: the bound is past the float range
         return math.inf, 1
-    root = brent_root(f, lo, hi, f(lo), f_hi, rtol=1e-14)
+    root = brent_root(f, lo, hi, f(lo), f_hi, rtol=1e-14, atol=1e-15)
     return math.exp(root.x), root.iterations + 2  # the two bracket ends are evaluations too
 
 

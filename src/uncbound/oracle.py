@@ -95,8 +95,9 @@ def lemma_margins(n, max_level, cfg: OracleConfig, trials, identity=False) -> np
 
     The energies E are 2k + n, level k <= max_level repeated degeneracy(k, n)
     times.  Trial t of the range ``trials`` draws, from ``cfg.rng(t)``, a
-    unitary U (two dim x dim normals) and then a nonincreasing probability
-    vector p of that size.  Returns each trial's margin
+    unitary U (one draw of 2 x dim x dim normals, its real and imaginary
+    parts) and then a nonincreasing probability vector p of that size.
+    Returns each trial's margin
     sum_m p_m sum_k |U_mk|^2 E_k - sum_m p_m E_m, which is nonnegative up to
     rounding and exactly 0.0 with ``identity`` (U = 1, no normals drawn).
 
@@ -123,8 +124,7 @@ def lemma_margins(n, max_level, cfg: OracleConfig, trials, identity=False) -> np
         else:
             gaussians = np.empty((len(rngs), dim, dim), dtype=complex)
             for slot, rng in zip(gaussians, rngs):
-                slot[...] = (rng.standard_normal((dim, dim))
-                             + 1j * rng.standard_normal((dim, dim)))
+                slot.real, slot.imag = rng.standard_normal((2, dim, dim))
             mixing = np.abs(random_unitary(gaussians)) ** 2
         mixed = np.broadcast_to(mixing @ gammas, (len(rngs), dim))
         for index, (rng, row) in enumerate(zip(rngs, mixed), start):
@@ -140,49 +140,78 @@ def lemma_margins(n, max_level, cfg: OracleConfig, trials, identity=False) -> np
 # ---------------------------------------------------------------------------
 
 
-def project_to_simplex(v) -> np.ndarray:
+def project_to_simplex(v, out=None) -> np.ndarray:
     """Euclidean projection onto the probability simplex (sort-based).
 
-    Raises ValueError when no threshold exists: for an empty vector, a NaN
-    or inf entry, or entries so large (about 1e16 and up) that the running
-    sums lose the unit the simplex adds.
+    ``v`` is one vector or a stack of them along the last axis; each row
+    gets the bits of a projection of its own.  The result goes to ``out``
+    when given, a C-contiguous float array of v's shape that does not
+    overlap v.  Raises ValueError when no threshold exists: for an empty
+    vector, a NaN or inf entry, or entries so large (about 1e16 and up)
+    that the running sums lose the unit the simplex adds.
     """
     v = np.asarray(v, dtype=float)
     if v.size == 0:
         raise ValueError("cannot project an empty vector onto the simplex")
-    ordered = np.sort(v)[::-1]
-    shifted = ordered.cumsum()
+    size = v.shape[-1]
+    stack = v.reshape(-1, size)
+    if out is None:
+        out = np.empty(v.shape)
+    elif (out.shape != v.shape or out.dtype != float or not out.flags.c_contiguous
+          or np.may_share_memory(out, v)):
+        raise ValueError("out must be a C-contiguous float array of v's shape "
+                         "that does not overlap v")
+    rising = out.reshape(-1, size)  # sorted first; the result at the end
+    np.copyto(rising, stack)
+    rising.sort(axis=1)
+    ordered = rising[:, ::-1]
+    shifted = ordered.cumsum(axis=1)
     shifted -= 1.0
-    ratios = np.arange(1.0, v.size + 1.0)
-    np.divide(shifted, ratios, out=ratios)
-    active = ordered > ratios
-    pivot = v.size - int(active[::-1].argmax())  # last active rank
-    if not active[pivot - 1]:
+    shifted /= np.arange(1.0, size + 1.0)  # the threshold if k levels stay
+    active = ordered > shifted
+    rows = np.arange(len(stack))
+    last = size - 1 - active[:, ::-1].argmax(axis=1)  # last active rank - 1
+    if not active[rows, last].all():
         cause = ("it has a NaN or inf entry" if not np.isfinite(v).all()
                  else "its entries are too large for float64 to resolve "
                       "the unit sum")
         raise ValueError(f"cannot project onto the simplex: {cause}")
-    out = v - shifted[pivot - 1] / pivot
-    np.maximum(out, 0.0, out=out)
+    np.subtract(stack, shifted[rows, last, np.newaxis], out=rising)
+    np.maximum(rising, 0.0, out=rising)
     return out
 
 
-def _powers(xi, exponent):
+def _powers(xi, exponent, out=None):
     """``xi ** exponent`` (exponent > 0) without calling np.power on zeros.
 
     np.power is several times slower on 0.0 than on other values, and most
     levels are empty during the descent.  The zero entries are left at the
     0.0 the power would give; every other entry gets the same np.power.
+    The result goes to ``out`` when given.
     """
-    out = np.zeros(xi.shape)
+    if out is None:
+        out = np.zeros(xi.shape)
+    else:
+        out.fill(0.0)
     return np.power(xi, exponent, out=out, where=xi != 0.0)
 
 
-def _power_sum(xi, g_term, r):
-    """sum_m g_m^(1-p) xi_m^p with p = r / (r - 1); ``g_term`` = g^(1-p)."""
-    terms = _powers(xi, r / (r - 1.0))
+def _power_sum(xi, g_term, r, out=None):
+    """sum_m g_m^(1-p) xi_m^p with p = r / (r - 1); ``g_term`` = g^(1-p).
+
+    A float for one vector, one value per row for a stack; ``out``, when
+    given, takes the terms.
+    """
+    terms = _powers(xi, r / (r - 1.0), out)
     terms *= g_term
-    return float(terms.sum())
+    total = terms.sum(axis=-1)
+    return float(total) if total.ndim == 0 else total
+
+
+def _energies(stack, costs):
+    """``costs @ row`` for each row of a stack, as one dot product per row:
+    a gemv (``stack @ costs``) differs from it in the last bits."""
+    return (stack[:, np.newaxis, :] @ costs[:, np.newaxis])[:, 0, 0]
 
 
 def _purity(xi, g_term, r):
@@ -190,50 +219,103 @@ def _purity(xi, g_term, r):
     return _power_sum(xi, g_term, r) ** (r - 1.0)
 
 
+_PENALTIES = np.array([1e2, 1e4, 1e6, 1e8])  # the descent's stages
+
+
 def _penalty_descent(xi, costs, g_term, r, mu_target):
-    """Projected gradient descent on costs.xi + penalty (mu(xi) - mu_target)^2.
+    """Projected gradient descent on costs.xi + penalty (mu(xi) - mu_target)^2
+    from each row of the stack ``xi``; returns the end points in row order.
+
+    Each row descends on its own: four penalty stages (1e2 up to 1e8), at
+    most 300 accepted moves per stage and 40 line-search trials per move,
+    and a step that halves on a rejected trial, grows by 1.3 on an accepted
+    one (to at most 1e3) and carries over from stage to stage.  A stage
+    ends at its move cap, after a move below 1e-14, or when the line search
+    fails (40 trials or a step below 1e-18), with xi kept.  The rows run in
+    lock-step: a round tries one step for every row still running, with one
+    projection, one power sum and one energy product over the stack, and a
+    row leaves the stack when its last stage ends.  The stack is worked on
+    in place when it is a C-contiguous float array, and the rounds reuse
+    three more buffers of its size, so a round allocates no new stack.
 
     The arithmetic is fixed to the bit, because `verify holder` prints the
-    result to 16 digits and the benchmark references pin it: the power sum
-    is the pairwise ``sum`` of ``g_term * xi**p`` (not a dot product), the
-    powers are ``np.power`` (not exp of a log), and each accepted trial's
-    power sum and energy are carried to the next iteration unchanged.
+    result to 16 digits and the benchmark references pin it, and each row
+    gets the bits of a descent of its own: the power sum is the pairwise
+    ``sum`` along the row of ``g_term * xi**p`` (not a dot product), the
+    powers are ``np.power`` (not exp of a log), the energy is one dot product
+    per row (``_energies``), the powers of a power sum are Python float
+    powers (np.power differs from them in the last bit), and each accepted
+    trial's power sum and energy are carried to the next move unchanged.
     """
     p = r / (r - 1.0)
-    total = _power_sum(xi, g_term, r)
-    energy = float(costs @ xi)
-    step = 1.0
-    for penalty in (1e2, 1e4, 1e6, 1e8):
-        for _ in range(300):
-            gap = total ** (r - 1.0) - mu_target
-            value = energy + penalty * gap * gap
-            try:  # below r = 2, a power sum near 0 has no finite power
-                scale = total ** (r - 2.0)
-            except (OverflowError, ZeroDivisionError):
-                raise SolverError(
-                    f"purity gradient is not finite at r={r}: power sum {total!r}"
-                ) from None
-            grad_mu = r * scale * g_term * _powers(xi, p - 1.0)
-            grad = costs + 2.0 * penalty * gap * grad_mu
-            for _ in range(40):
-                trial = project_to_simplex(xi - step * grad)
-                total_t = _power_sum(trial, g_term, r)
-                energy_t = float(costs @ trial)
-                gap_t = total_t ** (r - 1.0) - mu_target
-                lowered = energy_t + penalty * gap_t * gap_t < value
-                if lowered:
-                    break
-                step *= 0.5
-                if step < 1e-18:
-                    break
-            if not lowered:  # the line search failed: end this stage, keep xi
-                break
-            moved = float(np.abs(trial - xi).max())
-            xi, total, energy = trial, total_t, energy_t
-            step = min(step * 1.3, 1e3)
-            if moved < 1e-14:
-                break
-    return xi
+    xi = np.ascontiguousarray(xi, dtype=float)
+    trial, grad, work = np.empty(xi.shape), np.empty(xi.shape), np.empty(xi.shape)
+    ends = [None] * len(xi)
+    index = np.arange(len(xi))  # the start each row descends from
+    total = _power_sum(xi, g_term, r, work)
+    energy = _energies(xi, costs)
+    value = np.empty(len(xi))
+    step = np.ones(len(xi))
+    stage = np.zeros(len(xi), dtype=int)
+    moves = np.zeros(len(xi), dtype=int)
+    tries = np.zeros(len(xi), dtype=int)
+    fresh = np.ones(len(xi), dtype=bool)  # rows about to start a move
+    while index.size:
+        if fresh.any():  # the objective and gradient where a move starts
+            starting = np.flatnonzero(fresh)
+            sums = total[starting].tolist()
+            gap = np.array([t ** (r - 1.0) for t in sums]) - mu_target
+            penalty = _PENALTIES[stage[starting]]
+            value[starting] = energy[starting] + penalty * gap * gap
+            # rows in a line search get zeros here and keep their gradient
+            scale, slope = np.zeros(len(xi)), np.zeros(len(xi))
+            slope[starting] = 2.0 * penalty * gap
+            for row, t in zip(starting.tolist(), sums):
+                try:  # below r = 2, a power sum near 0 has no finite power
+                    scale[row] = r * t ** (r - 2.0)
+                except (OverflowError, ZeroDivisionError):
+                    raise SolverError(
+                        f"purity gradient is not finite at r={r}: power sum {t!r}"
+                    ) from None
+            np.multiply(scale[:, np.newaxis], g_term, out=work)
+            work *= _powers(xi, p - 1.0, trial)  # trial is free until the projection
+            work *= slope[:, np.newaxis]
+            work += costs
+            np.copyto(grad, work, where=fresh[:, np.newaxis])
+        np.multiply(step[:, np.newaxis], grad, out=work)
+        project_to_simplex(np.subtract(xi, work, out=work), out=trial)
+        total_t = _power_sum(trial, g_term, r, work)
+        energy_t = _energies(trial, costs)
+        gap = np.array([t ** (r - 1.0) for t in total_t.tolist()]) - mu_target
+        lowered = energy_t + _PENALTIES[stage] * gap * gap < value
+        moved = np.abs(np.subtract(trial, xi, out=work), out=work).max(axis=1)
+        rejected = ~lowered
+        np.copyto(trial, xi, where=rejected[:, np.newaxis])  # these stay put
+        xi, trial = trial, xi
+        total = np.where(lowered, total_t, total)
+        energy = np.where(lowered, energy_t, energy)
+        step = np.where(lowered, np.minimum(step * 1.3, 1e3), step * 0.5)
+        moves += lowered
+        tries += rejected
+        ended = np.where(lowered, (moves == 300) | (moved < 1e-14),
+                         (tries == 40) | (step < 1e-18))
+        stage += ended
+        moves[ended] = 0
+        fresh = lowered | ended
+        tries[fresh] = 0
+        done = stage == len(_PENALTIES)
+        if done.any():
+            for row in np.flatnonzero(done):
+                ends[index[row]] = xi[row].copy()
+            keep = ~done
+            kept = int(keep.sum())
+            for stack in (xi, grad):  # the rows still running move up
+                stack[:kept] = stack[keep]
+            xi, grad, trial, work = (a[:kept] for a in (xi, grad, trial, work))
+            (index, total, energy, value, step, stage, moves, tries,
+             fresh) = (a[keep] for a in (index, total, energy, value, step,
+                                         stage, moves, tries, fresh))
+    return ends
 
 
 def _retilt_to_purity(xi, log_g, g_term, r, mu_target):
@@ -455,9 +537,10 @@ def brute_force_purity_bound(mu, n, r, cfg: OracleConfig,
 
     The result is fixed to the bit, not just to the tolerance: `verify
     holder` prints it to 16 digits and the benchmark references pin that
-    output.  So the 20 starts run one after another in this order, and the
-    purity is always the pairwise ``sum`` of ``g^(1-p) * xi**p`` with the
-    powers from ``np.power``; see ``_penalty_descent``.
+    output.  So the 20 starts descend in lock-step, each row of the stack
+    with the bits of a descent of its own, and the minimum is taken in start
+    order; the purity is always the pairwise ``sum`` of ``g^(1-p) * xi**p``
+    with the powers from ``np.power``; see ``_penalty_descent``.
     """
     n = check_dimension(n)
     mu = check_purity(mu)
@@ -476,9 +559,8 @@ def brute_force_purity_bound(mu, n, r, cfg: OracleConfig,
 
     g_term = np.exp((1.0 - r / (r - 1.0)) * log_g)
     ladder_scale = max(2.0, cfg.truncation / 3.0)
-    candidates = []
-    for index in range(20):
-        rng = cfg.rng(index)
+
+    def start(index):
         if index < 6:  # thermal-profile ladder spanning a range of purities
             tau = ladder_scale / 2.0 ** (index - 2)
             profile = log_g - levels / tau
@@ -486,9 +568,12 @@ def brute_force_purity_bound(mu, n, r, cfg: OracleConfig,
         elif index == 6:
             raw = np.ones(size)
         else:
-            raw = rng.dirichlet(np.ones(size))
-        xi = _retilt_to_purity(raw / raw.sum(), log_g, g_term, r, mu)
-        xi = _penalty_descent(xi, costs, g_term, r, mu)
+            raw = cfg.rng(index).dirichlet(np.ones(size))
+        return _retilt_to_purity(raw / raw.sum(), log_g, g_term, r, mu)
+
+    starts = np.array([start(index) for index in range(20)])
+    candidates = []
+    for xi in _penalty_descent(starts, costs, g_term, r, mu):
         xi = _retilt_to_purity(xi, log_g, g_term, r, mu)
         candidates.append((float(costs @ xi), xi))
     best_value, best_xi = min(candidates, key=lambda c: c[0])

@@ -34,14 +34,15 @@ class RootResult:
     iterations: int
 
 
-def brent_root(f, a, b, fa, fb, rtol=1e-12):
+def brent_root(f, a, b, fa, fb, rtol=1e-12, atol=0.0):
     """Find x between a and b with f(x) = 0, given f(a) and f(b) of opposite sign.
 
     Brent's zeroin: inverse quadratic interpolation or a secant step when it
     stays well inside the bracket, bisection otherwise, so the bracket
     always shrinks.  Stops when the bracket is below ``rtol`` relative (plus
-    a few ulps).  ``iterations`` counts the evaluations of f, and
-    ``residual`` is |f| at the returned point.
+    a few ulps) or below ``atol``, whichever is wider; a root near 0 needs
+    ``atol``, or the bracket shrinks to ulps of 0.  ``iterations`` counts
+    the evaluations of f, and ``residual`` is |f| at the returned point.
     """
     if fa == 0.0:
         return RootResult(a, 0.0, 0)
@@ -58,7 +59,7 @@ def brent_root(f, a, b, fa, fb, rtol=1e-12):
         if abs(fc) < abs(fb):  # b is the best point so far
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
-        tol = (2.0 * _EPS + 0.5 * rtol) * abs(b)
+        tol = max((2.0 * _EPS + 0.5 * rtol) * abs(b), 0.5 * atol)
         half = 0.5 * (c - b)
         if abs(half) <= tol or fb == 0.0:
             return RootResult(b, abs(fb), evals)

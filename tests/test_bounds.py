@@ -218,6 +218,18 @@ class TestThermalFamily:
             for n in (1, 4):
                 assert entropy_bound(target, n).iterations <= 30, (target, n)
 
+    def test_root_near_mean_occupation_one(self):
+        # at S/n = 2 ln 2 the root y = ln nbar is 0, where a tolerance
+        # relative to |y| alone vanishes: Brent took up to 60 evaluations
+        for k in range(-40, 41):
+            s1 = 2.0 * math.log(2.0) + k * 2e-16
+            res = entropy_bound(s1, 1)
+            assert res.iterations <= 20, k
+            nbar = mp_mean_occupation(s1, 1)
+            value, beta = 2 * nbar + 1, mpmath.log1p(1 / nbar)
+            assert abs(res.per_dim_product - value) <= 1e-12 * value, k
+            assert abs(res.aux - beta) <= 1e-12 * beta, k
+
     def test_roundtrip_materialized(self):
         rng = np.random.default_rng(78)
         for _ in range(30):

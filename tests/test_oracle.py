@@ -172,8 +172,28 @@ def _seeded_vectors(count=200):
 
 class TestSimplexProjection:
     def test_bit_identical_to_reference(self):
+        rng = np.random.default_rng(20041)
         for v in _seeded_vectors():
             assert np.array_equal(project_to_simplex(v), _reference_projection(v))
+            # a stack projects row by row: rows of other kinds and scales
+            stack = np.stack([v, rng.permutation(v), v * 10.0 ** rng.uniform(-3, 3),
+                              rng.normal(size=v.size), np.full(v.size, 1.0 / v.size)])
+            out = np.empty(stack.shape)
+            assert project_to_simplex(stack, out=out) is out
+            for row, projected in zip(stack, out):
+                assert np.array_equal(projected, _reference_projection(row))
+
+    @pytest.mark.parametrize("out", [np.empty((3, 4)), np.empty((2, 4), np.float32),
+                                     np.empty((4, 2)).T])
+    def test_out_must_fit(self, out):
+        # a wrong shape, dtype or layout would get no result or a cast one
+        with pytest.raises(ValueError, match="out must be"):
+            project_to_simplex(np.ones((2, 4)), out=out)
+
+    def test_out_must_not_overlap_the_input(self):
+        v = np.array([[0.5, 2.0, -1.0], [0.1, 0.2, 0.3]])
+        with pytest.raises(ValueError, match="does not overlap"):
+            project_to_simplex(v, out=v)
 
     def test_empty_vector_is_a_value_error(self):
         with pytest.raises(ValueError, match="empty"):
@@ -230,6 +250,11 @@ class TestBruteForceBound:
          12.409212902727127, 1.1102230246251565e-16),
         (0.25, 2, 2.0, 5, 128, 1.8062870566380125, 1.869060461956451e-13),
         (0.1, 2, 3.0, 7, 96, 2.680223978086697, 5.1361692676721304e-14),
+        # the pool's seeds 8 and 44 of `verify holder` in the benchmark
+        (0.08542396821870929, 1, 2.555569325799349, 8, 96,
+         10.079533638091416, 5.46229728115577e-14),
+        (0.0032270504010523723, 1, 1.976584975067168, 44, 1263,
+         275.9195956396116, 4.336808689942018e-19),
     ])
     def test_pinned_to_the_bit(self, mu, n, r, seed, truncation, value,
                                residual):
@@ -268,37 +293,71 @@ class TestBruteForceBound:
         assert first.per_dim_product == second.per_dim_product
 
     def test_descent_accepts_only_lowering_trials(self, monkeypatch):
-        # every trial the descent moves to lowered costs.xi + penalty
-        # (mu(xi) - mu)^2 at its stage's penalty; on this input the step
-        # fell below 1e-18 with no trial doing so
+        # every row the lock-step descent moves lowers that row's
+        # costs.xi + penalty (mu(xi) - mu)^2 at its stage's penalty; on this
+        # input the step fell below 1e-18 with no trial doing so
         mu, n, r = 0.01973291510992465, 1, 2.3582038695857586
         cfg = OracleConfig(seed=4, truncation=suggest_truncation(mu, n, r))
         levels = np.arange(cfg.truncation + 1.0)
         costs = (2.0 * levels + n) / n
         g_term = np.exp((1.0 - r / (r - 1.0)) * log_degeneracy_array(levels, n))
-        runs = []  # per descent: (iterate, penalty, objective) at each trial
-        descent, project = oracle._penalty_descent, oracle.project_to_simplex
+        project = oracle.project_to_simplex
+        before = {}  # per start: (iterate, penalty, objective) at its last trial
+        moves = 0
 
-        def descent_spy(*args):
-            runs.append([])
-            return descent(*args)
-
-        def project_spy(v):
+        def project_spy(v, out):
+            nonlocal moves
             caller = sys._getframe(1).f_locals
-            runs[-1].append((caller["xi"], caller["penalty"], caller["value"]))
-            return project(v)
+            penalties = oracle._PENALTIES[caller["stage"]]
+            for start, xi, penalty, value in zip(caller["index"], caller["xi"],
+                                                 penalties, caller["value"]):
+                if start in before and not np.array_equal(xi, before[start][0]):
+                    _, last_penalty, last_value = before[start]
+                    gap = oracle._power_sum(xi, g_term, r) ** (r - 1.0) - mu
+                    assert float(costs @ xi) + last_penalty * gap * gap < last_value
+                    moves += 1
+                before[start] = (xi.copy(), penalty, value)
+            return project(v, out)
 
-        monkeypatch.setattr(oracle, "_penalty_descent", descent_spy)
         monkeypatch.setattr(oracle, "project_to_simplex", project_spy)
         brute_force_purity_bound(mu, n, r, cfg)
-        moves = 0
-        for states in runs:
-            for (xi, penalty, value), (after, _, _) in zip(states, states[1:]):
-                if after is not xi:
-                    gap = oracle._power_sum(after, g_term, r) ** (r - 1.0) - mu
-                    assert float(costs @ after) + penalty * gap * gap < value
-                    moves += 1
+        assert sorted(before) == list(range(20))
         assert moves > 1000
+
+    @pytest.mark.parametrize("size", [97, 254, 1000, 1711])
+    @pytest.mark.parametrize("n, r", [(1, 2.5), (2, 1.7)])
+    def test_row_sums_match_one_row_at_a_time(self, size, n, r):
+        # the lock-step descent's power sums and energies give each row the
+        # bits that _power_sum and a dot product give that row alone
+        rng = np.random.default_rng(size)
+        levels = np.arange(size, dtype=float)
+        costs = (2.0 * levels + n) / n
+        g_term = np.exp((1.0 - r / (r - 1.0)) * log_degeneracy_array(levels, n))
+        stack = rng.dirichlet(np.ones(size), 20)
+        stack[rng.random(stack.shape) < 0.7] = 0.0  # most levels empty
+        totals = oracle._power_sum(stack, g_term, r)
+        energies = oracle._energies(stack, costs)
+        assert totals.shape == energies.shape == (20,)
+        for row, total, energy in zip(stack, totals, energies):
+            row = row.copy()
+            assert total == oracle._power_sum(row, g_term, r)
+            assert energy == costs @ row
+
+    def test_lock_step_rows_descend_as_alone(self):
+        # a stack of starts ends where each start ends as a stack of one:
+        # rows leave the stack at different rounds and take different moves
+        mu, n, r = 0.1, 2, 3.0
+        levels = np.arange(97.0)
+        log_g = log_degeneracy_array(levels, n)
+        costs = (2.0 * levels + n) / n
+        g_term = np.exp((1.0 - r / (r - 1.0)) * log_g)
+        rng = np.random.default_rng(12)
+        starts = [oracle._retilt_to_purity(w, log_g, g_term, r, mu)
+                  for w in rng.dirichlet(np.ones(levels.size), 6)]
+        together = oracle._penalty_descent(starts, costs, g_term, r, mu)
+        for start, end in zip(starts, together):
+            alone, = oracle._penalty_descent([start], costs, g_term, r, mu)
+            assert np.array_equal(end, alone)
 
     def test_truncation_too_small_is_loud(self):
         with pytest.raises(SolverError):

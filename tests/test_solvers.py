@@ -34,6 +34,21 @@ def test_brent_reports_no_convergence(monkeypatch):
         brent_root(lambda x: x**3 - 2.0, 0.0, 2.0, -2.0, 6.0)
 
 
+def test_brent_absolute_tolerance_for_a_root_near_zero():
+    # f steps by ulps of 1 near its sign change at x ~ 1.1e-16, so a
+    # tolerance relative to |x| alone bisects down to ulps of 1e-16; atol
+    # ends the search at the requested width, and atol = 0 keeps the bits
+    f = lambda x: (math.exp(x) - 1.0) - 2.0 ** -53
+    strict = brent_root(f, -1.0, 1.0, f(-1.0), f(1.0))
+    loose = brent_root(f, -1.0, 1.0, f(-1.0), f(1.0), atol=1e-15)
+    assert strict.iterations > 40
+    assert loose.iterations <= 10
+    assert abs(loose.x - strict.x) <= 1e-15
+    g = lambda x: x**3 - 2.0 * x - 5.0
+    assert (brent_root(g, 2.0, 3.0, g(2.0), g(3.0), atol=0.0)
+            == brent_root(g, 2.0, 3.0, g(2.0), g(3.0)))
+
+
 def test_brent_requires_sign_change():
     with pytest.raises(SolverError):
         brent_root(math.exp, 0.0, 1.0, 1.0, math.e)
