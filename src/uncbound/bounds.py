@@ -26,10 +26,12 @@ M* the mu -> 0 cutoff, with ln mu(M) falling like -n ln(M + n/2); from that
 seed one Newton step in ln M brackets the root, and Brent's method closes
 the bracket.
 
-The cutoff sums are exact up to rounding, and ``_log_B_pair`` alone picks
-how they are taken.  Up to 20k terms they are summed directly in log
-space: ln g comes from a table kept per n, the terms of both orders fill
-one buffer, and one row-wise log-sum-exp reduces it.  Above that, one pass
+The cutoff sums are exact up to rounding and scaled, ln(B_s(M)/M^s) from
+terms g_m (1 - m/M)^s, so neither h nor the bracket subtracts numbers of
+size s ln M or 2M/n; ``_log_B_pair`` alone picks how they are taken.  Up to
+20k terms they are summed directly in log space: ln g comes from a table
+kept per n, the terms of both orders fill one buffer, and one row-wise
+log-sum-exp reduces it.  Above that, one pass
 sums the first and last 1024 levels directly and integrates the levels
 between them by Gauss-Legendre with the B2 and B4 Euler-Maclaurin end
 terms, skipping panels far below real terms of each sum; every term is
@@ -264,7 +266,7 @@ def _middle_nodes(M, n, orders, refs, x, cut, lg, lu):
 
     ``x`` holds the panel edges, in m up to M/2 and from index ``cut`` on in
     u up to M/2 (the pair joining the runs is no panel); ``lg`` holds ln g
-    at them, ``lu`` ln u at them, then ln of each pair's width and ratio.
+    at them, ``lu`` ln(u/M) at them, then ln of each pair's width and ratio.
     A panel gets N = 12 + floor((n + s)/2) nodes for the largest order s.
     ln g and ln u are monotone across a panel, so their edge values bound
     ln F on it and its variation.  A panel _NEGLIGIBLE_LOG below the largest
@@ -321,21 +323,23 @@ def _log_end_weights(M, f, n, orders):
 
 
 def _log_B_tail(M, n, orders):
-    """[ln B_s(M) for s in orders], from positive terms only, for M >= 4096.
+    """[ln(B_s(M)/M^s) for s in orders], from positive terms only, for M >= 4096.
 
     The first and last _TAIL_BLOCK levels are summed directly.  The top
     block is written in u = M - m = f + i, which stays exact above 2^53,
     where the integer levels m can no longer be listed.  The levels between
-    the blocks are the integral of F(m) = g(m) (M - m)^s over them, by
+    the blocks are the integral of F(m) = g(m) (u/M)^s over them, by
     Gauss-Legendre on ratio-2 panels, graded in m from the bottom and in u
     from the top to M/2, plus the B2 and B4 Euler-Maclaurin terms at their
-    two end levels.  Panels are dropped against real terms of each sum: the
-    m = 0 term, the end levels and the top level u = f.  One pass serves all
-    orders: one ln g and one ln over the edges and those levels, then one
-    (orders, levels + 2) buffer of terms (the bottom block reads ln g from
-    the level table, the rest share one ln g and one ln), one multiply-add
-    and one row-wise log-sum-exp.  Below 4 _TAIL_BLOCK the blocks would
-    overlap, and ValueError is raised.
+    two end levels.  Each ln(u/M) is log1p(-m/M) where m is exact (bottom
+    block, m-nodes and m-edges) and ln(u/M) where u is (the rest), so every
+    term keeps its relative precision.  Panels are dropped against real
+    terms of each sum: the m = 0 term, exactly 0, the end levels and the top
+    level u = f.  One pass serves all orders: one ln g and one log1p and log
+    over the edges and those levels, then one (orders, levels + 2) buffer of
+    terms (the bottom block reads ln g from the level table), one
+    multiply-add and one row-wise log-sum-exp.  Below 4 _TAIL_BLOCK the
+    blocks would overlap, and ValueError is raised.
     """
     if not M >= 4 * _TAIL_BLOCK:
         raise ValueError(f"the tail sum needs M >= {4 * _TAIL_BLOCK}, got {M!r}")
@@ -347,22 +351,24 @@ def _log_B_tail(M, n, orders):
     powers = 2.0 ** np.arange(max(cut, top))
     x = np.concatenate([_TAIL_BLOCK * powers[:cut], (f + _TAIL_BLOCK) * powers[:top]])
     x[cut - 1] = x[-1] = 0.5 * M
-    other = M - x
-    # ln g, ln u at the edges and at u = f; ln of pair widths and ratios; ln M
-    lg = _log_g(np.concatenate([x[:cut], other[cut:], [M - f]]), n)
-    lu = np.log(np.concatenate(
-        [other[:cut], x[cut:], np.abs(x[1:] - x[:-1]), x[1:] / x[:-1], [f, M]]))
+    # ln g, ln(u/M) at the edges and at u = f; ln of pair widths and ratios
+    lg = _log_g(np.concatenate([x[:cut], (M - x)[cut:], [M - f]]), n)
+    lu = np.concatenate([x / M, np.abs(x[1:] - x[:-1]), x[1:] / x[:-1], [f / M]])
+    np.log1p(np.negative(lu[:cut], out=lu[:cut]), out=lu[:cut])
+    np.log(lu[cut:], out=lu[cut:])
     # each sum's terms at its two end levels, its top level and m = 0
     refs = [[lg.item(0) + s * lu.item(0), lg.item(cut) + s * lu.item(cut),
-             lg.item(-1) + s * lu.item(-2), s * lu.item(-1)] for s in orders]
-    nodes, lower, node_w = _middle_nodes(M, n, orders, refs, x, cut, lg[:-1], lu[:-2])
-    other = M - nodes  # in m first; neither m nor u is a difference near M
-    u = np.concatenate([M - block, block + f, other[:lower], nodes[lower:]])
-    log_g = np.concatenate([block_lg, _log_g(np.concatenate(
-        [M - u[_TAIL_BLOCK:2 * _TAIL_BLOCK], nodes[:lower], other[lower:]]), n)])
-    log_g[2 * _TAIL_BLOCK:] += node_w
-    buffer = np.empty((len(refs), u.size + 2))
-    np.multiply.outer(orders, np.log(u), out=buffer[:, :-2])
+             lg.item(-1) + s * lu.item(-1), 0.0] for s in orders]
+    nodes, lower, node_w = _middle_nodes(M, n, orders, refs, x, cut, lg[:-1], lu[:-1])
+    # each term's exact coordinate: m for the bottom block and the m-nodes, then u
+    at = np.concatenate([block, nodes, block + f])
+    head = _TAIL_BLOCK + lower
+    log_g = np.concatenate([block_lg, _log_g(np.concatenate([nodes[:lower], M - at[head:]]), n)])
+    log_g[_TAIL_BLOCK:_TAIL_BLOCK + nodes.size] += node_w
+    np.log1p(np.multiply(at[:head], -1.0 / M, out=at[:head]), out=at[:head])  # ln(u/M)
+    np.log(np.multiply(at[head:], 1.0 / M, out=at[head:]), out=at[head:])
+    buffer = np.empty((len(refs), at.size + 2))
+    np.multiply.outer(orders, at, out=buffer[:, :-2])
     buffer[:, :-2] += log_g
     end_w = _log_end_weights(M, f, n, orders)
     buffer[:, -2:] = [[row[0] + w[0], row[1] + w[1]] for row, w in zip(refs, end_w)]
@@ -370,23 +376,24 @@ def _log_B_tail(M, n, orders):
 
 
 def _log_B_pair(M, n, r):
-    """(ln B_r(M), ln B_{r-1}(M)) for M > 0, in one pass over the levels.
+    """(ln(B_r(M)/M^r), ln(B_{r-1}(M)/M^(r-1))) for M > 0, in one pass over the levels.
 
     The one place the branch is chosen: sums of up to _DIRECT_TERM_LIMIT
     terms are summed directly, and larger ones take :func:`_log_B_tail`.
+    Scaled by M^s, each term is g_m (1 - m/M)^s, so no order carries its
+    s ln M, and at large s the terms keep the precision of log1p(-m/M).
     A direct sum reads ln g from :func:`_level_table` and fills one
-    (2, ceil(M)) buffer: ln(M - m) in place in row 0, the order r - 1 terms
-    (r - 1) ln(M - m) + ln g in row 1, then row 0 += row 1 for order r; one
-    row-wise log-sum-exp then reduces the buffer in place.  A cutoff sum at
-    M > 0 holds the positive m = 0 term, so one that comes out zero or
-    non-finite raises SolverError.
+    (2, ceil(M)) buffer: log1p(-m/M) in place in row 0, the order r - 1
+    terms (r - 1) log1p(-m/M) + ln g in row 1, then row 0 += row 1 for
+    order r; one row-wise log-sum-exp then reduces the buffer in place.  A
+    cutoff sum at M > 0 holds the positive m = 0 term, so one that comes
+    out zero or non-finite raises SolverError.
     """
     if M <= _DIRECT_TERM_LIMIT:
         levels, log_g = _level_table(math.ceil(M), n)
         terms = np.empty((2, levels.size))
         upper, lower = terms  # orders r and r - 1
-        np.subtract(M, levels, out=upper)
-        np.log(upper, out=upper)
+        np.log1p(np.multiply(levels, -1.0 / M, out=upper), out=upper)
         np.multiply(upper, r - 1.0, out=lower)
         lower += log_g
         upper += lower
@@ -405,16 +412,16 @@ def _log_B_pair(M, n, r):
 def log_B_exact(M, n, r) -> float:
     """ln of :func:`B_exact`; -inf at M = 0, where the sum is empty.
 
-    The first of :func:`_log_B_pair`: sums of up to 20k terms go direct and
-    larger ones take the tail.  Raises SolverError when the sum at M > 0
-    comes out zero or non-finite.
+    The first of :func:`_log_B_pair`, ln(B_r/M^r), plus r ln M: sums of up
+    to 20k terms go direct and larger ones take the tail.  Raises
+    SolverError when the sum at M > 0 comes out zero or non-finite.
     """
     n = check_dimension(n)
     M = check_cutoff(M, ">= 0")
     r = check_exponent(r, ">= 1")
     if M == 0.0:
         return -math.inf
-    return _log_B_pair(M, n, r)[0]
+    return _log_B_pair(M, n, r)[0] + r * math.log(M)
 
 
 def B_exact(M, n, r) -> float:
@@ -446,37 +453,29 @@ def B_asymptotic(M, n, r) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _bracket(M, n, r, log_mu, log_b):
-    """(2M + n - 2 e^((ln mu + log_b)/r)) / n, log_b = ln B_r(M); past the float
-    range the difference is scaled by its larger side: +-inf beyond it, never nan."""
-    log_term = (log_mu + log_b) / r
+def _bracket(M, n, r, log_mu, scaled_b):
+    """(2M + n - 2 (mu B_r)^(1/r)) / n as 1 - (2M/n) expm1((ln mu + scaled_b)/r),
+    scaled_b = ln(B_r(M)/M^r), so nothing cancels; -inf where expm1 overflows."""
     try:
-        value = (2.0 * M + n - 2.0 * math.exp(log_term)) / n
+        return 1.0 - 2.0 * (M / n * math.expm1((log_mu + scaled_b) / r))
     except OverflowError:
-        value = math.nan
-    if math.isfinite(value):
-        return value
-    log_half = math.log(M + 0.5 * n)  # ln((2M + n)/2)
-    top = max(log_half, log_term)
-    gap = math.exp(log_half - top) - math.exp(log_term - top)
-    # (2/n) e^top in two factors; past e^1400 the value is -inf either way
-    half = math.exp(0.5 * min(top + math.log(2.0 / n), 1400.0))
-    return gap * half * half
+        return -math.inf
 
 
 def holder_bracket(M, n, r, mu) -> float:
     """Per-dimension bound (2M + n - 2 [mu B(M)]^(1/r)) / n, valid for all M.
 
-    +-inf where the bracket lies beyond the float range.  Raises SolverError
-    when the cutoff sum at M > 0 comes out zero or non-finite, rather than
-    reporting the unbounded (2M + n)/n.
+    1 at M = 0, and +-inf where the bracket lies beyond the float range.
+    Raises SolverError when the cutoff sum at M > 0 comes out zero or
+    non-finite, rather than reporting the unbounded (2M + n)/n.
     """
     n = check_dimension(n)
     M = check_cutoff(M, ">= 0")
     r = check_exponent(r, "> 1")
     mu = check_purity(mu)
-    log_b = _log_B_pair(M, n, r)[0] if M > 0.0 else -math.inf  # the bracket is 1 at M = 0
-    return _bracket(M, n, r, math.log(mu), log_b)
+    if M == 0.0:
+        return 1.0
+    return _bracket(M, n, r, math.log(mu), _log_B_pair(M, n, r)[0])
 
 
 def purity_bound(mu, n, order: PurityOrder) -> BoundResult:
@@ -496,10 +495,11 @@ def purity_bound(mu, n, order: PurityOrder) -> BoundResult:
     the sums puts the root, and takes one Newton step in ln M with the
     slope n/r of h there; Brent's method closes the pair once it straddles
     the root, and :func:`seeded_root` falls back to doubling or halving
-    when it does not.  The value is the bracket at the root, from the
-    ln B_r already summed there.  ``aux`` is the cutoff, ``residual`` is
-    |h| at it and ``iterations`` counts the evaluations of the pair
-    (B_r, B_{r-1}).
+    when it does not.  h is taken from the scaled sums ln(B_s/M^s), whose
+    (r-1) ln M parts cancel exactly, and the value is the bracket at the
+    root, from the scaled ln B_r already summed there.  ``aux`` is the
+    cutoff, ``residual`` is |h| at it and ``iterations`` counts the
+    evaluations of the pair (B_r, B_{r-1}).
 
     The order r = inf is the entropy end, mu = exp(-S): the result is
     :func:`entropy_bound` at S = -ln mu.  The superpurity order r = 1 has
@@ -516,7 +516,7 @@ def purity_bound(mu, n, order: PurityOrder) -> BoundResult:
         return BoundResult(1.0, n, method="holder-root", aux=1.0)
 
     log_mu = math.log(mu)
-    log_b_at = {1.0: 0.0}  # ln B_r(1) = 0: the m = 0 term alone
+    log_b_at = {1.0: 0.0}  # ln(B_r(1)/1^r) = 0: the m = 0 term alone
 
     def h(M):
         if not M < math.inf:

@@ -1,7 +1,5 @@
-import json
 import math
 import sys
-from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -40,6 +38,9 @@ from uncbound.purity import (
 from uncbound.solvers import SolverError
 from uncbound.special_fn import degeneracy, log_degeneracy_array
 from uncbound.spectrum_bound import bound_from_grouped
+
+import sum_bits
+from hurwitz import log_B_ref
 
 
 class TestParamTypes:
@@ -449,24 +450,21 @@ class TestCutoffSums:
                     assert tail == pytest.approx(direct, rel=1e-14)
 
     def test_sums_keep_their_bits(self):
-        # float.hex of (ln B_r, ln B_{r-1}) on both branches, recorded before
-        # the direct sums moved to one buffer and a row-wise log-sum-exp
-        # (numpy 2.4 on x86-64); a kernel change that moves a bit fails here
-        pinned = json.loads((Path(__file__).parent / "cutoff_sum_bits.json").read_text())
-        assert len(pinned) == 144
-        moved = [(M, n, r) for M, n, r, *bits in pinned
-                 if [float(x).hex() for x in bounds._log_B_pair(M, n, r)] != bits]
-        assert not moved
+        # float.hex of the scaled pair (ln(B_r/M^r), ln(B_{r-1}/M^(r-1))) on
+        # both branches, recorded when the sums came out scaled by M^s; a
+        # kernel change that moves a bit fails here
+        pinned, moved = sum_bits.moved_rows("cutoff_sum_bits.json")
+        assert len(pinned["rows"]) == 144
+        assert not moved, (f"{len(moved)} rows moved, first {moved[:3]}; recorded on "
+                           f"{pinned['environment']}, running on {sum_bits.environment()}")
 
     def test_tail_keeps_its_bits_at_large_orders(self):
-        # float.hex of the tail pair at n <= 64, r in [100, 1e7] and M in
-        # [4096, 1e12], where every row drops panels and a third split one;
-        # recorded before the tail's fixed work went into one pass
-        pinned = json.loads((Path(__file__).parent / "tail_sum_bits.json").read_text())
-        assert len(pinned) == 64
-        moved = [(M, n, r) for M, n, r, *bits in pinned
-                 if [float(x).hex() for x in bounds._log_B_tail(M, n, (r, r - 1.0))] != bits]
-        assert not moved
+        # float.hex of the scaled tail pair at n <= 64, r in [100, 1e7] and M
+        # in [4096, 1e12], where every row drops panels and a third split one
+        pinned, moved = sum_bits.moved_rows("tail_sum_bits.json")
+        assert len(pinned["rows"]) == 64
+        assert not moved, (f"{len(moved)} rows moved, first {moved[:3]}; recorded on "
+                           f"{pinned['environment']}, running on {sum_bits.environment()}")
 
     @pytest.mark.parametrize("log_b", [709.2, 709.7, 710.2])
     def test_values_near_the_float_limit(self, log_b):
@@ -492,32 +490,20 @@ class TestCutoffSums:
         (64, 100.0, 1e8),
     ])
     def test_tail_matches_hurwitz_zeta(self, n, r, M):
-        # with g(M - u) = sum_j a_j u^j, B_s = sum_j a_j sum_{u = f, f+1, .., M} u^(s+j),
-        # and each inner sum is zeta(-s-j, f) - zeta(-s-j, M+1)
+        # the scaled tail pair against the exact sum, less s ln M in mpmath
         tail = bounds._log_B_tail(M, n, (r, r - 1.0))
-        with mpmath.workdps(60 + int(n * math.log10(M))):
-            big_m = mpmath.mpf(M)
-            coeffs = [mpmath.mpf(1)]  # ascending powers of u in prod_t (M + t - u)/t
-            for t in range(1, n):
-                grown = [mpmath.mpf(0)] * (len(coeffs) + 1)
-                for j, a in enumerate(coeffs):
-                    grown[j] += a * (big_m + t) / t
-                    grown[j + 1] -= a / t
-                coeffs = grown
-            f = big_m - mpmath.ceil(big_m) + 1
-            for got, s in zip(tail, (r, r - 1.0)):
-                total = mpmath.fsum(
-                    a * (mpmath.zeta(-s - j, f) - mpmath.zeta(-s - j, big_m + 1))
-                    for j, a in enumerate(coeffs))
-                assert got == pytest.approx(float(mpmath.log(total)), rel=1e-13)
+        for got, s in zip(tail, (r, r - 1.0)):
+            with mpmath.workdps(60):
+                exact = log_B_ref(M, n, s) - s * mpmath.log(M)
+            assert got == pytest.approx(float(exact), rel=1e-13)
 
     def test_one_dim_tail_beyond_integer_levels(self):
-        # above 2^53 the levels are not listable; sum_u u^s -> M^(s+1)/(s+1)
+        # above 2^53 the levels are not listable; sum_u (u/M)^s -> M/(s+1)
         for M in (1e20, 1e100, 1e200):
             for r in (1.01, 2.0, 10.0, 100.0):
                 tail = bounds._log_B_tail(M, 1, (r, r - 1.0))
                 for got, s in zip(tail, (r, r - 1.0)):
-                    expected = (s + 1.0) * math.log(M) - math.log(s + 1.0)
+                    expected = math.log(M) - math.log(s + 1.0)
                     assert got == pytest.approx(expected, rel=1e-13)
 
     def test_asymptotic_closed_form(self):
@@ -582,10 +568,11 @@ class TestHolderBracket:
         (1.7e308, 1, 1.0001, 5e-324),  # above the float range
     ])
     def test_near_the_float_range(self, M, n, r, mu):
-        # the bracket from the same ln B_r, in 50 digits
+        # the bracket 1 - (2M/n) expm1((ln mu + ln(B_r/M^r))/r) from the same
+        # scaled sum, in 50 digits
         with mpmath.workdps(50):
-            log_term = (mpmath.log(mu) + mpmath.mpf(log_B_exact(M, n, r))) / r
-            exact = (2 * mpmath.mpf(M) + n - 2 * mpmath.exp(log_term)) / n
+            log_term = (mpmath.log(mu) + mpmath.mpf(bounds._log_B_pair(M, n, r)[0])) / r
+            exact = 1 - 2 * mpmath.mpf(M) / n * mpmath.expm1(log_term)
         value = holder_bracket(M, n, r, mu)
         if abs(exact) > sys.float_info.max:
             assert value == math.copysign(math.inf, exact)
@@ -779,6 +766,27 @@ class TestPurityBound:
                 checked += 1
                 assert holder_bracket(res.aux, n, r, mu) == res.per_dim_product, (mu, n, r)
         assert checked >= 150
+
+    def test_sandwich_between_orders_and_the_entropy_floor(self):
+        # mu^(r) = e^(-S_p) with p = r/(r-1), and S_p cannot rise with p, so
+        # at fixed mu the bound cannot rise with r nor fall below the r = inf
+        # entropy bound; unscaled cutoff sums broke both from r ~ 3e5 on
+        rng = np.random.default_rng(88)
+        solved = 0
+        for _ in range(200):
+            n = int(rng.integers(1, 65))
+            mu = float(10.0 ** rng.uniform(-300.0, 0.0))
+            r1, r2 = np.sort(np.exp(rng.uniform(math.log(1.05), math.log(1e9), 2))).tolist()
+            try:
+                at_r1, at_r2 = (purity_bound(mu, n, PurityOrder.finite(r)).per_dim_product
+                                for r in (r1, r2))
+            except SolverError:
+                continue
+            solved += 1
+            assert at_r1 >= at_r2 * (1.0 - 1e-12), (n, mu, r1, r2)
+            floor = entropy_bound(-math.log(mu), n).per_dim_product
+            assert at_r2 >= floor * (1.0 - 1e-12), (n, mu, r1, r2)
+        assert solved >= 190
 
     def test_floor_invariant(self):
         rng = np.random.default_rng(12)

@@ -16,9 +16,13 @@ again when its reference moved from quadrature to the Beta function: only
 ``worst_gap`` moved.  The four ``entropy`` cases and ``verify roundtrip``
 were recorded again when the thermal root moved to the mean occupation:
 values moved by 1 to 2 ulp at small S/n, and the S = 1000, n = 10 value
-by 1.4e-14 relative, towards a 60-digit root.  ``{spectrum}`` and
-``{garbage}`` stand for two files
-written by the test.
+by 1.4e-14 relative, towards a 60-digit root.  The eight cases that print
+a purity bound (two ``bound purity``, four ``curve --quantity
+purity-bound``, both ``verify holder``) were recorded again when the
+cutoff sums came out scaled by M^s: values moved by at most 1.6e-15
+relative and cutoffs by at most 1.5e-14, and the exit-1 case still exits
+1.  ``{spectrum}`` and ``{garbage}`` stand for two files written by the
+test.
 """
 
 from collections import namedtuple
@@ -37,7 +41,7 @@ CASES = [
     Case(["bound", "purity", "--n", "1", "--r", "2", "--mu", "1e-6"],
          0,
          "n,r,mu,value,volume,aux,method,residual\n"
-         "1,2,9.9999999999999995e-07,888888.88888901519,888888.88888901519,1333332.8333332979,exact,3.5527136788005009e-15\n",
+         "1,2,9.9999999999999995e-07,888888.88888901379,888888.88888901379,1333332.8333333039,exact,3.5527136788005009e-15\n",
          ""),
     Case(["bound", "purity", "--n", "2", "--r", "3", "--mu", "0.01", "--format", "json"],
          0,
@@ -46,11 +50,11 @@ CASES = [
          "    \"n\": 2,\n"
          "    \"r\": 3.0,\n"
          "    \"mu\": 0.01,\n"
-         "    \"value\": 8.329891468921161,\n"
-         "    \"volume\": 69.38709188400554,\n"
-         "    \"aux\": 19.775888856836847,\n"
+         "    \"value\": 8.329891468921165,\n"
+         "    \"volume\": 69.3870918840056,\n"
+         "    \"aux\": 19.775888856836897,\n"
          "    \"method\": \"exact\",\n"
-         "    \"residual\": 1.7763568394002505e-15\n"
+         "    \"residual\": 0.0\n"
          "  }\n"
          "]\n",
          ""),
@@ -266,17 +270,17 @@ CASES = [
     Case(["curve", "--quantity", "purity-bound", "--n", "1,2", "--r", "1.5:3:3", "--mu", "0.01"],
          0,
          "n,r,mu,value,aux,method,residual\n"
-         "1,1.5,0.01,92.952638246069881,115.69287792315922,holder-root,0\n"
-         "1,2.25,0.01,87.439900209108174,141.5865488689291,holder-root,0\n"
-         "1,3,0.01,84.376481491613873,168.24852342602495,holder-root,1.7763568394002505e-15\n"
-         "2,1.5,0.01,8.965644609584297,14.682062458892712,holder-root,4.4408920985006262e-16\n"
-         "2,2.25,0.01,8.5665121534643163,17.174910468173849,holder-root,8.8817841970012523e-16\n"
-         "2,3,0.01,8.3298914689211614,19.775888856836847,holder-root,1.7763568394002505e-15\n",
+         "1,1.5,0.01,92.952638246069867,115.69287792315907,holder-root,8.8817841970012523e-16\n"
+         "1,2.25,0.01,87.439900209108202,141.58654886892867,holder-root,4.4408920985006262e-16\n"
+         "1,3,0.01,84.376481491613845,168.24852342602608,holder-root,0\n"
+         "2,1.5,0.01,8.9656446095842952,14.682062458892709,holder-root,0\n"
+         "2,2.25,0.01,8.5665121534643198,17.174910468173824,holder-root,1.9984014443252818e-15\n"
+         "2,3,0.01,8.3298914689211649,19.775888856836897,holder-root,0\n",
          ""),
     Case(["curve", "--quantity", "purity-bound", "--n", "2", "--r", "2", "--mu", "1e-4:1:3:log"],
          0,
          "n,r,mu,value,aux,method,residual\n"
-         "2,2,0.0001,86.603985364962028,172.20513687397755,holder-root,9.5923269327613525e-14\n"
+         "2,2,0.0001,86.603985364962128,172.20513687397747,holder-root,9.4146912488213275e-14\n"
          "2,2,0.01,8.6748259103577503,16.311649225740091,holder-root,0\n"
          "2,2,1,1,1,holder-root,0\n",
          ""),
@@ -288,18 +292,18 @@ CASES = [
          "    \"r\": 1.5,\n"
          "    \"mu\": 0.1,\n"
          "    \"value\": 9.307459722168971,\n"
-         "    \"aux\": 11.096097169343158,\n"
+         "    \"aux\": 11.09609716934316,\n"
          "    \"method\": \"holder-root\",\n"
-         "    \"residual\": 2.220446049250313e-16\n"
+         "    \"residual\": 0.0\n"
          "  },\n"
          "  {\n"
          "    \"n\": 1,\n"
          "    \"r\": 6.0,\n"
          "    \"mu\": 0.1,\n"
-         "    \"value\": 7.949416378408785,\n"
-         "    \"aux\": 27.214699787024763,\n"
+         "    \"value\": 7.949416378408783,\n"
+         "    \"aux\": 27.214699787024358,\n"
          "    \"method\": \"holder-root\",\n"
-         "    \"residual\": 0.0\n"
+         "    \"residual\": 4.440892098500626e-16\n"
          "  }\n"
          "]\n",
          ""),
@@ -310,10 +314,10 @@ CASES = [
          "    \"n\": 3,\n"
          "    \"r\": 3.0,\n"
          "    \"mu\": 0.001,\n"
-         "    \"value\": 8.237611562456117,\n"
-         "    \"aux\": 23.16286914023763,\n"
+         "    \"value\": 8.23761156245612,\n"
+         "    \"aux\": 23.162869140237607,\n"
          "    \"method\": \"holder-root\",\n"
-         "    \"residual\": 0.0\n"
+         "    \"residual\": 4.440892098500626e-16\n"
          "  },\n"
          "  {\n"
          "    \"n\": 3,\n"
@@ -322,7 +326,7 @@ CASES = [
          "    \"value\": 1.178086058450306,\n"
          "    \"aux\": 1.5350771927660132,\n"
          "    \"method\": \"holder-root\",\n"
-         "    \"residual\": 1.1102230246251565e-16\n"
+         "    \"residual\": 0.0\n"
          "  }\n"
          "]\n",
          ""),
@@ -446,8 +450,8 @@ CASES = [
          ""),
     Case(["verify", "holder", "--n", "2", "--r", "3", "--mu", "1e-3", "--seed", "7"],
          0,
-         "brute=26.295754620238018 closed=26.295754620238007\n"
-         "holder: checks=1 failures=0 gap=1.0658141036401503e-14\n"
+         "brute=26.295754620238018 closed=26.295754620238014\n"
+         "holder: checks=1 failures=0 gap=3.5527136788005009e-15\n"
          "PASS\n",
          ""),
     Case(["verify", "b-approx", "--trials", "20", "--seed", "3"],
@@ -470,8 +474,8 @@ CASES = [
     # which replaces that oracle, will change this case.
     Case(["verify", "holder", "--n", "2", "--r", "2.010041770264862", "--mu", "0.0049748612669626826", "--seed", "1"],
          1,
-         "brute=12.28373272241701 closed=12.281767919782746\n"
-         "holder: checks=1 failures=1 gap=0.0019648026342640179\n"
+         "brute=12.28373272241701 closed=12.281767919782737\n"
+         "holder: checks=1 failures=1 gap=0.0019648026342728997\n"
          "FAIL\n",
          ""),
 ]
