@@ -24,7 +24,7 @@ So the optimal cutoff is one scalar root.  The sums expand as
 B_r(M) = K (M + n/2)^(n+r) (1 + O(M^-2)), which puts the root near M* - n/2,
 M* the mu -> 0 cutoff, with ln mu(M) falling like -n ln(M + n/2); from that
 seed one Newton step in ln M brackets the root, and Brent's method closes
-the bracket.
+the bracket, or stops at the first cutoff where |h| <= 1e-12 n/r.
 
 The cutoff sums are exact up to rounding and scaled, ln(B_s(M)/M^s) from
 terms g_m (1 - m/M)^s, so neither h nor the bracket subtracts numbers of
@@ -495,11 +495,15 @@ def purity_bound(mu, n, order: PurityOrder) -> BoundResult:
     the sums puts the root, and takes one Newton step in ln M with the
     slope n/r of h there; Brent's method closes the pair once it straddles
     the root, and :func:`seeded_root` falls back to doubling or halving
-    when it does not.  h is taken from the scaled sums ln(B_s/M^s), whose
-    (r-1) ln M parts cancel exactly, and the value is the bracket at the
-    root, from the scaled ln B_r already summed there.  ``aux`` is the
-    cutoff, ``residual`` is |h| at it and ``iterations`` counts the
-    evaluations of the pair (B_r, B_{r-1}).
+    when it does not.  The first cutoff with |h| <= 1e-12 n/r ends the
+    search: its Newton step in ln M is below 1e-12, and the bracket, flat
+    at the root, is off by its square.  h is taken from the scaled sums
+    ln(B_s/M^s), whose (r-1) ln M parts cancel exactly, and the value is
+    the bracket at the root, from the scaled ln B_r already summed there.
+    ``aux`` is the cutoff, ``residual`` is |h| at it and ``iterations``
+    counts the evaluations of the pair (B_r, B_{r-1}).  A search past the
+    float range raises ValueError where the entropy floor is past it too,
+    else SolverError.
 
     The order r = inf is the entropy end, mu = exp(-S): the result is
     :func:`entropy_bound` at S = -ln mu.  The superpurity order r = 1 has
@@ -520,6 +524,10 @@ def purity_bound(mu, n, order: PurityOrder) -> BoundResult:
 
     def h(M):
         if not M < math.inf:
+            try:  # the bound is above its entropy floor
+                entropy_bound(-log_mu, n)
+            except ValueError:
+                raise ValueError(f"bound for mu = {mu!r} is beyond the float range") from None
             raise SolverError(
                 f"no cutoff below the float range has family purity mu={mu} "
                 f"(n={n}, r={r})"
@@ -531,7 +539,7 @@ def purity_bound(mu, n, order: PurityOrder) -> BoundResult:
     # h(1) = ln(mu)/r < 0.  B_r(M) ~ K (M + n/2)^(n+r) puts the root near
     # M* - n/2, where h rises like (n/r) ln(M + n/2)
     seed = asymptotic_cutoff(mu, n, r) - 0.5 * n
-    root = seeded_root(h, 1.0, log_mu / r, seed, n / r)
+    root = seeded_root(h, 1.0, log_mu / r, seed, n / r, ftol=1e-12 * n / r)
     per_dim = max(_bracket(root.x, n, r, log_mu, log_b_at[root.x]), 1.0)
     return BoundResult(per_dim, n, method="holder-root", aux=root.x,
                        residual=root.residual, iterations=root.iterations)

@@ -34,20 +34,22 @@ class RootResult:
     iterations: int
 
 
-def brent_root(f, a, b, fa, fb, rtol=1e-12, atol=0.0):
+def brent_root(f, a, b, fa, fb, rtol=1e-12, atol=0.0, ftol=0.0):
     """Find x between a and b with f(x) = 0, given f(a) and f(b) of opposite sign.
 
     Brent's zeroin: inverse quadratic interpolation or a secant step when it
     stays well inside the bracket, bisection otherwise, so the bracket
     always shrinks.  Stops when the bracket is below ``rtol`` relative (plus
     a few ulps) or below ``atol``, whichever is wider; a root near 0 needs
-    ``atol``, or the bracket shrinks to ulps of 0.  ``iterations`` counts
-    the evaluations of f, and ``residual`` is |f| at the returned point.
+    ``atol``, or the bracket shrinks to ulps of 0.  The first point with
+    |f| <= ``ftol`` (an end, then each evaluation) is returned at once; the
+    default 0.0 stops only on an exact zero.  ``iterations`` counts the
+    evaluations of f, and ``residual`` is |f| at the returned point.
     """
-    if fa == 0.0:
-        return RootResult(a, 0.0, 0)
-    if fb == 0.0:
-        return RootResult(b, 0.0, 0)
+    if abs(fa) <= ftol:
+        return RootResult(a, abs(fa), 0)
+    if abs(fb) <= ftol:
+        return RootResult(b, abs(fb), 0)
     if (fa > 0.0) == (fb > 0.0):
         raise SolverError(f"no bracket: f({a}) = {fa} and f({b}) = {fb}")
     c, fc = a, fa
@@ -61,7 +63,7 @@ def brent_root(f, a, b, fa, fb, rtol=1e-12, atol=0.0):
             fa, fb, fc = fb, fc, fb
         tol = max((2.0 * _EPS + 0.5 * rtol) * abs(b), 0.5 * atol)
         half = 0.5 * (c - b)
-        if abs(half) <= tol or fb == 0.0:
+        if abs(half) <= tol or abs(fb) <= ftol:
             return RootResult(b, abs(fb), evals)
         if evals == _MAX_ITER:
             break
@@ -93,7 +95,7 @@ def brent_root(f, a, b, fa, fb, rtol=1e-12, atol=0.0):
     )
 
 
-def seeded_root(f, lo, f_lo, seed, log_slope):
+def seeded_root(f, lo, f_lo, seed, log_slope, ftol=0.0):
     """Root above lo > 0 of f, increasing through zero, from the estimate ``seed``.
 
     f(lo) = f_lo < 0 is given, so it costs no evaluation; a seed at or below
@@ -105,20 +107,21 @@ def seeded_root(f, lo, f_lo, seed, log_slope):
     points.  Only if both points lie below the root does the upper end
     double until f turns positive, and a bracket wider than ratio 2 is first
     halved down to ratio 2.  Doubling past the float range calls f at inf,
-    so f must raise there.  ``iterations`` counts every evaluation of f,
-    bracketing included.
+    so f must raise there.  The seed or the Newton point is returned at once
+    where |f| <= ``ftol``, and ``ftol`` goes on to :func:`brent_root`.
+    ``iterations`` counts every evaluation of f, bracketing included.
     """
     x = max(seed, lo)
     f_x = f(x) if x > lo else f_lo
     evals = int(x > lo)
-    if f_x == 0.0:
-        return RootResult(x, 0.0, evals)
+    if abs(f_x) <= ftol:
+        return RootResult(x, abs(f_x), evals)
     step = min(-_OVERSHOOT * f_x / log_slope, _MAX_LOG_STEP)
     newton = min(x * math.exp(step), sys.float_info.max)
     f_newton = f(newton) if newton > lo else f_lo
     evals += int(newton > lo)
-    if f_newton == 0.0:
-        return RootResult(newton, 0.0, evals)
+    if abs(f_newton) <= ftol:
+        return RootResult(newton, abs(f_newton), evals)
     hi, f_hi = math.inf, math.nan
     for point, f_point in ((x, f_x), (newton, f_newton)):
         if f_point < 0.0:
@@ -142,5 +145,5 @@ def seeded_root(f, lo, f_lo, seed, log_slope):
             lo, f_lo = mid, f_mid
         else:
             hi, f_hi = mid, f_mid
-    root = brent_root(f, lo, hi, f_lo, f_hi)
+    root = brent_root(f, lo, hi, f_lo, f_hi, ftol=ftol)
     return RootResult(root.x, root.residual, evals + root.iterations)

@@ -26,11 +26,16 @@
 Two pitfalls are kept: the order -s - b is formed as ``-mpf(s) - b`` (in
 floats -1.7 - 1 rounds away from -2.7), and the a_b, which grow like
 M^(n-1) and cancel, get (n - 1) log10(2M) more digits.
+
+``purity_bound_ref(mu, n, r)`` is the purity bound from these sums: the
+bracket at the root of h, the cutoff whose family has purity mu.
 """
 
 import math
 
 import mpmath
+
+from uncbound.bounds import asymptotic_cutoff
 
 DIGITS = 40
 LEVEL_LIMIT = 20_000
@@ -51,9 +56,73 @@ def log_B_ref(M, n, s):
         return mpmath.log(_hurwitz(mpmath.mpf(M), k, n, s))
 
 
+def purity_bound_ref(mu, n, r):
+    """(value, cutoff) of the purity bound for 1 < r < inf and 0 < mu < 1.
+
+    The cutoff is the float root M of h(M) = ln(mu)/r + ln B_{r-1}(M) -
+    ((r-1)/r) ln B_r(M), both sums from ``log_B_ref``, and the value is the
+    bracket (2M + n - 2 (mu B_r(M))^(1/r))/n there, in mpmath.  h rises
+    through 0 and is ln(mu)/r on (0, 1].  The root is taken in t = ln M
+    from ``asymptotic_cutoff`` minus n/2 and a step of slope n/r, which are
+    widened to a sign change, then closed by the Illinois method to 1e-12
+    in t.  The bracket's slope (2/n)(1 - e^h) vanishes at the root, so a
+    cutoff off by a relative d lowers the value by about (n/2r) d^2 only.
+    """
+    with mpmath.workdps(DIGITS + 20):
+        log_mu = mpmath.log(mu)
+
+        def h(t):
+            M = math.exp(t)
+            return float(log_mu / r + log_B_ref(M, n, r - 1.0)
+                         - (r - 1.0) / mpmath.mpf(r) * log_B_ref(M, n, r))
+
+        points = [(0.0, float(log_mu) / r)]
+        t = math.log(max(asymptotic_cutoff(mu, n, r) - 0.5 * n, 1.0))
+        for _ in range(2):  # the seed, then its Newton point
+            if t > 0.0:
+                points.append((t, h(t)))
+            t = max(t - 1.25 * points[-1][1] * r / n, 0.0)
+        lo, h_lo = max(p for p in points if p[1] < 0.0)
+        above = [p for p in points if p[1] >= 0.0]
+        while not above:  # steps of ln 2 up
+            t = lo + math.log(2.0)
+            h_t = h(t)
+            if h_t < 0.0:
+                lo, h_lo = t, h_t
+            else:
+                above.append((t, h_t))
+        hi, h_hi = min(above)
+        side = 0
+        while hi - lo > 1e-12 and h_hi != 0.0:  # Illinois
+            t = (lo * h_hi - hi * h_lo) / (h_hi - h_lo)
+            h_t = h(t)
+            if h_t < 0.0:
+                lo, h_lo = t, h_t
+                if side < 0:
+                    h_hi *= 0.5
+                side = -1
+            else:
+                hi, h_hi = t, h_t
+                if side > 0:
+                    h_lo *= 0.5
+                side = 1
+        M = math.exp(hi if h_hi <= -h_lo else lo)
+        value = (2 * mpmath.mpf(M) + n - 2 * mpmath.exp((log_mu + log_B_ref(M, n, r)) / r)) / n
+        return value, M
+
+
 def _bottom_levels(big_m, k, n, s):
     # the levels m = 0, 1, ... until the rest is provably negligible; None
-    # when that takes more than LEVEL_LIMIT levels
+    # when that takes more than LEVEL_LIMIT levels.  The terms are
+    # log-concave in m, so past their peak each bounds the later ones, and
+    # none of the levels up to L = LEVEL_LIMIT exceeds g_L M^s.  The loop
+    # can stop only if the level L + 1 term, at least g_L (M - L - 1)^s, is
+    # below 10^-DIGITS (L + 1) g_L M^s; where it is not, by a margin of e,
+    # None is returned without summing
+    limit = LEVEL_LIMIT + 1
+    if k >= limit and float(s) * math.log1p(-limit / float(big_m)) > (
+            math.log(limit) - DIGITS * math.log(10.0) + 1.0):
+        return None
     eps = mpmath.mpf(10) ** -DIGITS
     total, term = mpmath.mpf(0), big_m ** s
     for m in range(min(k, LEVEL_LIMIT) + 1):

@@ -21,7 +21,11 @@ a purity bound (two ``bound purity``, four ``curve --quantity
 purity-bound``, both ``verify holder``) were recorded again when the
 cutoff sums came out scaled by M^s: values moved by at most 1.6e-15
 relative and cutoffs by at most 1.5e-14, and the exit-1 case still exits
-1.  ``{spectrum}`` and ``{garbage}`` stand for two files written by the
+1.  ``bound purity --n 1 --r 2 --mu 1e-6`` was recorded again when the
+cutoff search began to stop at |h| <= 1e-12 n/r: against the 40-digit
+bound of ``tests/hurwitz.py``, 888888.88888901393, the value went from
+1.6e-16 below it to 6.3e-16 above it, the rounding of the bracket, not of
+the cutoff.  ``{spectrum}`` and ``{garbage}`` stand for two files written by the
 test.
 """
 
@@ -41,8 +45,22 @@ CASES = [
     Case(["bound", "purity", "--n", "1", "--r", "2", "--mu", "1e-6"],
          0,
          "n,r,mu,value,volume,aux,method,residual\n"
-         "1,2,9.9999999999999995e-07,888888.88888901379,888888.88888901379,1333332.8333333039,exact,3.5527136788005009e-15\n",
+         "1,2,9.9999999999999995e-07,888888.88888901449,888888.88888901449,1333332.8333333335,exact,8.8817841970012523e-15\n",
          ""),
+    # past the float range the bound is a domain error, as with --method
+    # asymptotic; r = 1e308 has a finite bound and no cutoff: a solver error
+    Case(["bound", "purity", "--n", "1", "--r", "2", "--mu", "1e-310"],
+         2,
+         "",
+         "error: bound for mu = 1e-310 is beyond the float range\n"),
+    Case(["bound", "purity", "--n", "1", "--r", "1e308", "--mu", "0.5"],
+         3,
+         "",
+         "solver error: no cutoff below the float range has family purity mu=0.5 (n=1, r=1e+308)\n"),
+    Case(["curve", "--quantity", "purity-bound", "--n", "1", "--r", "2", "--mu", "1e-310:1e-300:3:log"],
+         2,
+         "",
+         "error: bound for mu = 1e-310 is beyond the float range\n"),
     Case(["bound", "purity", "--n", "2", "--r", "3", "--mu", "0.01", "--format", "json"],
          0,
          "[\n"

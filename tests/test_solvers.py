@@ -111,3 +111,90 @@ def test_seeded_root_leaves_the_float_range_to_f():
         seeded_root(f, 1.0, -1.0, 2.0, 1.0)
     with pytest.raises(ValueError, match="float range"):
         seeded_root(f, 1.0, -1.0, math.inf, 1.0)
+
+
+def _counted(f):
+    calls = []
+
+    def wrapped(x):
+        value = f(x)
+        calls.append((x, value))
+        return value
+    return wrapped, calls
+
+
+def test_brent_ftol_returns_the_first_point_within_it():
+    # each evaluation is tested as it is made, and the ends before any
+    f, calls = _counted(lambda x: x**3 - 2.0 * x - 5.0)
+    strict = brent_root(f, 2.0, 3.0, f(2.0), f(3.0))
+    calls.clear()
+    res = brent_root(f, 2.0, 3.0, -1.0, 16.0, ftol=1e-6)
+    first = next(i for i, (x, value) in enumerate(calls) if abs(value) <= 1e-6)
+    assert res.x == calls[first][0] and res.residual == abs(calls[first][1])
+    assert res.iterations == len(calls) == first + 1 < strict.iterations
+    assert brent_root(f, 2.0, 3.0, -1.0, 16.0, ftol=1.0) == solvers.RootResult(2.0, 1.0, 0)
+    assert brent_root(f, 2.0, 3.0, -20.0, 0.5, ftol=1.0) == solvers.RootResult(3.0, 0.5, 0)
+
+
+def test_seeded_root_ftol_stops_at_the_seed():
+    f, calls = _counted(lambda x: math.log(x) - 10.0)
+    seed = math.exp(10.0) * (1.0 + 1e-9)
+    res = seeded_root(f, 1.0, -10.0, seed, 1.0, ftol=1e-8)
+    assert len(calls) == 1 and calls[0][0] == seed
+    assert res == solvers.RootResult(seed, abs(calls[0][1]), 1)
+    # at ftol = 0.0 the same seed goes on to the Newton point and Brent's method
+    assert seeded_root(f, 1.0, -10.0, seed, 1.0).iterations > 1
+
+
+def test_seeded_root_ftol_stops_at_the_newton_point():
+    # a slope of 1.25 cancels the lengthening, so the Newton step lands on
+    # the root of ln x - 10 up to rounding
+    f, calls = _counted(lambda x: math.log(x) - 10.0)
+    res = seeded_root(f, 1.0, -10.0, 2e4, 1.25, ftol=1e-12)
+    assert len(calls) == 2 and abs(calls[0][1]) > 1e-12 >= abs(calls[1][1])
+    assert res == solvers.RootResult(calls[1][0], abs(calls[1][1]), 2)
+    assert res.x == pytest.approx(math.exp(10.0), rel=1e-12)
+
+
+def test_seeded_root_passes_ftol_to_brent():
+    f, calls = _counted(lambda x: math.log(x) - 10.0)
+    res = seeded_root(f, 1.0, -10.0, 1e3, 1e6, ftol=1e-3)  # the doubling fallback
+    first = next(i for i, (x, value) in enumerate(calls) if abs(value) <= 1e-3)
+    assert res == solvers.RootResult(calls[first][0], abs(calls[first][1]), first + 1)
+    assert res.iterations < seeded_root(f, 1.0, -10.0, 1e3, 1e6).iterations
+
+
+# (x, residual, iterations) of the fixtures above before ftol existed
+_CUBIC = lambda x: x**3 - 2.0 * x - 5.0
+_STEP = lambda x: math.copysign(abs(x - 1.0) ** 0.01, x - 1.0)
+_NEAR_ZERO = lambda x: (math.exp(x) - 1.0) - 2.0 ** -53
+_LOG = lambda x: math.log(x) - 10.0
+
+
+@pytest.mark.parametrize("call, expected", [
+    (lambda: brent_root(_CUBIC, 2.0, 3.0, -1.0, 16.0, ftol=0.0),
+     (2.094551481542327, 3.552713678800501e-15, 6)),
+    (lambda: brent_root(_STEP, 0.0, 3.0, _STEP(0.0), _STEP(3.0), ftol=0.0),
+     (0.9999999999996001, 0.7516567111135949, 41)),
+    (lambda: brent_root(_NEAR_ZERO, -1.0, 1.0, _NEAR_ZERO(-1.0), _NEAR_ZERO(1.0), ftol=0.0),
+     (1.110223024625402e-16, 1.1102230246251565e-16, 49)),
+    (lambda: brent_root(_NEAR_ZERO, -1.0, 1.0, _NEAR_ZERO(-1.0), _NEAR_ZERO(1.0),
+                        atol=1e-15, ftol=0.0),
+     (8.681701426757957e-17, 1.1102230246251565e-16, 9)),
+    (lambda: seeded_root(_LOG, 1.0, -10.0, 0.5, 1.0, ftol=0.0), (22026.465794806725, 0.0, 11)),
+    (lambda: seeded_root(_LOG, 1.0, -10.0, 1e3, 1.0, ftol=0.0), (22026.46579480673, 0.0, 9)),
+    (lambda: seeded_root(_LOG, 1.0, -10.0, 3e4, 1.0, ftol=0.0), (22026.465794806732, 0.0, 7)),
+    (lambda: seeded_root(_LOG, 1.0, -10.0, 1e9, 1.0, ftol=0.0), (22026.465794806718, 0.0, 23)),
+    (lambda: seeded_root(lambda x: 2.0 * math.log(x) - 20.0, 1.0, -20.0, 2e4, 2.0, ftol=0.0),
+     (22026.46579480671, 0.0, 6)),
+    (lambda: seeded_root(_LOG, 1.0, -10.0, 0.5, 1e6, ftol=0.0), (22026.465794806714, 0.0, 22)),
+    (lambda: seeded_root(_LOG, 1.0, -10.0, 1e3, 1e6, ftol=0.0),
+     (22026.465794806736, 1.7763568394002505e-15, 14)),
+    (lambda: seeded_root(_LOG, 1.0, -10.0, 1e9, 1e6, ftol=0.0), (22026.4657948067, 0.0, 23)),
+    (lambda: seeded_root(_LOG, 1.0, -10.0, 0.5, 1e-6, ftol=0.0), (22026.46579480673, 0.0, 1015)),
+    (lambda: seeded_root(_LOG, 1.0, -10.0, 1e9, 1e-6, ftol=0.0), (22026.465794806718, 0.0, 22)),
+], ids=["cubic", "step", "near-zero", "near-zero-atol", "seed-0.5", "seed-1e3", "seed-3e4",
+        "seed-1e9", "straddle", "steep-0.5", "steep-1e3", "steep-1e9", "flat-0.5", "flat-1e9"])
+def test_zero_ftol_keeps_the_results(call, expected):
+    # ftol = 0.0 stops only on an exact zero, as before, so every bit stays
+    assert call() == solvers.RootResult(*expected)
