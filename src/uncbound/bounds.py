@@ -20,11 +20,14 @@ The bracket's supremum is not searched for.  Because dB_r/dM = r B_{r-1},
 the bracket is stationary exactly where the lower-bound family
 xi_m ~ g_m (M - m)^(r-1) has purity mu, and that family purity,
 ln mu(M) = (r-1) ln B_r(M) - r ln B_{r-1}(M), falls monotonically in M.
-So the optimal cutoff is one scalar root.  The sums expand as
-B_r(M) = K (M + n/2)^(n+r) (1 + O(M^-2)), which puts the root near M* - n/2,
-M* the mu -> 0 cutoff, with ln mu(M) falling like -n ln(M + n/2); from that
-seed one Newton step in ln M brackets the root, and Brent's method closes
-the bracket, or stops at the first cutoff where |h| <= 1e-12 n/r.
+So the optimal cutoff is one scalar root.  With L = M + n/2 the sums
+expand as B_s(M) = K_s L^(n+s) (1 - n(s+n)(s+n-1)/(24 L^2) + O(L^-4)),
+K_s = Gamma(s+1)/Gamma(s+n+1), so ln mu(M) falls like
+-n ln L - n(r+n-1)(r-n)/(24 L^2), and the root sits near
+M* - n/2 - (r+n-1)(r-n)/(24 M*), M* the mu -> 0 cutoff; from that seed one
+Newton step in ln M brackets the root, and Brent's method closes the
+bracket, or stops at the first cutoff where |h| <= 1e-12/r, where the
+family's ln mu(M) = ln mu - r h is within 1e-12 of ln mu.
 
 The cutoff sums are exact up to rounding and scaled, ln(B_s(M)/M^s) from
 terms g_m (1 - m/M)^s, so neither h nor the bracket subtracts numbers of
@@ -490,20 +493,26 @@ def purity_bound(mu, n, order: PurityOrder) -> BoundResult:
 
     and mu(M) is the purity of the family xi_m ~ g_m (M - m)^(r-1).  So the
     supremum sits at the root of h: the cutoff whose family has purity mu.
-    h = ln(mu)/r < 0 on (0, 1].  The search starts from
-    :func:`asymptotic_cutoff` minus n/2, where the second-order expansion of
-    the sums puts the root, and takes one Newton step in ln M with the
+    h = ln(mu)/r < 0 on (0, 1].  With L = M + n/2 the sums expand as
+
+        B_s(M) = K_s L^(n+s) (1 - n(s+n)(s+n-1)/(24 L^2) + O(L^-4)),
+
+    so ln mu(M) = const - n ln L - n(r+n-1)(r-n)/(24 L^2) + O(L^-4), and the
+    search starts from M* - n/2 - (r+n-1)(r-n)/(24 M*), M* the
+    :func:`asymptotic_cutoff`.  It takes one Newton step in ln M with the
     slope n/r of h there; Brent's method closes the pair once it straddles
     the root, and :func:`seeded_root` falls back to doubling or halving
-    when it does not.  The first cutoff with |h| <= 1e-12 n/r ends the
-    search: its Newton step in ln M is below 1e-12, and the bracket, flat
-    at the root, is off by its square.  h is taken from the scaled sums
+    when it does not.  The first cutoff with |h| <= 1e-12/r ends the
+    search: its family's purity matches mu to 1e-12, its Newton step in
+    ln M is below 1e-12/n, and the bracket, flat at the root, is off by its
+    square.  h is taken from the scaled sums
     ln(B_s/M^s), whose (r-1) ln M parts cancel exactly, and the value is
     the bracket at the root, from the scaled ln B_r already summed there.
     ``aux`` is the cutoff, ``residual`` is |h| at it and ``iterations``
     counts the evaluations of the pair (B_r, B_{r-1}).  A search past the
     float range raises ValueError where the entropy floor is past it too,
-    else SolverError.
+    else SolverError; so does an r whose r - 1 rounds to r (above 2^53),
+    where the two sums would be one.
 
     The order r = inf is the entropy end, mu = exp(-S): the result is
     :func:`entropy_bound` at S = -ln mu.  The superpurity order r = 1 has
@@ -518,6 +527,8 @@ def purity_bound(mu, n, order: PurityOrder) -> BoundResult:
         raise ValueError("purity_bound has no bound for the superpurity order r = 1 yet")
     if mu == 1.0:  # every cutoff in (0, 1] carries the vacuum alone
         return BoundResult(1.0, n, method="holder-root", aux=1.0)
+    if r - 1.0 == r:
+        raise SolverError(f"order r={r!r} is too large: r - 1 rounds to r (n={n})")
 
     log_mu = math.log(mu)
     log_b_at = {1.0: 0.0}  # ln(B_r(1)/1^r) = 0: the m = 0 term alone
@@ -536,10 +547,11 @@ def purity_bound(mu, n, order: PurityOrder) -> BoundResult:
         log_b_at[M] = log_b
         return log_mu / r + log_b_lower - (r - 1.0) / r * log_b
 
-    # h(1) = ln(mu)/r < 0.  B_r(M) ~ K (M + n/2)^(n+r) puts the root near
-    # M* - n/2, where h rises like (n/r) ln(M + n/2)
-    seed = asymptotic_cutoff(mu, n, r) - 0.5 * n
-    root = seeded_root(h, 1.0, log_mu / r, seed, n / r, ftol=1e-12 * n / r)
+    # h(1) = ln(mu)/r < 0.  The sums' expansion in L = M + n/2 puts the root
+    # at L = M* - (r+n-1)(r-n)/(24 M*), where h rises like (n/r) ln L
+    star = asymptotic_cutoff(mu, n, r)
+    seed = star - 0.5 * n - (r + n - 1.0) * (r - n) / (24.0 * star)
+    root = seeded_root(h, 1.0, log_mu / r, seed, n / r, ftol=1e-12 / r)
     per_dim = max(_bracket(root.x, n, r, log_mu, log_b_at[root.x]), 1.0)
     return BoundResult(per_dim, n, method="holder-root", aux=root.x,
                        residual=root.residual, iterations=root.iterations)

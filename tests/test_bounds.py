@@ -528,6 +528,18 @@ class TestCutoffSums:
                 assert drifts[0] > drifts[1] > drifts[2]
                 assert drifts[2] < 0.01
 
+    @pytest.mark.parametrize("n,s", [(1, 3.0), (2, 2.0), (3, 2.5), (6, 7.0)])
+    def test_second_order_expansion(self, n, s):
+        # B_s(M) = Gamma(s+1)/Gamma(s+n+1) L^(s+n) (1 - n(s+n)(s+n-1)/(24 L^2)
+        # + O(L^-4)), L = M + n/2, from the Laplace kernel's ((t/2)/sinh(t/2))^n;
+        # the pole terms, relative size M^(-s-1), stay below 1% here
+        expected = -n * (s + n) * (s + n - 1.0) / 24.0
+        for M in (1000.37, 3e4 + 0.37, 6e4 + 0.61, 1e5 - 0.29):  # direct, then tail
+            L = M + 0.5 * n
+            rest = (log_B_exact(M, n, s) - math.lgamma(s + 1.0)
+                    + math.lgamma(s + n + 1.0) - (s + n) * math.log(L))
+            assert L * L * rest == pytest.approx(expected, rel=0.01), M
+
 
 class TestHolderBracket:
     def test_zero_cutoff_is_floor(self):
@@ -679,8 +691,9 @@ class TestPurityBound:
 
     def test_evaluation_budget(self):
         # a grid shaped like the purity-sweep benchmark pool, where the
-        # doubling bracket from M* took 6.9 sum pairs per point (max 22 here)
-        # and Brent's method run to its bracket width alone 4.84 (tail 2.69)
+        # doubling bracket from M* took 6.9 sum pairs per point (max 22 here),
+        # Brent's method run to its bracket width alone 4.84 (tail 2.69) and
+        # the first-order seed M* - n/2 4.04 (tail 1.99)
         rng = np.random.default_rng(10)
         evals, tail = [], []
         for _ in range(600):
@@ -691,12 +704,12 @@ class TestPurityBound:
             evals.append(res.iterations)
             if res.aux > bounds._DIRECT_TERM_LIMIT:
                 tail.append(res.iterations)
-        assert np.mean(evals) <= 4.2
+        assert np.mean(evals) <= 3.5
         # the costliest roots sit just above an integer cutoff, where a new
         # level enters h with an infinite slope and Brent's method bisects
         assert max(evals) <= 20
-        # a tail cutoff's Newton point mostly solves h to 1e-12 n/r already
-        assert len(tail) >= 50 and np.mean(tail) <= 2.1
+        # the second-order seed of a tail cutoff mostly solves h to 1e-12/r
+        assert len(tail) >= 50 and np.mean(tail) <= 1.3
 
     def test_matches_mpmath_reference(self):
         # pool-like points against the 40-digit bound of tests/hurwitz.py;
@@ -720,9 +733,11 @@ class TestPurityBound:
             assert (res.aux > bounds._DIRECT_TERM_LIMIT) == ((mu, n, r) in tail)
 
     def test_seed_is_second_order(self):
-        # B_r(M) = K (M + n/2)^(n+r) (1 + O(M^-2)) moves the root to M* - n/2
+        # B_r(M) = K (M + n/2)^(n+r) (1 + O(M^-2)) moves the root to M* - n/2,
+        # and the M^-2 term on to M* - n/2 - (r+n-1)(r-n)/(24 M*); from r = 3
+        # on the pole terms, of relative size M^-r, are below what is left
         rng = np.random.default_rng(9)
-        checked = 0
+        checked = second = 0
         for _ in range(1500):
             n = int(rng.integers(1, 7))
             r = float(np.exp(rng.uniform(np.log(1.5), np.log(10.0))))
@@ -731,8 +746,13 @@ class TestPurityBound:
             star = asymptotic_cutoff(mu, n, r)
             if M >= 20.0 and abs(star - M) > 1e-9 * M:
                 checked += 1
-                assert 5.0 * abs(star - 0.5 * n - M) <= abs(star - M), (n, r, mu)
-        assert checked >= 800
+                first = star - 0.5 * n - M
+                assert 5.0 * abs(first) <= abs(star - M), (n, r, mu)
+                if r >= 3.0 and M >= 100.0 and abs(first) > 1e-9 * M:
+                    second += 1
+                    shift = (r + n - 1.0) * (r - n) / (24.0 * star)
+                    assert 5.0 * abs(first - shift) <= abs(first), (n, r, mu)
+        assert checked >= 800 and second >= 200
 
     def test_tiny_mu_one_dim_reaches_asymptote(self):
         # the optimal cutoff (~0.9/mu) lies far beyond a doubling search from M = 1
@@ -774,6 +794,12 @@ class TestPurityBound:
         for mu, n in ((1.0, 1), (0.5, 1), (0.01, 2), (1e-12, 6), (5e-324, 64)):
             res = purity_bound(mu, n, PurityOrder.entropy())
             assert res == entropy_bound(-math.log(mu), n)
+
+    @pytest.mark.parametrize("r", [1e16, 1e17, 1e20, 1e50, 1e308])
+    def test_order_whose_r_minus_one_rounds_to_r_raises(self, r):
+        # B_r and B_{r-1} would be one sum, and the bound the floor 1
+        with pytest.raises(SolverError, match="r - 1 rounds to r"):
+            purity_bound(0.5, 1, PurityOrder.finite(r))
 
     def test_bracket_at_the_cutoff_is_the_bound(self):
         # purity_bound and holder_bracket share the cutoff sums, so wherever

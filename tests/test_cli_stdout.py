@@ -25,8 +25,15 @@ relative and cutoffs by at most 1.5e-14, and the exit-1 case still exits
 cutoff search began to stop at |h| <= 1e-12 n/r: against the 40-digit
 bound of ``tests/hurwitz.py``, 888888.88888901393, the value went from
 1.6e-16 below it to 6.3e-16 above it, the rounding of the bracket, not of
-the cutoff.  ``{spectrum}`` and ``{garbage}`` stand for two files written by the
-test.
+the cutoff.  Six of those eight (all but the ``curve`` cases at ``--n 2
+--r 2`` and ``--n 3 --r 3``) were recorded again when the root's seed
+gained its second-order term and the search began to stop at
+|h| <= 1e-12/r: values moved by at most 6.7e-16 relative and cutoffs by
+at most 4.7e-14, and ``bound purity --n 1 --r 2 --mu 1e-6`` became the
+float nearest the supremum, 0.2 ulp below it.  The ``--r 1e308`` error
+text was recorded again when orders whose r - 1 rounds to r began to be
+refused by name.  ``{spectrum}`` and
+``{garbage}`` stand for two files written by the test.
 """
 
 from collections import namedtuple
@@ -35,6 +42,7 @@ import pytest
 from click.testing import CliRunner
 
 import uncbound.cli as cli
+from hurwitz import purity_bound_ref
 
 SPECTRUM = "0.5\n0.25\n0.125\n0.0625\n0.0625\n"
 GARBAGE = "0.5\n# note\npotato\n0.5\n"
@@ -45,10 +53,11 @@ CASES = [
     Case(["bound", "purity", "--n", "1", "--r", "2", "--mu", "1e-6"],
          0,
          "n,r,mu,value,volume,aux,method,residual\n"
-         "1,2,9.9999999999999995e-07,888888.88888901449,888888.88888901449,1333332.8333333335,exact,8.8817841970012523e-15\n",
+         "1,2,9.9999999999999995e-07,888888.88888901391,888888.88888901391,1333332.8333332711,exact,1.5987211554602254e-14\n",
          ""),
     # past the float range the bound is a domain error, as with --method
-    # asymptotic; r = 1e308 has a finite bound and no cutoff: a solver error
+    # asymptotic; above r = 2^53, r - 1 rounds to r, so the cutoff sums of
+    # orders r and r - 1 are one sum: a solver error, not the floor 1
     Case(["bound", "purity", "--n", "1", "--r", "2", "--mu", "1e-310"],
          2,
          "",
@@ -56,7 +65,11 @@ CASES = [
     Case(["bound", "purity", "--n", "1", "--r", "1e308", "--mu", "0.5"],
          3,
          "",
-         "solver error: no cutoff below the float range has family purity mu=0.5 (n=1, r=1e+308)\n"),
+         "solver error: order r=1e+308 is too large: r - 1 rounds to r (n=1)\n"),
+    Case(["bound", "purity", "--n", "1", "--r", "1e16", "--mu", "0.5"],
+         3,
+         "",
+         "solver error: order r=1e+16 is too large: r - 1 rounds to r (n=1)\n"),
     Case(["curve", "--quantity", "purity-bound", "--n", "1", "--r", "2", "--mu", "1e-310:1e-300:3:log"],
          2,
          "",
@@ -68,9 +81,9 @@ CASES = [
          "    \"n\": 2,\n"
          "    \"r\": 3.0,\n"
          "    \"mu\": 0.01,\n"
-         "    \"value\": 8.329891468921165,\n"
-         "    \"volume\": 69.3870918840056,\n"
-         "    \"aux\": 19.775888856836897,\n"
+         "    \"value\": 8.329891468921168,\n"
+         "    \"volume\": 69.38709188400566,\n"
+         "    \"aux\": 19.77588885683689,\n"
          "    \"method\": \"exact\",\n"
          "    \"residual\": 0.0\n"
          "  }\n"
@@ -288,12 +301,12 @@ CASES = [
     Case(["curve", "--quantity", "purity-bound", "--n", "1,2", "--r", "1.5:3:3", "--mu", "0.01"],
          0,
          "n,r,mu,value,aux,method,residual\n"
-         "1,1.5,0.01,92.952638246069867,115.69287792315907,holder-root,8.8817841970012523e-16\n"
-         "1,2.25,0.01,87.439900209108202,141.58654886892867,holder-root,4.4408920985006262e-16\n"
-         "1,3,0.01,84.376481491613845,168.24852342602608,holder-root,0\n"
-         "2,1.5,0.01,8.9656446095842952,14.682062458892709,holder-root,0\n"
-         "2,2.25,0.01,8.5665121534643198,17.174910468173824,holder-root,1.9984014443252818e-15\n"
-         "2,3,0.01,8.3298914689211649,19.775888856836897,holder-root,0\n",
+         "1,1.5,0.01,92.952638246069895,115.6928779231592,holder-root,6.6613381477509392e-16\n"
+         "1,2.25,0.01,87.439900209108202,141.58654886892856,holder-root,0\n"
+         "1,3,0.01,84.376481491613873,168.24852342602605,holder-root,4.4408920985006262e-16\n"
+         "2,1.5,0.01,8.9656446095842988,14.682062458892698,holder-root,4.4408920985006262e-16\n"
+         "2,2.25,0.01,8.5665121534643198,17.17491046817366,holder-root,1.021405182655144e-14\n"
+         "2,3,0.01,8.3298914689211685,19.77588885683689,holder-root,0\n",
          ""),
     Case(["curve", "--quantity", "purity-bound", "--n", "2", "--r", "2", "--mu", "1e-4:1:3:log"],
          0,
@@ -310,18 +323,18 @@ CASES = [
          "    \"r\": 1.5,\n"
          "    \"mu\": 0.1,\n"
          "    \"value\": 9.307459722168971,\n"
-         "    \"aux\": 11.09609716934316,\n"
+         "    \"aux\": 11.096097169343162,\n"
          "    \"method\": \"holder-root\",\n"
-         "    \"residual\": 0.0\n"
+         "    \"residual\": 3.3306690738754696e-16\n"
          "  },\n"
          "  {\n"
          "    \"n\": 1,\n"
          "    \"r\": 6.0,\n"
          "    \"mu\": 0.1,\n"
-         "    \"value\": 7.949416378408783,\n"
-         "    \"aux\": 27.214699787024358,\n"
+         "    \"value\": 7.949416378408782,\n"
+         "    \"aux\": 27.214699787024422,\n"
          "    \"method\": \"holder-root\",\n"
-         "    \"residual\": 4.440892098500626e-16\n"
+         "    \"residual\": 2.220446049250313e-16\n"
          "  }\n"
          "]\n",
          ""),
@@ -468,8 +481,8 @@ CASES = [
          ""),
     Case(["verify", "holder", "--n", "2", "--r", "3", "--mu", "1e-3", "--seed", "7"],
          0,
-         "brute=26.295754620238018 closed=26.295754620238014\n"
-         "holder: checks=1 failures=0 gap=3.5527136788005009e-15\n"
+         "brute=26.295754620238018 closed=26.295754620238021\n"
+         "holder: checks=1 failures=0 gap=-3.5527136788005009e-15\n"
          "PASS\n",
          ""),
     Case(["verify", "b-approx", "--trials", "20", "--seed", "3"],
@@ -492,8 +505,8 @@ CASES = [
     # which replaces that oracle, will change this case.
     Case(["verify", "holder", "--n", "2", "--r", "2.010041770264862", "--mu", "0.0049748612669626826", "--seed", "1"],
          1,
-         "brute=12.28373272241701 closed=12.281767919782737\n"
-         "holder: checks=1 failures=1 gap=0.0019648026342728997\n"
+         "brute=12.28373272241701 closed=12.281767919782739\n"
+         "holder: checks=1 failures=1 gap=0.0019648026342711233\n"
          "FAIL\n",
          ""),
 ]
@@ -509,3 +522,10 @@ def test_pinned_output(case, tmp_path):
     assert result.exit_code == case.code
     assert result.stdout == case.stdout
     assert result.stderr == case.stderr.format(**files)
+
+
+def test_pinned_bound_is_not_above_the_supremum():
+    # the pinned value is the float nearest the 40-digit supremum, below it
+    case = next(c for c in CASES if c.argv == ["bound", "purity", "--n", "1", "--r", "2", "--mu", "1e-6"])
+    value = float(case.stdout.splitlines()[1].split(",")[3])
+    assert value <= purity_bound_ref(1e-6, 1, 2.0)[0]
