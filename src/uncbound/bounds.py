@@ -24,17 +24,19 @@ So the optimal cutoff is one scalar root.  With L = M + n/2 the sums
 expand as B_s(M) = K_s L^(n+s) (1 - n(s+n)(s+n-1)/(24 L^2) + O(L^-4)),
 K_s = Gamma(s+1)/Gamma(s+n+1), so ln mu(M) falls like
 -n ln L - n(r+n-1)(r-n)/(24 L^2), and the root sits near
-M* - n/2 - (r+n-1)(r-n)/(24 M*), M* the mu -> 0 cutoff; from that seed one
-Newton step in ln M brackets the root, and Brent's method closes the
-bracket, or stops at the first cutoff where |h| <= 1e-12/r, where the
-family's ln mu(M) = ln mu - r h is within 1e-12 of ln mu.
+M* - n/2 - (r+n-1)(r-n)/(24 M*), M* the mu -> 0 cutoff.  From that seed
+Newton's method in ln M runs on the exact slope of h, which a third sum,
+of order r - 2, gives from the same pass over the levels; where it stalls,
+Brent's method closes a bracket.  The search stops at the first cutoff
+where |h| <= 1e-12/r, where the family's ln mu(M) = ln mu - r h is within
+1e-12 of ln mu.
 
 The cutoff sums are exact up to rounding and scaled, ln(B_s(M)/M^s) from
 terms g_m (1 - m/M)^s, so neither h nor the bracket subtracts numbers of
 size s ln M or 2M/n; ``_log_B_pair`` alone picks how they are taken.  Up to
 20k terms they are summed directly in log space: ln g comes from a table
-kept per n, the terms of both orders fill one buffer, and one row-wise
-log-sum-exp reduces it.  Above that, one pass
+kept per n, the terms of all three orders fill one buffer, and one
+row-wise log-sum-exp reduces it.  Above that, one pass
 sums the first and last 1024 levels directly and integrates the levels
 between them by Gauss-Legendre with the B2 and B4 Euler-Maclaurin end
 terms, skipping panels far below real terms of each sum; every term is
@@ -283,7 +285,8 @@ def _middle_nodes(M, n, orders, refs, x, cut, lg, lu):
     t, log_w = _gauss_rule(12 + min(int(n + s_max) // 2, _NODE_HALF_CAP))
     resolved = math.log(2.0) * min(n + s_max, 2.0 * _NODE_HALF_CAP)
     lu, ln_width, ln_ratio = lu[:x.size], lu[x.size:2 * x.size - 1], lu[2 * x.size - 1:]
-    bound = np.maximum(lg[:-1], lg[1:]) + s * np.maximum(lu[:-1], lu[1:]) + ln_width
+    # s ln(u/M) is largest at the panel's lower u for s >= 0, at its upper one below
+    bound = np.maximum(lg[:-1], lg[1:]) + np.maximum(s * lu[:-1], s * lu[1:]) + ln_width
     keep = (bound >= [[max(row) - _NEGLIGIBLE_LOG] for row in refs]).any(0)
     keep[cut - 1] = False
     spread = np.abs(lg[1:] - lg[:-1]) + s_max * np.abs(lu[1:] - lu[:-1])
@@ -362,6 +365,9 @@ def _log_B_tail(M, n, orders):
     # each sum's terms at its two end levels, its top level and m = 0
     refs = [[lg.item(0) + s * lu.item(0), lg.item(cut) + s * lu.item(cut),
              lg.item(-1) + s * lu.item(-1), 0.0] for s in orders]
+    if not all(math.isfinite(row[2]) for row in refs):  # s ln(f/M) is the largest |s ln(u/M)|
+        raise SolverError(f"cutoff sum of order {max(orders)} at M={M!r} (n={n}): "
+                          f"s ln(u/M) is past the float range")
     nodes, lower, node_w = _middle_nodes(M, n, orders, refs, x, cut, lg[:-1], lu[:-1])
     # each term's exact coordinate: m for the bottom block and the m-nodes, then u
     at = np.concatenate([block, nodes, block + f])
@@ -379,37 +385,44 @@ def _log_B_tail(M, n, orders):
 
 
 def _log_B_pair(M, n, r):
-    """(ln(B_r(M)/M^r), ln(B_{r-1}(M)/M^(r-1))) for M > 0, in one pass over the levels.
+    """ln(B_s(M)/M^s) for s = r, r - 1 and r - 2, M > 0, in one pass over the levels.
 
+    The pair of orders r and r - 1 gives h and the bracket; the order
+    r - 2, in (-1, 0) for r < 2, only the slope of h (:func:`purity_bound`).
     The one place the branch is chosen: sums of up to _DIRECT_TERM_LIMIT
     terms are summed directly, and larger ones take :func:`_log_B_tail`.
     Scaled by M^s, each term is g_m (1 - m/M)^s, so no order carries its
     s ln M, and at large s the terms keep the precision of log1p(-m/M).
     A direct sum reads ln g from :func:`_level_table` and fills one
-    (2, ceil(M)) buffer: log1p(-m/M) in place in row 0, the order r - 1
-    terms (r - 1) log1p(-m/M) + ln g in row 1, then row 0 += row 1 for
-    order r; one row-wise log-sum-exp then reduces the buffer in place.  A
+    (3, ceil(M)) buffer: log1p(-m/M) in place in row 0, the order r - 1
+    terms (r - 1) log1p(-m/M) + ln g in row 1, row 1 less row 0 in row 2
+    for order r - 2, then row 0 += row 1 for order r; one row-wise
+    log-sum-exp then reduces the buffer in place.  Past order 1e300 the
+    direct factor r - 1 is held at 1e300: every term but m = 0 is then
+    below e^-1e295 of it either way, and its log cannot overflow.  A
     cutoff sum at M > 0 holds the positive m = 0 term, so one that comes
     out zero or non-finite raises SolverError.
     """
+    orders = (r, r - 1.0, r - 2.0)
     if M <= _DIRECT_TERM_LIMIT:
         levels, log_g = _level_table(math.ceil(M), n)
-        terms = np.empty((2, levels.size))
-        upper, lower = terms  # orders r and r - 1
+        terms = np.empty((3, levels.size))
+        upper, lower, lowest = terms  # orders r, r - 1 and r - 2
         np.log1p(np.multiply(levels, -1.0 / M, out=upper), out=upper)
-        np.multiply(upper, r - 1.0, out=lower)
+        np.multiply(upper, min(r - 1.0, 1e300), out=lower)
         lower += log_g
+        np.subtract(lower, upper, out=lowest)
         upper += lower
-        pair = _logsumexp_rows(terms).tolist()
+        sums = _logsumexp_rows(terms).tolist()
     else:
-        pair = _log_B_tail(M, n, (r, r - 1.0))
-    for log_b, order in zip(pair, (r, r - 1.0)):
+        sums = _log_B_tail(M, n, orders)
+    for log_b, order in zip(sums, orders):
         if not math.isfinite(log_b):
             raise SolverError(
                 f"cutoff sum of order {order} is "
                 f"{'zero' if log_b == -math.inf else 'non-finite'} at M={M!r} (n={n})"
             )
-    return pair
+    return sums
 
 
 def log_B_exact(M, n, r) -> float:
@@ -481,38 +494,53 @@ def holder_bracket(M, n, r, mu) -> float:
     return _bracket(M, n, r, math.log(mu), _log_B_pair(M, n, r)[0])
 
 
+def _slope_of_h(r, sums):
+    """dh/d(ln M) = (r-1) (M B_{r-2}/B_{r-1} - M B_{r-1}/B_r) from :func:`_log_B_pair`."""
+    log_b, log_b_lower, log_b_lowest = sums
+    return (r - 1.0) * math.exp(log_b_lower - log_b) * math.expm1(
+        log_b_lowest - 2.0 * log_b_lower + log_b)
+
+
 def purity_bound(mu, n, order: PurityOrder) -> BoundResult:
     """Tightest cutoff bracket: sup over M >= 0 of :func:`holder_bracket`.
 
-    The bracket is concave in M (its curvature follows from a
-    Cauchy-Schwarz bound on the cutoff sums) with slope
-    (2/n)(1 - e^h(M)), where
+    The bracket's slope in M is (2/n)(1 - e^h(M)), where
 
         h(M) = ln(mu)/r + ln B_{r-1}(M) - ((r-1)/r) ln B_r(M)
              = (ln mu - ln mu(M)) / r
 
-    and mu(M) is the purity of the family xi_m ~ g_m (M - m)^(r-1).  So the
-    supremum sits at the root of h: the cutoff whose family has purity mu.
-    h = ln(mu)/r < 0 on (0, 1].  With L = M + n/2 the sums expand as
+    and mu(M) is the purity of the family xi_m ~ g_m (M - m)^(r-1).  h is
+    ln(mu)/r < 0 on (0, 1] and rises: with dB_s/dM = s B_{s-1},
+
+        dh/d(ln M) = (r-1) (M B_{r-2}/B_{r-1} - M B_{r-1}/B_r)
+                   = (r-1) (<(1 - m/M)^-1> - <1 - m/M>^-1),
+
+    <.> the mean over the family, and by Jensen's inequality (1/x is
+    convex) this is positive once the family holds two levels.  So the
+    bracket is concave, and the supremum sits at the root of h: the cutoff
+    whose family has purity mu.  With L = M + n/2 the sums expand as
 
         B_s(M) = K_s L^(n+s) (1 - n(s+n)(s+n-1)/(24 L^2) + O(L^-4)),
 
     so ln mu(M) = const - n ln L - n(r+n-1)(r-n)/(24 L^2) + O(L^-4), and the
     search starts from M* - n/2 - (r+n-1)(r-n)/(24 M*), M* the
-    :func:`asymptotic_cutoff`.  It takes one Newton step in ln M with the
-    slope n/r of h there; Brent's method closes the pair once it straddles
-    the root, and :func:`seeded_root` falls back to doubling or halving
-    when it does not.  The first cutoff with |h| <= 1e-12/r ends the
-    search: its family's purity matches mu to 1e-12, its Newton step in
-    ln M is below 1e-12/n, and the bracket, flat at the root, is off by its
-    square.  h is taken from the scaled sums
-    ln(B_s/M^s), whose (r-1) ln M parts cancel exactly, and the value is
-    the bracket at the root, from the scaled ln B_r already summed there.
-    ``aux`` is the cutoff, ``residual`` is |h| at it and ``iterations``
-    counts the evaluations of the pair (B_r, B_{r-1}).  A search past the
-    float range raises ValueError where the entropy floor is past it too,
-    else SolverError; so does an r whose r - 1 rounds to r (above 2^53),
-    where the two sums would be one.
+    :func:`asymptotic_cutoff`.  From there :func:`seeded_root` takes Newton
+    steps in ln M on the slope above, from the scaled sums
+    sB_s = ln(B_s/M^s) as (r-1) e^(sB_{r-1} - sB_r)
+    expm1(sB_{r-2} - 2 sB_{r-1} + sB_r), which costs no evaluation of its own.
+    Each step is clamped to a factor 2 and kept inside the bracket, and
+    they go on while each cuts |h| tenfold; then doubling or halving and
+    Brent's method close the bracket.  The first cutoff with
+    |h| <= 1e-12/r ends the search: its family's purity matches mu to
+    1e-12, its Newton step in ln M is below 1e-12/n, and the bracket, flat
+    at the root, is off by its square.  h is taken from the scaled sums,
+    whose (r-1) ln M parts cancel exactly, and the value is the bracket at
+    the root, from the scaled ln B_r already summed there.  ``aux`` is the
+    cutoff, ``residual`` is |h| at it and ``iterations`` counts the
+    evaluations of the three sums.  A search past the float range raises
+    ValueError where the entropy floor is past it too, else SolverError;
+    so does an r whose r - 1 rounds to r (above 2^53), where the two sums
+    would be one.
 
     The order r = inf is the entropy end, mu = exp(-S): the result is
     :func:`entropy_bound` at S = -ln mu.  The superpurity order r = 1 has
@@ -531,7 +559,7 @@ def purity_bound(mu, n, order: PurityOrder) -> BoundResult:
         raise SolverError(f"order r={r!r} is too large: r - 1 rounds to r (n={n})")
 
     log_mu = math.log(mu)
-    log_b_at = {1.0: 0.0}  # ln(B_r(1)/1^r) = 0: the m = 0 term alone
+    sums_at = {1.0: (0.0, 0.0, 0.0)}  # ln(B_s(1)/1^s) = 0: the m = 0 term alone
 
     def h(M):
         if not M < math.inf:
@@ -543,16 +571,16 @@ def purity_bound(mu, n, order: PurityOrder) -> BoundResult:
                 f"no cutoff below the float range has family purity mu={mu} "
                 f"(n={n}, r={r})"
             )
-        log_b, log_b_lower = _log_B_pair(M, n, r)
-        log_b_at[M] = log_b
-        return log_mu / r + log_b_lower - (r - 1.0) / r * log_b
+        sums = sums_at[M] = _log_B_pair(M, n, r)
+        return log_mu / r + sums[1] - (r - 1.0) / r * sums[0]
 
     # h(1) = ln(mu)/r < 0.  The sums' expansion in L = M + n/2 puts the root
-    # at L = M* - (r+n-1)(r-n)/(24 M*), where h rises like (n/r) ln L
+    # at L = M* - (r+n-1)(r-n)/(24 M*)
     star = asymptotic_cutoff(mu, n, r)
     seed = star - 0.5 * n - (r + n - 1.0) * (r - n) / (24.0 * star)
-    root = seeded_root(h, 1.0, log_mu / r, seed, n / r, ftol=1e-12 / r)
-    per_dim = max(_bracket(root.x, n, r, log_mu, log_b_at[root.x]), 1.0)
+    root = seeded_root(h, 1.0, log_mu / r, seed, lambda M: _slope_of_h(r, sums_at[M]),
+                       ftol=1e-12 / r)
+    per_dim = max(_bracket(root.x, n, r, log_mu, sums_at[root.x][0]), 1.0)
     return BoundResult(per_dim, n, method="holder-root", aux=root.x,
                        residual=root.residual, iterations=root.iterations)
 

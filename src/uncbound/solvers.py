@@ -1,12 +1,13 @@
 """Bracketed root finding by Brent's method.
 
 ``brent_root`` closes a sign-change bracket whose ends, and the function
-values there, come from the caller.  ``seeded_root`` builds that bracket
-for the package's increasing roots from an estimate of the root and of
-the slope there: the estimate and one Newton step from it straddle the
-root, or the bracket doubles or halves from them to ratio 2.  Tolerances
-follow the package-wide solver contract: relative 1e-12 unless stated
-otherwise, and at most _MAX_ITER steps once the bracket is set.
+values there, come from the caller.  ``seeded_root`` finds the package's
+increasing roots from an estimate of the root and the slope: Newton steps
+on an exact slope while they converge, or one step on an estimated one,
+then a bracket doubled or halved from the points to ratio 2 for
+``brent_root``.  Tolerances follow the package-wide solver contract:
+relative 1e-12 unless stated otherwise, and at most _MAX_ITER steps once
+the bracket is set.
 """
 
 import math
@@ -21,6 +22,10 @@ _MAX_ITER = 200
 # estimate a little too steep still carries the step across the root
 _OVERSHOOT = 1.25
 _MAX_LOG_STEP = 709.0  # e^709.78 is the largest float
+# seeded_root's steps on an exact slope: each moves ln x by at most ln 2, and
+# they go on while each cuts |f| at least tenfold
+_NEWTON_CLAMP = math.log(2.0)
+_NEWTON_CUT = 10.0
 
 
 class SolverError(RuntimeError):
@@ -99,37 +104,56 @@ def seeded_root(f, lo, f_lo, seed, log_slope, ftol=0.0):
     """Root above lo > 0 of f, increasing through zero, from the estimate ``seed``.
 
     f(lo) = f_lo < 0 is given, so it costs no evaluation; a seed at or below
-    lo starts the search at lo itself.  ``log_slope`` > 0 estimates
-    df/d(ln x) near the root.  After f at the seed, one Newton step in ln x,
-    lengthened by a quarter, gives a second point, which lands across the
-    root when the estimate holds; it is kept within [lo, largest float].
-    :func:`brent_root` closes the tightest sign change among lo and the two
-    points.  Only if both points lie below the root does the upper end
+    lo starts the search at lo itself.  ``log_slope`` is df/d(ln x), in one
+    of two forms.  A number > 0 estimates it near the root: after f at the
+    seed, one Newton step in ln x, lengthened by a quarter, gives a second
+    point, which lands across the root when the estimate holds; it is kept
+    within [lo, largest float].  A callable gives it exactly at a point
+    where f has been evaluated: from the seed, Newton steps in ln x, each
+    clamped to _NEWTON_CLAMP = ln 2 and taken only strictly inside the
+    bracket found so far, go on while each cuts |f| at least _NEWTON_CUT
+    times (none from lo, and none where the slope is not positive).  Then
+    :func:`brent_root` closes the tightest sign change among lo and the
+    points.  Only if every point lies below the root does the upper end
     double until f turns positive, and a bracket wider than ratio 2 is first
     halved down to ratio 2.  Doubling past the float range calls f at inf,
-    so f must raise there.  The seed or the Newton point is returned at once
-    where |f| <= ``ftol``, and ``ftol`` goes on to :func:`brent_root`.
+    so f must raise there.  A point is returned at once where
+    |f| <= ``ftol``, and ``ftol`` goes on to :func:`brent_root`.
     ``iterations`` counts every evaluation of f, bracketing included.
     """
+    exact = callable(log_slope)
     x = max(seed, lo)
     f_x = f(x) if x > lo else f_lo
     evals = int(x > lo)
-    if abs(f_x) <= ftol:
-        return RootResult(x, abs(f_x), evals)
-    step = min(-_OVERSHOOT * f_x / log_slope, _MAX_LOG_STEP)
-    newton = min(x * math.exp(step), sys.float_info.max)
-    f_newton = f(newton) if newton > lo else f_lo
-    evals += int(newton > lo)
-    if abs(f_newton) <= ftol:
-        return RootResult(newton, abs(f_newton), evals)
     hi, f_hi = math.inf, math.nan
-    for point, f_point in ((x, f_x), (newton, f_newton)):
-        if f_point < 0.0:
-            if point > lo:
-                lo, f_lo = point, f_point
-        elif point < hi:
-            hi, f_hi = point, f_point
-    while hi == math.inf:  # the root lies above both points: double
+    steps = 0
+    while abs(f_x) > ftol:
+        if f_x < 0.0:
+            if x > lo:
+                lo, f_lo = x, f_x
+        elif x < hi:
+            hi, f_hi = x, f_x
+        if exact:
+            if not evals or steps and abs(f_x) > last / _NEWTON_CUT:
+                break  # no slope at lo, or the last step cut |f| too little
+            slope = log_slope(x)
+            if not slope > 0.0:
+                break
+            step = min(max(-f_x / slope, -_NEWTON_CLAMP), _NEWTON_CLAMP)
+            point = x * math.exp(step)
+            if not lo < point < hi:
+                break
+        else:
+            if steps:
+                break
+            step = min(-_OVERSHOOT * f_x / log_slope, _MAX_LOG_STEP)
+            point = min(x * math.exp(step), sys.float_info.max)
+        last, steps = abs(f_x), steps + 1
+        x, f_x = point, f(point) if point > lo else f_lo
+        evals += int(point > lo)
+    else:
+        return RootResult(x, abs(f_x), evals)
+    while hi == math.inf:  # the root lies above every point: double
         point = 2.0 * lo
         f_point = f(point)
         evals += 1

@@ -179,15 +179,16 @@ def _logsumexp_rows(a):
     top = a.argmax(axis=1)
     top += np.arange(0, a.size, width)  # flat index of each row's largest entry
     peak = a.take(top)
-    finite = np.isfinite(peak)
-    # a row whose peak is not finite is left unshifted, and returns its peak
-    shift = peak if finite.all() else np.where(finite, peak, 0.0)
+    # a row whose peak is not finite is left unshifted, and returns its peak;
+    # the peaks are checked as Python floats, cheaper than a numpy pass
+    finite = None if all(map(math.isfinite, peak.tolist())) else np.isfinite(peak)
+    shift = peak if finite is None else np.where(finite, peak, 0.0)
     a -= shift[:, None]
     np.exp(a, out=a)
     a.put(top, 0.0)  # the largest term is log1p's 1
-    sums = np.log1p(a.sum(axis=1))
+    sums = np.log1p(np.add.reduce(a, axis=1))
     sums += shift
-    return sums if shift is peak else np.where(finite, sums, peak)
+    return sums if finite is None else np.where(finite, sums, peak)
 
 
 def logsumexp(values):

@@ -6,9 +6,10 @@
 
 * M <= 2e4: an ``fsum`` of every term, with g_m an exact integer;
 * terms that fall off within ``LEVEL_LIMIT`` levels (s large against M):
-  the levels from m = 0 up.  The terms are log-concave in m, so once their
-  ratio is q < 1 the rest is below the next term / (1 - q), and the sum
-  stops when that is under 10^-DIGITS of it;
+  the levels from m = 0 up.  For s >= 0 the terms are log-concave in m, so
+  once their ratio is q < 1 the rest is below the next term / (1 - q), and
+  the sum stops when that is under 10^-DIGITS of it; for s < 0 they rise
+  toward the top level, and this route is never taken;
 * otherwise the Hurwitz-zeta identity.  With M = k + f, f in (0, 1], and
   u = M - m running over f, f + 1, ..., M, g(M - u) is a degree-(n-1)
   polynomial sum_b a_b u^b, so
@@ -20,7 +21,9 @@
   ``LEVEL_LIMIT`` and they are below 10^-DIGITS of the m = 0 term), and
   both zeta values at a >= f + J come from the large-a Euler-Maclaurin
   series.  Its j-th term shrinks by about ((s + b + 2j) / (2 pi a))^2, so
-  it falls below 10^-D before it turns.  ``mpmath.zeta`` itself took
+  it falls below 10^-D before it turns.  The difference of two zeta values
+  is the sum over the levels between them for every order but -s - b = 1,
+  so it holds for -1 < s < 0 as well.  ``mpmath.zeta`` itself took
   minutes at these arguments.
 
 Two pitfalls are kept: the order -s - b is formed as ``-mpf(s) - b`` (in
@@ -42,7 +45,7 @@ LEVEL_LIMIT = 20_000
 
 
 def log_B_ref(M, n, s):
-    """ln B_s(M) as an mpmath number, for M > 0, 1 <= n <= 64 and s >= 0."""
+    """ln B_s(M) as an mpmath number, for M > 0, 1 <= n <= 64 and s > -1."""
     k = math.ceil(M) - 1  # the top level below M
     with mpmath.workdps(DIGITS + 20):
         big_m, order = mpmath.mpf(M), mpmath.mpf(s)

@@ -3,6 +3,8 @@
 ``cutoff_sum_bits.json`` pins the pair (ln(B_r/M^r), ln(B_{r-1}/M^(r-1)))
 of ``bounds._log_B_pair`` on both branches, and ``tail_sum_bits.json`` the
 same pair from ``bounds._log_B_tail`` at large orders, by ``float.hex``.
+Both take the pair from the pass that sums the order r - 2 as well, as
+``purity_bound`` does; that third sum is not pinned.
 Each file keeps the environment it was recorded in beside its rows: the
 last bits of numpy's log, log1p and exp can differ with the CPU's SIMD
 targets or the numpy build, so a test that finds moved bits names both
@@ -27,8 +29,8 @@ except ImportError:  # numpy 1.x
 
 HERE = Path(__file__).parent
 PAIRS = {
-    "cutoff_sum_bits.json": bounds._log_B_pair,
-    "tail_sum_bits.json": lambda M, n, r: bounds._log_B_tail(M, n, (r, r - 1.0)),
+    "cutoff_sum_bits.json": lambda M, n, r: bounds._log_B_pair(M, n, r)[:2],
+    "tail_sum_bits.json": lambda M, n, r: bounds._log_B_tail(M, n, (r, r - 1.0, r - 2.0))[:2],
 }
 
 

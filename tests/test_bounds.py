@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 
 import mpmath
 import numpy as np
@@ -39,6 +40,7 @@ from uncbound.solvers import SolverError
 from uncbound.special_fn import degeneracy, log_degeneracy_array
 from uncbound.spectrum_bound import bound_from_grouped
 
+import eval_counts
 import sum_bits
 from hurwitz import log_B_ref, purity_bound_ref
 
@@ -497,6 +499,44 @@ class TestCutoffSums:
                 exact = log_B_ref(M, n, s) - s * mpmath.log(M)
             assert got == pytest.approx(float(exact), rel=1e-13)
 
+    def test_order_r_minus_two_matches_hurwitz_zeta(self):
+        # the third sum, of order r - 2 (in (-1, 0) for r < 2), against the
+        # exact one; half the draws have r < 2.  The tail takes every u = M - m
+        # exactly.  The direct sum forms u/M as 1 - m/M from a rounded m/M, an
+        # absolute error of about eps, so its top level, u = f, is off by up to
+        # eps M/f relative: at (M, n, r) = (15000.01, 2, 1.1) that is 4.9e-12
+        rng = np.random.default_rng(62)
+        for branch in ("direct", "tail"):
+            for i in range(8):
+                n = int(rng.integers(1, 65))
+                r = float(rng.uniform(1.01, 2.0) if i % 2 else rng.uniform(2.0, 50.0))
+                if branch == "direct":
+                    M = float(rng.integers(1, 1500)) + float(rng.uniform(0.01, 0.99))
+                    tol = 4.0 * sys.float_info.epsilon * M / (M - math.floor(M))
+                else:
+                    M = float(np.exp(rng.uniform(np.log(3e4), np.log(1e9))))
+                    tol = 0.0
+                assert (M > bounds._DIRECT_TERM_LIMIT) == (branch == "tail")
+                got = bounds._log_B_pair(M, n, r)[2]
+                with mpmath.workdps(60):
+                    exact = float(log_B_ref(M, n, r - 2.0) - (r - 2.0) * mpmath.log(M))
+                assert got == pytest.approx(exact, rel=1e-13, abs=tol), (M, n, r)
+
+    def test_orders_near_the_float_max_do_not_warn(self):
+        # (r - 1) log1p(-m/M) and s ln(u/M) overflow there: the direct sum
+        # keeps only its m = 0 term, and the tail refuses the order
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert log_B_exact(10.5, 1, 1e308) == math.inf  # 1e308 ln 10.5
+            assert log_B_exact(10.5, 1, 1e307) == pytest.approx(1e307 * math.log(10.5),
+                                                                rel=1e-15)
+            assert bounds._log_B_pair(10.5, 1, 1e308) == [0.0, 0.0, 0.0]
+            assert holder_bracket(10.5, 1, 1e308, 0.5) == 1.0
+            with pytest.raises(SolverError, match="past the float range"):
+                holder_bracket(1e5, 1, 1e308, 0.5)
+            with pytest.raises(SolverError, match="past the float range"):
+                log_B_exact(1e5, 1, 1e308)
+
     def test_one_dim_tail_beyond_integer_levels(self):
         # above 2^53 the levels are not listable; sum_u (u/M)^s -> M/(s+1)
         for M in (1e20, 1e100, 1e200):
@@ -690,26 +730,52 @@ class TestPurityBound:
                 assert family_mu == pytest.approx(mu, rel=1e-9)
 
     def test_evaluation_budget(self):
-        # a grid shaped like the purity-sweep benchmark pool, where the
-        # doubling bracket from M* took 6.9 sum pairs per point (max 22 here),
-        # Brent's method run to its bracket width alone 4.84 (tail 2.69) and
-        # the first-order seed M* - n/2 4.04 (tail 1.99)
-        rng = np.random.default_rng(10)
+        # tests/eval_counts.py's grid shaped like the purity-sweep benchmark
+        # pool, where the doubling bracket from M* took 6.9 evaluations per
+        # point (max 22 here), Brent's method run to its bracket width alone
+        # 4.84 (tail 2.69), the first-order seed M* - n/2 4.04 (tail 1.99) and
+        # one Newton step on the slope estimate n/r 3.39 (tail 1.20)
         evals, tail = [], []
-        for _ in range(600):
-            n = int(rng.integers(1, 4))
-            r = float(np.exp(rng.uniform(np.log(1.5), np.log(10.0))))
-            mu = float(np.exp(rng.uniform(np.log(1e-7), np.log(0.5))))
-            res = purity_bound(mu, n, PurityOrder.finite(r))
+        for res in eval_counts.results(eval_counts.budget()):
             evals.append(res.iterations)
             if res.aux > bounds._DIRECT_TERM_LIMIT:
                 tail.append(res.iterations)
-        assert np.mean(evals) <= 3.5
+        assert np.mean(evals) <= 2.6
         # the costliest roots sit just above an integer cutoff, where a new
         # level enters h with an infinite slope and Brent's method bisects
         assert max(evals) <= 20
         # the second-order seed of a tail cutoff mostly solves h to 1e-12/r
-        assert len(tail) >= 50 and np.mean(tail) <= 1.3
+        assert len(tail) >= 50 and np.mean(tail) <= 1.2
+
+    def test_large_n_evaluation_budget(self):
+        # at n in {12, 32, 64} every root lies at a small cutoff, far above
+        # the seed, so the search doubles from M = 1: one Newton step on the
+        # slope estimate n/r took 8.46 evaluations per point here
+        found = eval_counts.results(eval_counts.GRIDS["large-n"]())
+        assert np.mean([res.iterations for res in found]) <= 7.0
+
+    def test_slope_of_h_matches_mpmath(self):
+        # dh/d(ln M) = (r-1) e^(sB_{r-1} - sB_r) expm1(sB_{r-2} - 2 sB_{r-1} + sB_r)
+        # from the three scaled sums, against a central difference of the
+        # 40-digit h over a relative step of 1e-9, which stays between two
+        # integer cutoffs; Jensen's inequality makes it positive.  n is drawn
+        # log-uniform: the exact tail sums take seconds at n ~ 64
+        rng = np.random.default_rng(63)
+        for i in range(10):
+            n = int(np.exp(rng.uniform(0.0, np.log(65.0))))
+            r = float(np.exp(rng.uniform(np.log(1.05), np.log(2.0) if i % 4 < 2 else np.log(50.0))))
+            if i % 2:
+                M = float(np.exp(rng.uniform(np.log(3e4), np.log(1e6))))
+            else:
+                M = float(rng.integers(1, 800)) + float(rng.uniform(0.05, 0.95))
+            slope = bounds._slope_of_h(r, bounds._log_B_pair(M, n, r))
+            with mpmath.workdps(60):
+                ends = [M * (1.0 - 1e-9), M * (1.0 + 1e-9)]
+                h = [log_B_ref(x, n, r - 1.0) - (r - 1.0) / mpmath.mpf(r) * log_B_ref(x, n, r)
+                     for x in ends]
+                exact = (h[1] - h[0]) / (mpmath.log(ends[1]) - mpmath.log(ends[0]))
+            assert slope > 0.0
+            assert slope == pytest.approx(float(exact), rel=1e-8), (M, n, r)
 
     def test_matches_mpmath_reference(self):
         # pool-like points against the 40-digit bound of tests/hurwitz.py;

@@ -30,7 +30,13 @@ the cutoff.  Six of those eight (all but the ``curve`` cases at ``--n 2
 gained its second-order term and the search began to stop at
 |h| <= 1e-12/r: values moved by at most 6.7e-16 relative and cutoffs by
 at most 4.7e-14, and ``bound purity --n 1 --r 2 --mu 1e-6`` became the
-float nearest the supremum, 0.2 ulp below it.  The ``--r 1e308`` error
+float nearest the supremum, 0.2 ulp below it.  Six cases (``bound purity
+--n 2 --r 3 --mu 0.01``, the four ``curve --quantity purity-bound`` and the
+exit-1 ``verify holder``) were recorded again when the root search began
+Newton steps on the exact slope of h: values moved by at most 4.3e-16
+relative and cutoffs by at most 4.1e-13, and against ``purity_bound_ref``
+every recorded value lies within 5.4e-16 of the supremum; ``bound purity
+--n 1 --r 2 --mu 1e-6`` took one evaluation and did not move.  The ``--r 1e308`` error
 text was recorded again when orders whose r - 1 rounds to r began to be
 refused by name.  ``{spectrum}`` and
 ``{garbage}`` stand for two files written by the test.
@@ -81,11 +87,11 @@ CASES = [
          "    \"n\": 2,\n"
          "    \"r\": 3.0,\n"
          "    \"mu\": 0.01,\n"
-         "    \"value\": 8.329891468921168,\n"
-         "    \"volume\": 69.38709188400566,\n"
-         "    \"aux\": 19.77588885683689,\n"
+         "    \"value\": 8.329891468921165,\n"
+         "    \"volume\": 69.3870918840056,\n"
+         "    \"aux\": 19.775888856836907,\n"
          "    \"method\": \"exact\",\n"
-         "    \"residual\": 0.0\n"
+         "    \"residual\": 4.440892098500626e-16\n"
          "  }\n"
          "]\n",
          ""),
@@ -301,17 +307,17 @@ CASES = [
     Case(["curve", "--quantity", "purity-bound", "--n", "1,2", "--r", "1.5:3:3", "--mu", "0.01"],
          0,
          "n,r,mu,value,aux,method,residual\n"
-         "1,1.5,0.01,92.952638246069895,115.6928779231592,holder-root,6.6613381477509392e-16\n"
-         "1,2.25,0.01,87.439900209108202,141.58654886892856,holder-root,0\n"
+         "1,1.5,0.01,92.952638246069881,115.69287792315893,holder-root,1.3322676295501878e-15\n"
+         "1,2.25,0.01,87.439900209108217,141.58654886892859,holder-root,0\n"
          "1,3,0.01,84.376481491613873,168.24852342602605,holder-root,4.4408920985006262e-16\n"
-         "2,1.5,0.01,8.9656446095842988,14.682062458892698,holder-root,4.4408920985006262e-16\n"
-         "2,2.25,0.01,8.5665121534643198,17.17491046817366,holder-root,1.021405182655144e-14\n"
-         "2,3,0.01,8.3298914689211685,19.77588885683689,holder-root,0\n",
+         "2,1.5,0.01,8.9656446095842952,14.682062458892709,holder-root,0\n"
+         "2,2.25,0.01,8.5665121534643163,17.174910468173863,holder-root,0\n"
+         "2,3,0.01,8.3298914689211649,19.775888856836907,holder-root,4.4408920985006262e-16\n",
          ""),
     Case(["curve", "--quantity", "purity-bound", "--n", "2", "--r", "2", "--mu", "1e-4:1:3:log"],
          0,
          "n,r,mu,value,aux,method,residual\n"
-         "2,2,0.0001,86.603985364962128,172.20513687397747,holder-root,9.4146912488213275e-14\n"
+         "2,2,0.0001,86.603985364962142,172.20513687390638,holder-root,3.184119634624949e-13\n"
          "2,2,0.01,8.6748259103577503,16.311649225740091,holder-root,0\n"
          "2,2,1,1,1,holder-root,0\n",
          ""),
@@ -322,19 +328,19 @@ CASES = [
          "    \"n\": 1,\n"
          "    \"r\": 1.5,\n"
          "    \"mu\": 0.1,\n"
-         "    \"value\": 9.307459722168971,\n"
-         "    \"aux\": 11.096097169343162,\n"
+         "    \"value\": 9.30745972216897,\n"
+         "    \"aux\": 11.096097169341041,\n"
          "    \"method\": \"holder-root\",\n"
-         "    \"residual\": 3.3306690738754696e-16\n"
+         "    \"residual\": 1.871836019518014e-13\n"
          "  },\n"
          "  {\n"
          "    \"n\": 1,\n"
          "    \"r\": 6.0,\n"
          "    \"mu\": 0.1,\n"
-         "    \"value\": 7.949416378408782,\n"
-         "    \"aux\": 27.214699787024422,\n"
+         "    \"value\": 7.949416378408785,\n"
+         "    \"aux\": 27.214699787032377,\n"
          "    \"method\": \"holder-root\",\n"
-         "    \"residual\": 2.220446049250313e-16\n"
+         "    \"residual\": 4.773959005888173e-14\n"
          "  }\n"
          "]\n",
          ""),
@@ -345,10 +351,10 @@ CASES = [
          "    \"n\": 3,\n"
          "    \"r\": 3.0,\n"
          "    \"mu\": 0.001,\n"
-         "    \"value\": 8.23761156245612,\n"
-         "    \"aux\": 23.162869140237607,\n"
+         "    \"value\": 8.237611562456118,\n"
+         "    \"aux\": 23.162869140237618,\n"
          "    \"method\": \"holder-root\",\n"
-         "    \"residual\": 4.440892098500626e-16\n"
+         "    \"residual\": 0.0\n"
          "  },\n"
          "  {\n"
          "    \"n\": 3,\n"
@@ -505,8 +511,8 @@ CASES = [
     # which replaces that oracle, will change this case.
     Case(["verify", "holder", "--n", "2", "--r", "2.010041770264862", "--mu", "0.0049748612669626826", "--seed", "1"],
          1,
-         "brute=12.28373272241701 closed=12.281767919782739\n"
-         "holder: checks=1 failures=1 gap=0.0019648026342711233\n"
+         "brute=12.28373272241701 closed=12.281767919782737\n"
+         "holder: checks=1 failures=1 gap=0.0019648026342728997\n"
          "FAIL\n",
          ""),
 ]

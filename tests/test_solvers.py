@@ -164,6 +164,72 @@ def test_seeded_root_passes_ftol_to_brent():
     assert res.iterations < seeded_root(f, 1.0, -10.0, 1e3, 1e6).iterations
 
 
+def _slope_at(slope, calls):
+    # a log_slope callable that checks it is asked only where f was evaluated
+    def log_slope(x):
+        assert x in [point for point, value in calls]
+        return slope(x)
+    return log_slope
+
+
+def test_seeded_root_newton_on_an_exact_slope():
+    # f = (ln x)^3/300 + ln x - 10 curves, so one step does not land on the
+    # root: each Newton step on its slope at least squares the error
+    log = lambda x: math.log(x)
+    f, calls = _counted(lambda x: log(x) ** 3 / 300.0 + log(x) - 10.0)
+    slope = _slope_at(lambda x: log(x) ** 2 / 100.0 + 1.0, calls)
+    res = seeded_root(f, 1.0, -10.0, 2e3, slope, ftol=1e-13)
+    assert res.residual <= 1e-13 and res.iterations == len(calls) <= 5
+    errors = [abs(value) for x, value in calls]
+    assert all(b <= a / 10.0 for a, b in zip(errors, errors[1:]))
+
+
+def test_seeded_root_clamps_exact_slope_steps():
+    # a slope 1e4 times too small: each step moves x by at most a factor 2,
+    # inside the bracket found so far, and the first that fails to cut |f|
+    # tenfold hands the bracket to doubling and Brent's method
+    f, calls = _counted(lambda x: math.log(x) - 10.0)
+    slope = _slope_at(lambda x: 1e-4, calls)
+    res = seeded_root(f, 1.0, -10.0, 100.0, slope, ftol=1e-13)
+    assert res.x == pytest.approx(math.exp(10.0), rel=1e-12)
+    assert res.iterations == len(calls)
+    assert calls[1][0] == pytest.approx(200.0, rel=1e-15)  # clamped to a factor 2
+
+
+def test_seeded_root_stays_inside_the_bracket_on_an_exact_slope():
+    # a slope 1e4 times too large from above the root: the step falls short,
+    # cuts |f| less than tenfold, and the search falls back; no point is
+    # ever taken outside the bracket of the points before it
+    f, calls = _counted(lambda x: math.log(x) - 10.0)
+    slope = _slope_at(lambda x: 1e4, calls)
+    res = seeded_root(f, 1.0, -10.0, 1e6, slope)
+    assert res.x == pytest.approx(math.exp(10.0), rel=1e-12)
+    assert res.iterations == len(calls)
+    lo, hi = 1.0, math.inf
+    for x, value in calls:
+        assert lo < x < hi
+        if value < 0.0:
+            lo = x
+        else:
+            hi = x
+
+
+@pytest.mark.parametrize("slope", [0.0, -1.0, math.nan])
+def test_seeded_root_without_a_positive_slope_brackets(slope):
+    f, calls = _counted(lambda x: math.log(x) - 10.0)
+    res = seeded_root(f, 1.0, -10.0, 1e3, _slope_at(lambda x: slope, calls))
+    assert res.x == pytest.approx(math.exp(10.0), rel=1e-12)
+    assert [x for x, value in calls[:4]] == [1e3, 2e3, 4e3, 8e3]  # doubling
+
+
+def test_seeded_root_asks_no_slope_at_lo():
+    # a seed at or below lo starts from f_lo, where nothing gives a slope
+    f, calls = _counted(lambda x: math.log(x) - 10.0)
+    res = seeded_root(f, 1.0, -10.0, 0.5, _slope_at(lambda x: 1.0, calls))
+    assert res.x == pytest.approx(math.exp(10.0), rel=1e-12)
+    assert calls[0][0] == 2.0
+
+
 # (x, residual, iterations) of the fixtures above before ftol existed
 _CUBIC = lambda x: x**3 - 2.0 * x - 5.0
 _STEP = lambda x: math.copysign(abs(x - 1.0) ** 0.01, x - 1.0)

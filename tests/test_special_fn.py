@@ -181,6 +181,41 @@ def test_logsumexp_rows_bit_for_bit():
     np.testing.assert_array_equal(logsumexp(np.zeros((3, 0))), [-np.inf] * 3)
 
 
+def _numpy_checked_rows_lse(a):
+    # the row-wise kernel as it was before its peaks were checked as Python
+    # floats and its rows summed by np.add.reduce, kept as its reference
+    count, width = a.shape
+    top = a.argmax(axis=1)
+    top += np.arange(0, a.size, width)
+    peak = a.take(top)
+    finite = np.isfinite(peak)
+    shift = peak if finite.all() else np.where(finite, peak, 0.0)
+    a -= shift[:, None]
+    np.exp(a, out=a)
+    a.put(top, 0.0)
+    sums = np.log1p(a.sum(axis=1))
+    sums += shift
+    return sums if shift is peak else np.where(finite, sums, peak)
+
+
+def test_logsumexp_rows_match_the_numpy_checked_kernel_bit_for_bit():
+    # all-finite peaks take the short path; a row peaking at -inf, +inf or
+    # nan sends its whole buffer down the numpy-checked one
+    rng = np.random.default_rng(27)
+    for trial in range(400):
+        rows = rng.normal(0.0, 10.0 ** rng.uniform(-1.0, 2.5), (rng.integers(1, 5), rng.integers(1, 60)))
+        if trial % 2:
+            row = rng.integers(rows.shape[0])
+            peak = rng.choice([-np.inf, np.inf, np.nan])
+            if peak == -np.inf:
+                rows[row] = -np.inf
+            else:
+                rows[row, rng.integers(rows.shape[1])] = peak
+        got = special_fn._logsumexp_rows(rows.copy())
+        expected = _numpy_checked_rows_lse(rows.copy())
+        assert [float(x).hex() for x in got] == [float(x).hex() for x in expected], rows
+
+
 def test_logsumexp_leaves_its_input_alone():
     rows = _lse_rows()
     kept = rows.copy()
