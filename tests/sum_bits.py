@@ -48,9 +48,10 @@ def bits(name, M, n, r):
     return [float(x).hex() for x in PAIRS[name](M, n, r)]
 
 
-def moved_rows(name):
-    """(the pinned file, the (M, n, r) of every row whose bits moved)."""
+def moved_rows(name, select=lambda M, n, r: True):
+    """(the pinned file with the selected rows, the (M, n, r) of every one whose bits moved)."""
     pinned = json.loads((HERE / name).read_text())
+    pinned["rows"] = [row for row in pinned["rows"] if select(*row[:3])]
     return pinned, [(M, n, r) for M, n, r, *hexes in pinned["rows"] if bits(name, M, n, r) != hexes]
 
 

@@ -463,8 +463,16 @@ class TestCutoffSums:
     def test_tail_keeps_its_bits_at_large_orders(self):
         # float.hex of the scaled tail pair at n <= 64, r in [100, 1e7] and M
         # in [4096, 1e12], where every row drops panels and a third split one
-        pinned, moved = sum_bits.moved_rows("tail_sum_bits.json")
+        pinned, moved = sum_bits.moved_rows("tail_sum_bits.json", lambda M, n, r: r > 100.0)
         assert len(pinned["rows"]) == 64
+        assert not moved, (f"{len(moved)} rows moved, first {moved[:3]}; recorded on "
+                           f"{pinned['environment']}, running on {sum_bits.environment()}")
+
+    def test_tail_keeps_its_bits_where_no_panel_splits(self):
+        # the same at n in {1, 2, 3, 6, 32, 64}, r in [1.05, 100] and M from
+        # 4096 to 1e300, with cutoffs within 1e-9 of an integer and above 2^53
+        pinned, moved = sum_bits.moved_rows("tail_sum_bits.json", lambda M, n, r: r <= 100.0)
+        assert len(pinned["rows"]) == 60
         assert not moved, (f"{len(moved)} rows moved, first {moved[:3]}; recorded on "
                            f"{pinned['environment']}, running on {sum_bits.environment()}")
 
