@@ -41,6 +41,9 @@ sums the first and last 1024 levels directly and integrates the levels
 between them by Gauss-Legendre with the B2 and B4 Euler-Maclaurin end
 terms, skipping panels far below real terms of each sum; every term is
 positive, so nothing cancels, and the cost grows with log M, not with M.
+Its panel edges, drop test, nodes and end weights take a short, fixed list
+of array calls; a panel is split only once its node count is capped, at
+n + s > 256, which no order up to r = 100 reaches.
 A sum that comes out zero or non-finite at M > 0 raises SolverError.
 """
 
@@ -249,9 +252,13 @@ _NODE_HALF_CAP = 128
 # A panel whose integral is provably below e^-50 of the sum is skipped: the
 # at most ~2100 panels of a float-range cutoff then miss under 1e-18 of it.
 _NEGLIGIBLE_LOG = 50.0
-# Splitting stops here.  Up to r = 100 no panel is split; far beyond, where
-# s ln u no longer resolves unit steps in m, the split count is unbounded.
+# Splitting stops here.  Below n + s = 256 no panel is split; far beyond,
+# where s ln u no longer resolves unit steps in m, the split count is unbounded.
 _MAX_PANELS = 8192
+# 2^k for k <= 1013: the panel edges 1024 2^k and (f + 1024) 2^k of a
+# finite cutoff stay below M/2 < 1024 2^1013, the end of the float range
+_POWERS = 2.0 ** np.arange(1014)
+_POWERS.setflags(write=False)
 
 
 @functools.cache
@@ -266,44 +273,57 @@ def _gauss_rule(count):
     return nodes, log_weights
 
 
-def _middle_nodes(M, n, orders, refs, x, cut, lg, lu):
+def _middle_nodes(M, n, orders, refs, x, cut, lg, lu, ln_width):
     """Gauss-Legendre nodes of the middle integral.
 
     ``x`` holds the panel edges, in m up to M/2 and from index ``cut`` on in
     u up to M/2 (the pair joining the runs is no panel); ``lg`` holds ln g
-    at them, ``lu`` ln(u/M) at them, then ln of each pair's width and ratio.
-    A panel gets N = 12 + floor((n + s)/2) nodes for the largest order s.
+    at them, ``lu`` ln(u/M) and ``ln_width`` ln of each pair's width.  A
+    panel gets N = 12 + floor((n + s)/2) nodes for the largest order s.
     ln g and ln u are monotone across a panel, so their edge values bound
     ln F on it and its variation.  A panel _NEGLIGIBLE_LOG below the largest
-    of each row of ``refs`` (real terms of the sums) is dropped; one that
-    varies more than N nodes resolve (only once N is capped) is split into
-    parts of equal ratio, and past _MAX_PANELS parts SolverError is raised.
-    Returns the nodes (in m first), how many lie in m, and their ln weights.
+    of each row of ``refs`` (real terms of the sums) and the m = 0 term, 0,
+    is dropped; one that varies more than N nodes resolve (only once N is
+    capped) is split into parts of equal ratio, and past _MAX_PANELS parts
+    SolverError is raised.  Returns the nodes (in m first), how many lie in
+    m, and their ln weights.
     """
-    s = np.asarray(orders, dtype=float)[:, None]
-    s_max = float(s.max())
+    s_max = max(orders)
     t, log_w = _gauss_rule(12 + min(int(n + s_max) // 2, _NODE_HALF_CAP))
-    resolved = math.log(2.0) * min(n + s_max, 2.0 * _NODE_HALF_CAP)
-    lu, ln_width, ln_ratio = lu[:x.size], lu[x.size:2 * x.size - 1], lu[2 * x.size - 1:]
     # s ln(u/M) is largest at the panel's lower u for s >= 0, at its upper one below
-    bound = np.maximum(lg[:-1], lg[1:]) + np.maximum(s * lu[:-1], s * lu[1:]) + ln_width
-    keep = (bound >= [[max(row) - _NEGLIGIBLE_LOG] for row in refs]).any(0)
+    slu = np.multiply.outer(orders, lu)
+    bound = np.maximum(lg[:-1], lg[1:]) + np.maximum(slu[:, :-1], slu[:, 1:]) + ln_width
+    keep = (bound >= [[max(*row, 0.0) - _NEGLIGIBLE_LOG] for row in refs]).any(0)
     keep[cut - 1] = False
-    spread = np.abs(lg[1:] - lg[:-1]) + s_max * np.abs(lu[1:] - lu[:-1])
-    parts = np.maximum(np.ceil(spread / resolved), 1.0)
-    count = parts * keep  # no part for a dropped pair
-    if not count.sum() <= _MAX_PANELS:
+    a, b = x[:-1][keep], x[1:][keep]
+    lower = np.count_nonzero(keep[:cut - 1])  # kept panels in m
+    total = a.size
+    # Across a ratio-2 panel ln g varies by at most (n - 1) ln 2 and s ln(u/M)
+    # by at most s ln 2, so N nodes resolve every panel until N is capped
+    if n + s_max > 2 * _NODE_HALF_CAP:
+        spread = np.abs(lg[1:] - lg[:-1]) + s_max * np.abs(lu[1:] - lu[:-1])
+        parts = np.maximum(np.ceil(spread[keep] / (math.log(2.0) * 2 * _NODE_HALF_CAP)), 1.0)
+        total = parts.sum()
+    if not total <= _MAX_PANELS:
         raise SolverError(f"cutoff sum of order {s_max} at M={M!r} (n={n}) needs "
                           f"more than {_MAX_PANELS} quadrature panels")
-    count = count.astype(int)
-    ends = count.cumsum()
-    step = np.arange(ends[-1]) - (ends - count).repeat(count)
-    a = x[:-1].repeat(count) * np.exp(step * (ln_ratio / parts).repeat(count))
-    b = np.concatenate([a[1:], a[:1]])  # the next part's start, or the panel's end
-    b[ends[keep] - 1] = x[1:][keep]
+    if total > a.size:  # split the steep panels into parts of equal ratio
+        count = parts.astype(int)
+        ends = count.cumsum()
+        step = np.arange(ends[-1]) - (ends - count).repeat(count)
+        panel_end = b
+        a = a.repeat(count) * np.exp(step * (np.log(b / a) / parts).repeat(count))
+        b = np.concatenate([a[1:], a[:1]])  # the next part's start, or the panel's end
+        b[ends - 1] = panel_end
+        lower = ends[lower - 1] if lower else 0
     radius = 0.5 * (b - a)
-    nodes = ((0.5 * (a + b))[:, None] + radius[:, None] * t).ravel()
-    return nodes, int(ends[cut - 2]) * t.size, (np.log(radius)[:, None] + log_w).ravel()
+    nodes = radius[:, None] * t
+    nodes += (0.5 * (a + b))[:, None]
+    return nodes.ravel(), int(lower) * t.size, (np.log(radius)[:, None] + log_w).ravel()
+
+
+# the exponents 1, 2, 3 of the end levels' reciprocal sums
+_END_POWERS = np.arange(1, 4)[:, None, None]
 
 
 def _log_end_weights(M, f, n, orders):
@@ -312,20 +332,32 @@ def _log_end_weights(M, f, n, orders):
     The weight is 1/2 -+ (F'/12 - F'''/720)/F, from the log-derivatives of
     F(m) = g(m) u^s, in floats: one pair per order.  It exceeds 0.4 while
     |F'/F| < 1; a steeper end level is below e^-600 of its sum, and dropped.
+    The sums over j < n of 1/(m + j)^k, k = 1, 2, 3, that make up the
+    log-derivatives of g come from numpy, which fixes their summation order.
     """
-    inverse = 1.0 / np.add.outer(
-        (_TAIL_BLOCK, M - (f + _TAIL_BLOCK)), np.arange(1.0, n))
-    s1, s2, s3 = (inverse ** np.arange(1, 4)[:, None, None]).sum(axis=2).tolist()
-    ends = [(s / u, u, end) for s in orders
-            for end, u in enumerate((M - _TAIL_BLOCK, f + _TAIL_BLOCK))]
-    d1 = [s1[end] - slope for slope, u, end in ends]
-    flat = [abs(d) < 1.0 for d in d1]  # a steep end gets weight 1, then ln -inf
-    cubes = (np.array([d if ok else 0.0 for d, ok in zip(d1, flat)]) ** 3).tolist()
-    weights = [1.0 if not ok else 0.5 - (1 - 2 * end) * (d / 12.0 - (
-        2.0 * s3[end] - 2.0 * slope / u / u + 3.0 * d * (-s2[end] - slope / u) + c
-    ) / 720.0) for (slope, u, end), d, ok, c in zip(ends, d1, flat, cubes)]
+    s1 = s2 = s3 = (0.0, 0.0)  # g = 1 at n = 1
+    if n > 1:
+        inverse = 1.0 / np.add.outer((_TAIL_BLOCK, M - (f + _TAIL_BLOCK)), np.arange(1.0, n))
+        s1, s2, s3 = (inverse ** _END_POWERS).sum(axis=2).tolist()
+    # (u, sign of the end terms, the three sums) at the bottom and the top end
+    ends = [(M - _TAIL_BLOCK, 1.0, s1[0], s2[0], s3[0]),
+            (f + _TAIL_BLOCK, -1.0, s1[1], s2[1], s3[1])]
+    rows = [(s / u, u, sign, a1 - s / u, a2, a3) for s in orders for u, sign, a1, a2, a3 in ends]
+    flat = [abs(row[3]) < 1.0 for row in rows]  # a steep end gets weight 1, then ln -inf
+    cubes = (np.array([row[3] if ok else 0.0 for row, ok in zip(rows, flat)]) ** 3).tolist()
+    weights = [0.5 - sign * (d / 12.0 - (
+        2.0 * a3 - 2.0 * slope / u / u + 3.0 * d * (-a2 - slope / u) + c) / 720.0) if ok else 1.0
+        for (slope, u, sign, d, a2, a3), ok, c in zip(rows, flat, cubes)]
     logs = [w if ok else -math.inf for w, ok in zip(np.log(weights).tolist(), flat)]
-    return [logs[i:i + 2] for i in range(0, len(logs), 2)]
+    return list(zip(logs[::2], logs[1::2]))
+
+
+def _log_g_at(x, head, M, n):
+    # ln g at coordinates that are levels m before ``head`` and gaps
+    # u = M - m from it on; g = 1 at n = 1
+    if n == 1:
+        return np.zeros_like(x)
+    return _log_g(np.concatenate([x[:head], M - x[head:]]), n)
 
 
 def _log_B_tail(M, n, orders):
@@ -341,44 +373,56 @@ def _log_B_tail(M, n, orders):
     block, m-nodes and m-edges) and ln(u/M) where u is (the rest), so every
     term keeps its relative precision.  Panels are dropped against real
     terms of each sum: the m = 0 term, exactly 0, the end levels and the top
-    level u = f.  One pass serves all orders: one ln g and one log1p and log
-    over the edges and those levels, then one (orders, levels + 2) buffer of
-    terms (the bottom block reads ln g from the level table), one
-    multiply-add and one row-wise log-sum-exp.  Below 4 _TAIL_BLOCK the
-    blocks would overlap, and ValueError is raised.
+    level u = f.  One pass serves all orders in a short, fixed list of array
+    calls: the edges are a table of powers of 2 scaled, one ln g and one
+    log1p and log take them and the top level, and one (orders, levels + 2)
+    buffer of terms takes one multiply, the ln g of each level (the bottom
+    block reads it from the level table; at n = 1, g = 1 and only the nodes'
+    ln weights are added), the two end terms and one row-wise log-sum-exp.
+    Below 4 _TAIL_BLOCK the blocks would overlap, and ValueError is raised.
     """
     if not M >= 4 * _TAIL_BLOCK:
         raise ValueError(f"the tail sum needs M >= {4 * _TAIL_BLOCK}, got {M!r}")
     block, block_lg = _level_table(_TAIL_BLOCK, n)
     f = (M - math.ceil(M)) + 1.0  # the smallest gap M - m, in (0, 1]
-    # ratio-2 panel edges to M/2, in m from the bottom block, then in u from the top
+    # ratio-2 panel edges to M/2, in m from the bottom block, then in u from
+    # the top, and the top level u = f
     cut, top = (math.ceil(math.log2(0.5 * M / low)) + 1
                 for low in (_TAIL_BLOCK, f + _TAIL_BLOCK))
-    powers = 2.0 ** np.arange(max(cut, top))
-    x = np.concatenate([_TAIL_BLOCK * powers[:cut], (f + _TAIL_BLOCK) * powers[:top]])
-    x[cut - 1] = x[-1] = 0.5 * M
-    # ln g, ln(u/M) at the edges and at u = f; ln of pair widths and ratios
-    lg = _log_g(np.concatenate([x[:cut], (M - x)[cut:], [M - f]]), n)
-    lu = np.concatenate([x / M, np.abs(x[1:] - x[:-1]), x[1:] / x[:-1], [f / M]])
+    edges = cut + top
+    x = np.empty(edges + 1)
+    np.multiply(_POWERS[:cut], _TAIL_BLOCK, out=x[:cut])
+    np.multiply(_POWERS[:top], f + _TAIL_BLOCK, out=x[cut:edges])
+    x[cut - 1] = x[edges - 1] = 0.5 * M
+    x[edges] = f
+    # ln g and ln(u/M) at them, then ln of the edge pairs' widths
+    lg = _log_g_at(x, cut, M, n)
+    lu = np.concatenate([x / M, np.abs(x[1:edges] - x[:edges - 1])])
     np.log1p(np.negative(lu[:cut], out=lu[:cut]), out=lu[:cut])
     np.log(lu[cut:], out=lu[cut:])
-    # each sum's terms at its two end levels, its top level and m = 0
-    refs = [[lg.item(0) + s * lu.item(0), lg.item(cut) + s * lu.item(cut),
-             lg.item(-1) + s * lu.item(-1), 0.0] for s in orders]
+    # each sum's terms at its two end levels and its top level
+    levels = [(lg.item(i), lu.item(i)) for i in (0, cut, edges)]
+    refs = [[g + s * u for g, u in levels] for s in orders]
     if not all(math.isfinite(row[2]) for row in refs):  # s ln(f/M) is the largest |s ln(u/M)|
         raise SolverError(f"cutoff sum of order {max(orders)} at M={M!r} (n={n}): "
                           f"s ln(u/M) is past the float range")
-    nodes, lower, node_w = _middle_nodes(M, n, orders, refs, x, cut, lg[:-1], lu[:-1])
+    nodes, lower, node_w = _middle_nodes(M, n, orders, refs, x[:edges], cut,
+                                         lg[:edges], lu[:edges], lu[edges + 1:])
     # each term's exact coordinate: m for the bottom block and the m-nodes, then u
     at = np.concatenate([block, nodes, block + f])
     head = _TAIL_BLOCK + lower
-    log_g = np.concatenate([block_lg, _log_g(np.concatenate([nodes[:lower], M - at[head:]]), n)])
-    log_g[_TAIL_BLOCK:_TAIL_BLOCK + nodes.size] += node_w
+    if n > 1:  # ln g of the nodes and the top block, before at turns into ln(u/M)
+        log_g = _log_g_at(at[_TAIL_BLOCK:], lower, M, n)
+        log_g[:nodes.size] += node_w
     np.log1p(np.multiply(at[:head], -1.0 / M, out=at[:head]), out=at[:head])  # ln(u/M)
     np.log(np.multiply(at[head:], 1.0 / M, out=at[head:]), out=at[head:])
-    buffer = np.empty((len(refs), at.size + 2))
+    buffer = np.empty((len(orders), at.size + 2))
     np.multiply.outer(orders, at, out=buffer[:, :-2])
-    buffer[:, :-2] += log_g
+    if n > 1:
+        buffer[:, :_TAIL_BLOCK] += block_lg
+        buffer[:, _TAIL_BLOCK:-2] += log_g
+    else:  # g = 1: only the nodes carry a weight
+        buffer[:, _TAIL_BLOCK:_TAIL_BLOCK + nodes.size] += node_w
     end_w = _log_end_weights(M, f, n, orders)
     buffer[:, -2:] = [[row[0] + w[0], row[1] + w[1]] for row, w in zip(refs, end_w)]
     return _logsumexp_rows(buffer).tolist()
@@ -407,7 +451,7 @@ def _log_B_pair(M, n, r):
     if M <= _DIRECT_TERM_LIMIT:
         levels, log_g = _level_table(math.ceil(M), n)
         terms = np.empty((3, levels.size))
-        upper, lower, lowest = terms  # orders r, r - 1 and r - 2
+        upper, lower, lowest = terms[0], terms[1], terms[2]  # orders r, r - 1 and r - 2
         np.log1p(np.multiply(levels, -1.0 / M, out=upper), out=upper)
         np.multiply(upper, min(r - 1.0, 1e300), out=lower)
         lower += log_g

@@ -11,13 +11,16 @@ Each grid is a seeded list of (mu, n, r):
 * ``low-r``   -- n <= 3, r in [1.05, 2].
 
 ``PYTHONPATH=src python tests/eval_counts.py`` prints, per grid, the mean
-and largest ``iterations`` of the result and the largest r |h| at the
-returned cutoff, r ``residual``: how far the family's ln mu(M) is from
-ln mu.  The tests take their grids from here.
+and largest ``iterations`` of the result, the evaluations per point that
+took the tail branch (cutoffs above ``bounds._DIRECT_TERM_LIMIT``) and the
+largest r |h| at the returned cutoff, r ``residual``: how far the family's
+ln mu(M) is from ln mu.  Every count is deterministic.  The tests take
+their grids from here.
 """
 
 import numpy as np
 
+from uncbound import bounds
 from uncbound.bounds import purity_bound
 from uncbound.purity import PurityOrder
 
@@ -55,11 +58,27 @@ def results(points):
     return [purity_bound(mu, n, PurityOrder.finite(r)) for mu, n, r in points]
 
 
+def results_and_tail_calls(points):
+    """(:func:`results`, how many evaluations of the sums took the tail branch)."""
+    tail, calls = bounds._log_B_tail, []
+
+    def counted(M, n, orders):
+        calls.append(M)
+        return tail(M, n, orders)
+
+    bounds._log_B_tail = counted
+    try:
+        return results(points), len(calls)
+    finally:
+        bounds._log_B_tail = tail
+
+
 if __name__ == "__main__":
-    print(f"{'grid':8} {'points':>6} {'mean':>6} {'max':>4} {'max r|h|':>9}")
+    print(f"{'grid':8} {'points':>6} {'mean':>6} {'max':>4} {'tail/pt':>7} {'max r|h|':>9}")
     for name, grid in GRIDS.items():
         points = grid()
-        found = results(points)
+        found, tail_calls = results_and_tail_calls(points)
         evals = [res.iterations for res in found]
         worst = max(r * res.residual for (mu, n, r), res in zip(points, found))
-        print(f"{name:8} {len(points):6} {np.mean(evals):6.2f} {max(evals):4} {worst:9.2e}")
+        print(f"{name:8} {len(points):6} {np.mean(evals):6.2f} {max(evals):4} "
+              f"{tail_calls / len(points):7.3f} {worst:9.2e}")

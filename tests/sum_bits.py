@@ -2,7 +2,13 @@
 
 ``cutoff_sum_bits.json`` pins the pair (ln(B_r/M^r), ln(B_{r-1}/M^(r-1)))
 of ``bounds._log_B_pair`` on both branches, and ``tail_sum_bits.json`` the
-same pair from ``bounds._log_B_tail`` at large orders, by ``float.hex``.
+same pair from ``bounds._log_B_tail``, by ``float.hex``.  The tail file
+holds 64 rows at large orders, r in [100, 1e7] with n <= 64 and M in
+[4096, 1e12], where panels are dropped and split, then 60 where no panel
+splits, as at the cutoffs ``purity_bound`` reaches: n in {1, 2, 3, 6, 32,
+64}, r in [1.05, 100] and M from 4096 to 1e300, among them cutoffs within
+1e-9 of an integer and above 2^53.  ``moved_rows`` takes a filter on
+(M, n, r), so a test can check each group on its own.
 Both take the pair from the pass that sums the order r - 2 as well, as
 ``purity_bound`` does; that third sum is not pinned.
 Each file keeps the environment it was recorded in beside its rows: the

@@ -476,6 +476,38 @@ class TestCutoffSums:
         assert not moved, (f"{len(moved)} rows moved, first {moved[:3]}; recorded on "
                            f"{pinned['environment']}, running on {sum_bits.environment()}")
 
+    def test_end_weights_match_their_formula(self):
+        # ln(1/2 -+ (F'/12 - F'''/720)/F) at the middle's bottom level m = 1024
+        # (-) and top level u = f + 1024 (+), F(m) = g(m) ((M - m)/M)^s with
+        # its derivatives taken by mpmath; a level with |F'/F| >= 1 gets ln 0
+        rng = np.random.default_rng(64)
+        cases = []
+        for i in range(24):
+            s = rng.uniform(-1.0, 2.0, 3) if i % 2 else np.exp(rng.uniform(0.0, np.log(1e3), 3))
+            M = float(np.exp(rng.uniform(np.log(4096.0), np.log(1e12))))
+            cases.append((M, int(rng.integers(1, 65)), tuple(s.tolist())))
+        cases += [(5e4 + 0.3, 1, (2000.0, 1024.5)), (1e9, 64, (3000.0, 998.7))]  # steep tops
+        steep = 0
+        for M, n, orders in cases:
+            f = (M - math.ceil(M)) + 1.0
+            got = bounds._log_end_weights(M, f, n, orders)
+            for s, pair in zip(orders, got):
+                for w, m, sign in zip(pair, (1024.0, M - f - 1024.0), (-1, 1)):
+                    with mpmath.workdps(60):
+                        def F(m, s=s, n=n, M=M):
+                            log_g = mpmath.fsum(mpmath.log((m + j) / j) for j in range(1, n))
+                            return mpmath.exp(log_g + s * mpmath.log((M - m) / M))
+                        m = mpmath.mpf(m)
+                        d1 = mpmath.diff(F, m, 1) / F(m)
+                        d3 = mpmath.diff(F, m, 3) / F(m)
+                        if abs(d1) >= 1:
+                            steep += 1
+                            assert w == -math.inf, (M, n, s, m)
+                        else:
+                            exact = float(mpmath.log(mpmath.mpf(1) / 2 + sign * (d1 / 12 - d3 / 720)))
+                            assert w == pytest.approx(exact, rel=0.0, abs=1e-12), (M, n, s, m)
+        assert steep == 3
+
     @pytest.mark.parametrize("log_b", [709.2, 709.7, 710.2])
     def test_values_near_the_float_limit(self, log_b):
         # n = 1, r = 2: B ~ M^3/3; ln of the largest float is 709.78
