@@ -492,11 +492,11 @@ class TestCutoffSums:
             f = (M - math.ceil(M)) + 1.0
             got = bounds._log_end_weights(M, f, n, orders)
             for s, pair in zip(orders, got):
+                def F(m, s=s, n=n, M=M):
+                    log_g = mpmath.fsum(mpmath.log((m + j) / j) for j in range(1, n))
+                    return mpmath.exp(log_g + s * mpmath.log((M - m) / M))
                 for w, m, sign in zip(pair, (1024.0, M - f - 1024.0), (-1, 1)):
                     with mpmath.workdps(60):
-                        def F(m, s=s, n=n, M=M):
-                            log_g = mpmath.fsum(mpmath.log((m + j) / j) for j in range(1, n))
-                            return mpmath.exp(log_g + s * mpmath.log((M - m) / M))
                         m = mpmath.mpf(m)
                         d1 = mpmath.diff(F, m, 1) / F(m)
                         d3 = mpmath.diff(F, m, 3) / F(m)
