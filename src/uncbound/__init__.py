@@ -12,55 +12,46 @@ of the density matrix.  This package computes those bounds three ways:
 
 and ships independent brute-force and Monte-Carlo oracles (``oracle``)
 that check the closed forms used along the way.
+
+The exports below are loaded on first use, so ``import uncbound`` loads no
+submodule, and the scalar closed forms run without numpy.
 """
 
-from uncbound.special_fn import degeneracy, log_degeneracy
-from uncbound.purity import (
-    GroupedSpectrum,
-    PurityOrder,
-    Spectrum,
-    entropy_from_grouped,
-    purity_from_grouped,
-    purity_from_spectrum,
-)
-from uncbound.spectrum_bound import (
-    BoundResult,
-    bound_from_grouped,
-    bound_from_spectrum,
-    group_spectrum,
-)
-from uncbound.bounds import (
-    B_asymptotic,
-    B_exact,
-    asymptotic_C,
-    entropy_bound,
-    holder_bracket,
-    interpolated_bound_r2,
-    purity_bound,
-)
-from uncbound.solvers import SolverError
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundResult",
-    "B_asymptotic",
-    "B_exact",
-    "GroupedSpectrum",
-    "PurityOrder",
-    "SolverError",
-    "Spectrum",
-    "asymptotic_C",
-    "bound_from_grouped",
-    "bound_from_spectrum",
-    "degeneracy",
-    "entropy_bound",
-    "entropy_from_grouped",
-    "group_spectrum",
-    "holder_bracket",
-    "interpolated_bound_r2",
-    "log_degeneracy",
-    "purity_bound",
-    "purity_from_grouped",
-    "purity_from_spectrum",
-]
+# each export -> the submodule that defines it
+_EXPORTS = {
+    "BoundResult": "closed_forms",
+    "B_asymptotic": "closed_forms",
+    "B_exact": "bounds",
+    "GroupedSpectrum": "purity",
+    "PurityOrder": "purity",
+    "SolverError": "solvers",
+    "Spectrum": "purity",
+    "asymptotic_C": "closed_forms",
+    "bound_from_grouped": "spectrum_bound",
+    "bound_from_spectrum": "spectrum_bound",
+    "degeneracy": "special_fn",
+    "entropy_bound": "closed_forms",
+    "entropy_from_grouped": "purity",
+    "group_spectrum": "spectrum_bound",
+    "holder_bracket": "bounds",
+    "interpolated_bound_r2": "closed_forms",
+    "log_degeneracy": "special_fn",
+    "purity_bound": "bounds",
+    "purity_from_grouped": "purity",
+    "purity_from_spectrum": "purity",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    """Import an export's submodule on first use (PEP 562), then keep it."""
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    globals()[name] = value
+    return value

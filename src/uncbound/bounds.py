@@ -1,20 +1,15 @@
-"""Purity- and entropy-parameterized uncertainty bounds.
+"""The general purity bound and the cutoff sums behind it.
 
-One comparison form and three routes to a lower bound are implemented:
-
-* ``interpolated_bound_r2`` -- a comparison, not a bound: the r = 2
-  gamma-equation form, -2.0e-2 to +1.3e-3 relative to ``purity_bound``;
-* ``entropy_bound`` -- the entropy-constrained minimum, attained by a
-  product of one-dimensional thermal states, so it is their closed form;
-  ``thermal_grouped_spectrum`` materializes that state as the reference the
-  tests and ``verify roundtrip`` check it against, and no bound calls it;
 * ``purity_bound`` -- the general mu^(r) bound for 1 < r <= inf: the
   supremum over cutoffs M of a bracket that is a valid bound for every M,
   and at r = inf the entropy bound at S = -ln mu;
-* ``asymptotic_C`` -- closed forms for the highly mixed limit mu -> 0,
-  with ``asymptotic_purity_bound`` and ``asymptotic_entropy_bound`` the
-  per-dimension bounds they give (floats: away from the limit they may fall
-  below the pure-state floor of 1).
+* ``thermal_grouped_spectrum`` -- the minimizer of ``entropy_bound``
+  materialized, the reference the tests and ``verify roundtrip`` check the
+  closed form against; no bound calls it.
+
+The scalar closed forms (``entropy_bound``, ``interpolated_bound_r2`` and
+the highly mixed ``asymptotic_*``) live in ``closed_forms``, which needs
+no numpy.
 
 The bracket's supremum is not searched for.  Because dB_r/dM = r B_{r-1},
 the bracket is stationary exactly where the lower-bound family
@@ -52,138 +47,28 @@ import math
 
 import numpy as np
 
-from uncbound.purity import GroupedSpectrum, PurityOrder
-from uncbound.solvers import SolverError, brent_root, seeded_root
-from uncbound.special_fn import (
+from uncbound.closed_forms import BoundResult, asymptotic_cutoff, entropy_bound
+from uncbound.purity import (
+    GroupedSpectrum,
+    PurityOrder,
     _level_table,
     _log_g,
     _logsumexp_rows,
-    check_cutoff,
-    check_dimension,
-    check_exponent,
-    check_purity,
     log_degeneracy_array,
 )
-from uncbound.spectrum_bound import BoundResult
+from uncbound.solvers import SolverError, seeded_root
+from uncbound.special_fn import check_cutoff, check_dimension, check_exponent, check_purity
 
 __all__ = [
-    "B_asymptotic",
     "B_exact",
-    "asymptotic_C",
-    "asymptotic_cutoff",
-    "asymptotic_entropy_bound",
-    "asymptotic_purity_bound",
-    "entropy_bound",
     "holder_bracket",
-    "interpolated_bound_r2",
     "log_B_exact",
     "purity_bound",
-    "thermal_entropy",
     "thermal_grouped_spectrum",
 ]
 
 _DIRECT_TERM_LIMIT = 20_000
 _THERMAL_LEVEL_CAP = 400_000
-
-
-# ---------------------------------------------------------------------------
-# interpolated r = 2 relation
-# ---------------------------------------------------------------------------
-
-
-def _log_interp_mu(L, n):
-    # ln of (n+2L) (n+1)! Gamma(L) / ((n+2) Gamma(L+n+1)); equals 0 at L = 1.
-    # The gamma ratio telescopes to prod_{j=0..n} (L+j), which avoids the
-    # catastrophic lgamma cancellation at the large L of the mu -> 0 limit.
-    return (
-        math.log(n + 2.0 * L)
-        + math.lgamma(n + 2.0)
-        - math.log(n + 2.0)
-        - math.fsum(math.log(L + j) for j in range(n + 1))
-    )
-
-
-def interpolated_bound_r2(mu, n) -> BoundResult:
-    """Per-dimension comparison value (n + 2L)/(n + 2) for the usual purity mu.
-
-    L solves a strictly decreasing gamma-function equation whose root is 1
-    at mu = 1 (the pure state) and tends to L* = (2 (n+1)! / ((n+2) mu))^(1/n)
-    as mu -> 0; ln mu(L) falls like -n ln(L + n/2).  From L = 1, the seed
-    L* - n/2 and one Newton step of slope n in ln L, :func:`seeded_root`
-    brackets the root and Brent's method closes it; ``iterations`` counts
-    the evaluations of the equation.  A root beyond the float range raises
-    ValueError.  Not a lower bound: at n = 2, mu = 0.396812 it is 1.33e-3
-    above the valid bound, :func:`purity_bound` at r = 2.
-    """
-    n = check_dimension(n)
-    mu = check_purity(mu)
-    if mu == 1.0:
-        return BoundResult(1.0, n, method="interpolated-r2", aux=1.0)
-    target = math.log(mu)
-
-    def f(L):  # increasing, and -ln mu < 0 at L = 1
-        if not L < math.inf:
-            raise ValueError(f"no root below the float range for mu={mu!r} (n={n})")
-        return target - _log_interp_mu(L, n)
-
-    # the n-th roots are taken apart: the quotient can overflow where L* does not
-    seed = (2.0 * math.factorial(n + 1) / (n + 2.0)) ** (1.0 / n) / mu ** (1.0 / n)
-    # ln mu(L) ~ c - n ln(L + n/2): start at L* - n/2, with slope n in ln L
-    root = seeded_root(f, 1.0, target, seed - 0.5 * n, n)
-    L = root.x  # >= 1: the bracket starts at L = 1
-    if root.residual > 1e-10:
-        raise SolverError(
-            f"interpolation root stalled at L={L} with residual {root.residual:.3e}"
-        )
-    per_dim = (n + 2.0 * L) / (n + 2.0)
-    return BoundResult(per_dim, n, method="interpolated-r2", aux=L,
-                       residual=root.residual, iterations=root.iterations)
-
-
-# ---------------------------------------------------------------------------
-# entropy-constrained bound (thermal minimizer)
-# ---------------------------------------------------------------------------
-
-
-def _mode_entropy(nbar):
-    # entropy (nbar+1) ln(nbar+1) - nbar ln(nbar) of one thermal mode with mean
-    # occupation nbar, as a sum of two positive terms so nothing cancels
-    return math.log1p(nbar) + nbar * math.log1p(1.0 / nbar)
-
-
-def thermal_entropy(beta, n) -> float:
-    """Entropy of the thermal family xi_m = A g_m e^{-beta m}."""
-    n = check_dimension(n)
-    beta = float(beta)
-    if not beta > 0.0:
-        raise ValueError(f"beta must be > 0, got {beta}")
-    if math.isinf(beta):
-        return 0.0
-    u = -math.expm1(-beta)  # 1 - e^{-beta}
-    x = math.exp(-beta)
-    # ln u from whichever of u, x kept full precision: ln(1 - x) -> -x as x -> 0
-    log_u = math.log(u) if x > 0.5 else math.log1p(-x)
-    return n * (-log_u + beta * x / u)
-
-
-def _solve_thermal(S, n):
-    # Brent's method in y = ln nbar: the entropy rises with y, and the root
-    # spans hundreds of decades in nbar but a few hundred units in y.
-    # ln(1 + nbar) < S/n bounds y from above; e^709.7 is still a float.
-    # The error in y is the relative error of nbar, so y is solved to 1e-15
-    # absolute as well: near S/n = 2 ln 2 the root y is close to 0, where a
-    # tolerance relative to |y| alone vanishes.
-    s1 = float(S) / n  # per-dimension entropy; the solve depends on S only via s1
-
-    def f(y):
-        return _mode_entropy(math.exp(y)) - s1
-
-    lo, hi = math.log(1e-300), min(s1, 709.7)
-    f_hi = f(hi)
-    if f_hi < 0.0:  # S/n above 710.7: the bound is past the float range
-        return math.inf, 1
-    root = brent_root(f, lo, hi, f(lo), f_hi, rtol=1e-14, atol=1e-15)
-    return math.exp(root.x), root.iterations + 2  # the two bracket ends are evaluations too
 
 
 def thermal_grouped_spectrum(beta, n) -> GroupedSpectrum:
@@ -213,31 +98,6 @@ def thermal_grouped_spectrum(beta, n) -> GroupedSpectrum:
     m = np.arange(int(top) + 1, dtype=float)
     log_xi = n * math.log(u) + log_degeneracy_array(m, n) - beta * m
     return GroupedSpectrum(n=n, weights=np.exp(log_xi))
-
-
-def entropy_bound(S, n) -> BoundResult:
-    """Minimal per-dimension uncertainty product at fixed entropy S.
-
-    The minimizer is the thermal product state, fixed in each dimension by
-    its mean occupation nbar, the root of (nbar+1) ln(nbar+1) - nbar ln(nbar)
-    = S/n; the bound is 2 nbar + 1.  ``aux`` is the inverse temperature
-    beta = ln(1 + 1/nbar) and ``residual`` is |thermal_entropy(beta, n) - S|.
-    Raises ValueError where the bound is beyond the float range (S/n above
-    710.09).
-    """
-    n = check_dimension(n)
-    S = float(S)
-    if not S >= 0.0:
-        raise ValueError(f"entropy must be >= 0, got {S}")
-    if S < 1e-290:
-        return BoundResult(1.0, n, method="thermal", aux=math.inf)
-    nbar, evals = _solve_thermal(S, n)
-    per_dim = 2.0 * nbar + 1.0
-    if per_dim == math.inf:
-        raise ValueError(f"bound for S/n = {S / n!r} is beyond the float range")
-    beta = math.log1p(1.0 / nbar)
-    return BoundResult(per_dim, n, method="thermal", aux=beta,
-                       residual=abs(thermal_entropy(beta, n) - S), iterations=evals)
 
 
 # ---------------------------------------------------------------------------
@@ -492,22 +352,6 @@ def B_exact(M, n, r) -> float:
         return math.inf
 
 
-def B_asymptotic(M, n, r) -> float:
-    """Large-M closed form M^(n+r) / prod_{k=1..n} (r+k).
-
-    Exact value of the integral that replaces the cutoff sum when M is
-    large; ``verify b-approx`` checks it against the Beta function to 1e-9.
-    """
-    n = check_dimension(n)
-    M = check_cutoff(M, "> 0")
-    r = check_exponent(r, ">= 1")
-    try:
-        return math.exp((n + r) * math.log(M) - math.fsum(
-            math.log(r + k) for k in range(1, n + 1)))
-    except OverflowError:
-        return math.inf
-
-
 # ---------------------------------------------------------------------------
 # general purity bound
 # ---------------------------------------------------------------------------
@@ -627,81 +471,3 @@ def purity_bound(mu, n, order: PurityOrder) -> BoundResult:
     per_dim = max(_bracket(root.x, n, r, log_mu, sums_at[root.x][0]), 1.0)
     return BoundResult(per_dim, n, method="holder-root", aux=root.x,
                        residual=root.residual, iterations=root.iterations)
-
-
-# ---------------------------------------------------------------------------
-# highly mixed closed forms
-# ---------------------------------------------------------------------------
-
-
-def asymptotic_cutoff(mu, n, r) -> float:
-    """Optimal bracket cutoff as mu -> 0: [(r/(n+r))^r prod_{k=1..n}(r+k) / mu]^(1/n).
-
-    The cutoff at which the lower-bound family's purity equals mu once the
-    cutoff sums are replaced by their large-M closed forms; inf when it
-    exceeds the float range.  Raises ValueError for mu outside (0, 1] and
-    for an r that is not finite and >= 1.
-    """
-    n = check_dimension(n)
-    mu, r = check_purity(mu), check_exponent(r, ">= 1")
-    scale = (r / (n + r)) ** (r / n)
-    scale *= math.exp(sum(math.log(r + k) for k in range(1, n + 1)) / n)
-    try:
-        return scale * mu ** (-1.0 / n)
-    except OverflowError:
-        return math.inf
-
-
-def asymptotic_C(n, r) -> float:
-    """Uncertainty constant 2^n r^r prod_{k=1..n}(r+k) / (n+r)^(n+r).
-
-    The product mu^(r) (bound)^n approaches this value as mu -> 0; r = 1
-    gives the superpurity member and r = inf its limit (2/e)^n, the
-    entropy member.
-    """
-    n = check_dimension(n)
-    r = float(r)
-    if not r >= 1.0:
-        raise ValueError(f"exponent r must be >= 1, got {r}")
-    if r == math.inf:
-        return (2.0 / math.e) ** n
-    log_c = n * math.log(2.0) - r * math.log1p(n / r)
-    log_c += math.fsum(math.log((r + k) / (n + r)) for k in range(1, n + 1))
-    return math.exp(log_c)
-
-
-def asymptotic_purity_bound(mu, n, r) -> float:
-    """Per-dimension bound (C/mu)^(1/n) of the mu -> 0 limit, C = asymptotic_C.
-
-    A float, not a BoundResult: away from that limit it can fall below the
-    pure-state floor (mu = 1 gives C^(1/n)).  Raises ValueError where it is
-    beyond the float range.
-    """
-    mu = check_purity(mu)
-    c = asymptotic_C(n, r)
-    if c / mu < math.inf:
-        value = (c / mu) ** (1.0 / n)
-    else:  # C/mu overflows at a subnormal mu; its n-th root may not
-        value = c ** (1.0 / n) / mu ** (1.0 / n)
-    if not math.isfinite(value):
-        raise ValueError(f"bound for mu = {mu!r} is beyond the float range")
-    return value
-
-
-def asymptotic_entropy_bound(S, n) -> float:
-    """Per-dimension bound (2/e) e^(S/n) of the large-S limit.
-
-    A float, not a BoundResult: it falls below the pure-state floor for
-    S/n < 1 - ln 2.  Raises ValueError where it is beyond the float range.
-    """
-    n = check_dimension(n)
-    S = float(S)
-    if not S >= 0.0:
-        raise ValueError(f"entropy must be >= 0, got {S}")
-    try:
-        value = math.exp(S / n) * 2.0 / math.e
-    except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
-        raise ValueError(f"bound for S/n = {S / n!r} is beyond the float range")
-    return value

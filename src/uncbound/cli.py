@@ -17,6 +17,10 @@ fixed flags and seed; ``--seed`` defaults to 0.  Each ``verify`` suite
 checks to a fixed tolerance, named in its help.  Exit codes: 0 success, 1
 failed verification, 2 bad flags or domain errors, 3 solver failure; the
 top-level group maps the last two from any command.
+
+The closed-form commands run without numpy: the modules that need arrays
+(``bounds``, ``purity``, ``spectrum_bound`` and ``oracle``) are imported
+inside the commands that use them.
 """
 
 import itertools
@@ -26,13 +30,10 @@ import sys
 import warnings
 
 import click
-import numpy as np
 
-from uncbound import bounds as bd
-from uncbound import oracle as oc
-from uncbound.purity import PurityOrder, Spectrum, entropy_from_grouped
+from uncbound import closed_forms as cf
 from uncbound.solvers import SolverError
-from uncbound.spectrum_bound import bound_from_grouped, bound_from_spectrum, volume_of
+from uncbound.special_fn import MAX_LEMMA_DIM
 
 EXIT_VERIFY_FAILED = 1
 EXIT_DOMAIN_ERROR = 2
@@ -87,11 +88,19 @@ def parse_range(text):
         raise ValueError("range needs at least 2 points")
     if spacing not in ("linear", "log"):
         raise ValueError(f"unknown spacing {spacing!r}")
+    ends = lo, hi
+    if spacing == "log":
+        if lo <= 0:
+            raise ValueError("log spacing requires min > 0")
+        lo, hi = math.log10(lo), math.log10(hi)
+    # numpy's linspace arithmetic, i * step + lo with the last point hi
+    step = (hi - lo) / (points - 1)
+    grid = [i * step + lo for i in range(points - 1)] + [hi]
     if spacing == "linear":
-        return np.linspace(lo, hi, points).tolist()
-    if lo <= 0:
-        raise ValueError("log spacing requires min > 0")
-    return np.geomspace(lo, hi, points).tolist()
+        return grid
+    grid = [10.0 ** x for x in grid]
+    grid[0], grid[-1] = ends  # both ends exact, as numpy's geomspace sets them
+    return grid
 
 
 def parse_dimensions(text):
@@ -133,8 +142,8 @@ def _first_bad_line(path, detail) -> ValueError:
     return ValueError(f"{path}: {detail}")
 
 
-def read_spectrum_file(path) -> Spectrum:
-    """Parse a file of eigenvalues, one number per line.
+def read_spectrum_file(path):
+    """Parse a file of eigenvalues, one number per line, into a ``purity.Spectrum``.
 
     '#' starts a comment anywhere on a line and blank lines are skipped.
     numpy's C text reader parses the numbers to the same doubles as Python
@@ -142,6 +151,10 @@ def read_spectrum_file(path) -> Spectrum:
     number, is rejected with its file line.  Sums within 1e-6 of 1 are
     normalized; anything further off is rejected.
     """
+    import numpy as np
+
+    from uncbound.purity import Spectrum
+
     try:
         with warnings.catch_warnings():
             # a file of comments and blanks is reported below, not warned about
@@ -210,9 +223,17 @@ def _diagnostics(result):
     return result.per_dim_product, result.aux, result.method, result.residual
 
 
+def _purity_bound(mu, n, r):
+    """``bounds.purity_bound`` at the finite order r, imported on first use."""
+    from uncbound.bounds import purity_bound
+    from uncbound.purity import PurityOrder
+
+    return purity_bound(mu, n, PurityOrder.finite(r))
+
+
 def _emit_bound(fmt, n, params, value, aux, method, residual):
     """Print the one row of a ``bound`` command, with its volume column."""
-    _emit([{"n": n, **params, "value": value, "volume": volume_of(value, n),
+    _emit([{"n": n, **params, "value": value, "volume": cf.volume_of(value, n),
             "aux": aux, "method": method, "residual": residual}], fmt)
 
 
@@ -227,14 +248,13 @@ def _emit_bound(fmt, n, params, value, aux, method, residual):
 def bound_purity(n, r, mu, method, fmt):
     """Lower bound given a generalized purity mu^(r)."""
     if method == "exact":
-        value, aux, _, residual = _diagnostics(
-            bd.purity_bound(mu, n, PurityOrder.finite(r)))
+        value, aux, _, residual = _diagnostics(_purity_bound(mu, n, r))
     elif method == "asymptotic":
-        value, aux, residual = bd.asymptotic_purity_bound(mu, n, r), None, None
+        value, aux, residual = cf.asymptotic_purity_bound(mu, n, r), None, None
     else:
         if r != 2.0:
             raise ValueError("--method interpolated requires --r 2")
-        value, aux, _, residual = _diagnostics(bd.interpolated_bound_r2(mu, n))
+        value, aux, _, residual = _diagnostics(cf.interpolated_bound_r2(mu, n))
     # the method column names the option, not the solver
     _emit_bound(fmt, n, {"r": float(r), "mu": float(mu)}, value, aux, method,
                 residual)
@@ -248,9 +268,9 @@ def bound_purity(n, r, mu, method, fmt):
 def bound_entropy(n, entropy, asymptotic, fmt):
     """Lower bound given a von Neumann entropy S."""
     if asymptotic:
-        row = bd.asymptotic_entropy_bound(entropy, n), None, "asymptotic", None
+        row = cf.asymptotic_entropy_bound(entropy, n), None, "asymptotic", None
     else:
-        row = _diagnostics(bd.entropy_bound(entropy, n))
+        row = _diagnostics(cf.entropy_bound(entropy, n))
     _emit_bound(fmt, n, {"S": float(entropy)}, *row)
 
 
@@ -261,6 +281,8 @@ def bound_entropy(n, entropy, asymptotic, fmt):
 @_format_option
 def bound_spectrum(n, path, fmt):
     """Lower bound given a density-matrix eigenspectrum file."""
+    from uncbound.spectrum_bound import bound_from_spectrum
+
     result = bound_from_spectrum(read_spectrum_file(path), n)
     _emit_bound(fmt, n, {}, result.per_dim_product, None, result.method,
                 result.residual)
@@ -274,13 +296,12 @@ def bound_spectrum(n, path, fmt):
 # quantity -> (its parameters in column order, (n, *point) -> value, aux,
 # method, residual)
 CURVES = {
-    "asymptotic-c": (("r",), lambda n, r: (bd.asymptotic_C(n, r), None,
+    "asymptotic-c": (("r",), lambda n, r: (cf.asymptotic_C(n, r), None,
                                            "asymptotic-c", None)),
-    "purity-bound": (("r", "mu"), lambda n, r, mu: _diagnostics(
-        bd.purity_bound(mu, n, PurityOrder.finite(r)))),
-    "entropy-bound": (("S",), lambda n, S: _diagnostics(bd.entropy_bound(S, n))),
+    "purity-bound": (("r", "mu"), lambda n, r, mu: _diagnostics(_purity_bound(mu, n, r))),
+    "entropy-bound": (("S",), lambda n, S: _diagnostics(cf.entropy_bound(S, n))),
     "interpolated-r2": (("mu",), lambda n, mu: _diagnostics(
-        bd.interpolated_bound_r2(mu, n))),
+        cf.interpolated_bound_r2(mu, n))),
 }
 
 
@@ -345,12 +366,14 @@ _seed_option = click.option("--seed", type=click.IntRange(0), default=0, help="R
 
 
 @verify.command("lemma")
-@click.option("--dim", type=click.IntRange(2, oc.MAX_LEMMA_DIM), default=30,
+@click.option("--dim", type=click.IntRange(2, MAX_LEMMA_DIM), default=30,
               help="Unitary dimension.")
 @click.option("--trials", type=click.IntRange(min=1), default=1000)
 @_seed_option
 def verify_lemma(dim, trials, seed):
     """Mixed-vs-sorted energy inequality over random unitaries, to 1e-10."""
+    from uncbound import oracle as oc
+
     cfg = oc.OracleConfig(seed=seed)
     margins = oc.lemma_margins(1, dim - 1, cfg, range(trials))
     identity_margin = float(oc.lemma_margins(1, dim - 1, cfg, range(1), identity=True)[0])
@@ -366,9 +389,11 @@ def verify_lemma(dim, trials, seed):
 @_seed_option
 def verify_holder(n, r, mu, seed):
     """Brute-force minimization against the optimized cutoff bracket, to 1e-5."""
+    from uncbound import oracle as oc
+
     cfg = oc.OracleConfig(seed=seed, truncation=oc.suggest_truncation(mu, n, r))
     brute = oc.brute_force_purity_bound(mu, n, r, cfg).per_dim_product
-    closed = bd.purity_bound(mu, n, PurityOrder.finite(r)).per_dim_product
+    closed = _purity_bound(mu, n, r).per_dim_product
     click.echo(f"brute={_fmt(brute)} closed={_fmt(closed)}", file=sys.stdout)
     gap = brute - closed
     _verdict("holder", 1, 0 if abs(gap) <= 1e-5 else 1, "gap", gap)
@@ -379,15 +404,20 @@ def verify_holder(n, r, mu, seed):
 @_seed_option
 def verify_b_approx(trials, seed):
     """Beta function vs the large-M closed form to 1e-9, and the sum/integral trend."""
+    import numpy as np
+
+    from uncbound import oracle as oc
+    from uncbound.bounds import B_exact
+
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
     gaps = []
     for _ in range(trials):
         n = int(rng.integers(1, 5))
         r = float(rng.uniform(1.0, 6.0))
         M = float(rng.uniform(0.5, 200.0))
-        gaps.append(abs(oc.beta_integral_B(M, n, r) / bd.B_asymptotic(M, n, r) - 1.0))
+        gaps.append(abs(oc.beta_integral_B(M, n, r) / cf.B_asymptotic(M, n, r) - 1.0))
     # the sum's drift from the integral shrinks as the cutoff grows
-    drifts = [[abs(bd.B_exact(M, n, 2.0) / bd.B_asymptotic(M, n, 2.0) - 1.0)
+    drifts = [[abs(B_exact(M, n, 2.0) / cf.B_asymptotic(M, n, 2.0) - 1.0)
                for M in (1e2, 1e3, 1e4)] for n in (1, 2, 3)]
     failures = (sum(gap > 1e-9 for gap in gaps)
                 + sum(not (d[0] > d[1] > d[2]) for d in drifts))
@@ -397,6 +427,8 @@ def verify_b_approx(trials, seed):
 @verify.command("appendix-d")
 def verify_appendix_d():
     """Alternating-sum identity of the cutoff-integral constant, n <= 10, to 1e-10."""
+    from uncbound import oracle as oc
+
     gaps = [oc.appendix_d_identity_check(n, r)[2]
             for n in range(1, 11) for r in (1.5, 2.0, 2.5, 5.0)]
     _verdict("appendix-d", len(gaps), sum(gap > 1e-10 for gap in gaps),
@@ -409,15 +441,21 @@ def verify_appendix_d():
 def verify_roundtrip(trials, seed):
     """Entropy -> thermal state -> entropy to 1e-9 (1e-10 unmaterialized), and
     that state's bound vs the closed form to 1e-9."""
+    import numpy as np
+
+    from uncbound.bounds import thermal_grouped_spectrum
+    from uncbound.purity import entropy_from_grouped
+    from uncbound.spectrum_bound import bound_from_grouped
+
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
     failures = 0
     worst = 0.0
     for _ in range(trials):
         n = int(rng.integers(1, 7))
         s_target = float(rng.uniform(1e-3, 50.0))
-        closed = bd.entropy_bound(s_target, n)  # aux is the thermal beta
+        closed = cf.entropy_bound(s_target, n)  # aux is the thermal beta
         try:
-            grouped = bd.thermal_grouped_spectrum(closed.aux, n)
+            grouped = thermal_grouped_spectrum(closed.aux, n)
         except ValueError:
             # too mixed to materialize; check the closed form's entropy instead
             gap, gap_tol, bound_gap = closed.residual, 1e-10, 0.0

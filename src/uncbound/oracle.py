@@ -12,12 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from uncbound.bounds import asymptotic_cutoff
+from uncbound.closed_forms import BoundResult, asymptotic_cutoff
+from uncbound.purity import _level_table, log_degeneracy_array
 from uncbound.solvers import SolverError
-from uncbound.special_fn import (_level_table, check_cutoff, check_dimension,
-                                 check_exponent, check_level, check_purity,
-                                 log_degeneracy_array)
-from uncbound.spectrum_bound import BoundResult
+from uncbound.special_fn import (MAX_LEMMA_DIM, check_cutoff, check_dimension,
+                                 check_exponent, check_level, check_purity)
 
 __all__ = [
     "OracleConfig",
@@ -35,10 +34,6 @@ __all__ = [
 # fewer than 2,000; one float64 array over 4e9 levels (n = 1, mu = 1e-9)
 # is already 30 GiB.
 MAX_TRUNCATION = 1_000_000
-
-# Largest lemma trial, in states: its dim x dim complex matrices take
-# 16 MiB each, and the CLI's default is 30.
-MAX_LEMMA_DIM = 1024
 
 # Matrix entries per block of lemma trials: 16 matrices at dim 32, one from
 # dim 128 up.  Blocks amortize the per-call cost of the QR; a fixed count of

@@ -8,70 +8,18 @@ the average (see oracle.lemma_margins for the Monte-Carlo check).
 """
 
 import dataclasses
-import math
 
 import numpy as np
 
+from uncbound.closed_forms import BoundResult
 from uncbound.purity import GroupedSpectrum, Spectrum
 from uncbound.special_fn import check_dimension
 
 __all__ = [
-    "BoundResult",
     "bound_from_grouped",
     "bound_from_spectrum",
     "group_spectrum",
-    "volume_of",
 ]
-
-_FLOOR_TOL = 1e-12
-
-
-@dataclasses.dataclass(frozen=True)
-class BoundResult:
-    """A normalized uncertainty bound plus solver diagnostics.
-
-    per_dim_product is (Delta X)(Delta P) in units of hbar/2 per dimension,
-    a finite float that never drops below the pure-state floor of 1; volume
-    is its n-th power, inf where that overflows.  aux carries the solver's
-    auxiliary parameter (cutoff M, interpolation root L, or thermal beta)
-    when one exists.
-    """
-
-    per_dim_product: float
-    n: int
-    method: str
-    aux: float | None = None
-    residual: float = 0.0
-    iterations: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "per_dim_product", float(self.per_dim_product))
-        object.__setattr__(self, "n", check_dimension(self.n))
-        if self.aux is not None:
-            object.__setattr__(self, "aux", float(self.aux))
-        object.__setattr__(self, "residual", float(self.residual))
-        object.__setattr__(self, "iterations", int(self.iterations))
-        if not self.per_dim_product >= 1.0 - _FLOOR_TOL:
-            raise ValueError(
-                f"bound {self.per_dim_product!r} is below the pure-state floor"
-            )
-        if not math.isfinite(self.per_dim_product):
-            raise ValueError(
-                f"{self.method} bound {self.per_dim_product!r} is beyond the "
-                "float range"
-            )
-
-    @property
-    def volume(self) -> float:
-        return volume_of(self.per_dim_product, self.n)
-
-
-def volume_of(per_dim, n) -> float:
-    """per_dim ** n, or inf where that power overflows a float."""
-    try:
-        return per_dim ** int(n)
-    except OverflowError:
-        return math.inf
 
 
 def group_spectrum(s: Spectrum, n) -> GroupedSpectrum:

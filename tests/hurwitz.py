@@ -38,7 +38,7 @@ import math
 
 import mpmath
 
-from uncbound.bounds import asymptotic_cutoff
+from uncbound.closed_forms import asymptotic_cutoff
 
 DIGITS = 40
 LEVEL_LIMIT = 20_000

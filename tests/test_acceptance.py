@@ -9,14 +9,14 @@ import math
 import numpy as np
 from click.testing import CliRunner
 
-from uncbound.bounds import (
+from uncbound.bounds import purity_bound
+from uncbound.cli import main as cli_main
+from uncbound.closed_forms import (
     B_asymptotic,
     asymptotic_C,
     entropy_bound,
     interpolated_bound_r2,
-    purity_bound,
 )
-from uncbound.cli import main as cli_main
 from uncbound.oracle import (
     OracleConfig,
     appendix_d_identity_check,

@@ -8,21 +8,23 @@ import pytest
 from scipy.integrate import quad
 
 import uncbound.bounds as bounds
-import uncbound.special_fn as special_fn
+import uncbound.purity as purity
 from uncbound.bounds import (
-    B_asymptotic,
     B_exact,
+    holder_bracket,
+    log_B_exact,
+    purity_bound,
+    thermal_grouped_spectrum,
+)
+from uncbound.closed_forms import (
+    B_asymptotic,
     asymptotic_C,
     asymptotic_cutoff,
     asymptotic_entropy_bound,
     asymptotic_purity_bound,
     entropy_bound,
-    holder_bracket,
     interpolated_bound_r2,
-    log_B_exact,
-    purity_bound,
     thermal_entropy,
-    thermal_grouped_spectrum,
 )
 from uncbound.oracle import (
     OracleConfig,
@@ -34,10 +36,11 @@ from uncbound.purity import (
     GroupedSpectrum,
     PurityOrder,
     entropy_from_grouped,
+    log_degeneracy_array,
     purity_from_grouped,
 )
 from uncbound.solvers import SolverError
-from uncbound.special_fn import degeneracy, log_degeneracy_array
+from uncbound.special_fn import degeneracy
 from uncbound.spectrum_bound import bound_from_grouped
 
 import eval_counts
@@ -391,8 +394,8 @@ def brute_cutoff_sum(M, n, r):
 def level_table_restored(monkeypatch):
     # direct sums at large M grow the shared level table to millions of
     # levels per n; put it back after the test so they do not stay cached
-    monkeypatch.setattr(special_fn, "_LOG_G", dict(special_fn._LOG_G))
-    monkeypatch.setattr(special_fn, "_LEVELS", special_fn._LEVELS)
+    monkeypatch.setattr(purity, "_LOG_G", dict(purity._LOG_G))
+    monkeypatch.setattr(purity, "_LEVELS", purity._LEVELS)
 
 
 @pytest.fixture
@@ -402,7 +405,7 @@ def pair_both_ways(monkeypatch, level_table_restored):
     def both(M, n, r):
         monkeypatch.setattr(bounds, "_DIRECT_TERM_LIMIT", math.inf)
         direct = bounds._log_B_pair(M, n, r)
-        del special_fn._LOG_G[n]
+        del purity._LOG_G[n]
         monkeypatch.setattr(bounds, "_DIRECT_TERM_LIMIT", 0.0)
         return direct, bounds._log_B_pair(M, n, r)
     return both

@@ -15,8 +15,9 @@ import pytest
 from click.testing import CliRunner
 
 import uncbound.cli as cli
-from uncbound.bounds import asymptotic_C
-from uncbound.purity import Spectrum
+from uncbound.bounds import purity_bound
+from uncbound.closed_forms import asymptotic_C
+from uncbound.purity import PurityOrder, Spectrum
 from uncbound.solvers import SolverError
 from uncbound.spectrum_bound import bound_from_spectrum
 
@@ -136,7 +137,7 @@ class TestBoundCommands:
         def explode(*args, **kwargs):
             raise SolverError("forced failure")
 
-        monkeypatch.setattr(cli.bd, "purity_bound", explode)
+        monkeypatch.setattr("uncbound.bounds.purity_bound", explode)
         result = runner.invoke(cli.main, [
             "bound", "purity", "--n", "1", "--r", "2", "--mu", "0.5",
         ])
@@ -360,6 +361,28 @@ class TestCurve:
         # the message alone: no numpy warning, and the ends as given
         assert result.stderr == f"error: range needs finite min and max, got {ends}\n"
 
+    def test_linear_grid_is_numpy_linspace(self):
+        # the grid is built in plain Python with linspace's arithmetic
+        rng = np.random.default_rng(31)
+        for _ in range(1000):
+            lo, hi = sorted(rng.normal(0.0, 10.0 ** rng.uniform(-3.0, 6.0), 2).tolist())
+            points = int(rng.integers(2, 400))
+            grid = cli.parse_range(f"{lo!r}:{hi!r}:{points}")
+            assert grid == np.linspace(lo, hi, points).tolist(), (lo, hi, points)
+
+    def test_log_grid_within_an_ulp_of_geomspace(self):
+        # 10.0 ** x in place of numpy's power, which differs by an ulp on
+        # hosts where numpy takes an AVX-512 code path
+        rng = np.random.default_rng(32)
+        for _ in range(1000):
+            lo, hi = sorted((10.0 ** rng.uniform(-300.0, 300.0, 2)).tolist())
+            points = int(rng.integers(2, 400))
+            grid = cli.parse_range(f"{lo!r}:{hi!r}:{points}:log")
+            expected = np.geomspace(lo, hi, points)
+            assert grid[0] == lo and grid[-1] == hi
+            assert all(a < b for a, b in zip(grid, grid[1:])), (lo, hi, points)
+            assert (np.abs(np.array(grid) - expected) <= np.spacing(expected)).all()
+
     def test_seventeen_digit_round_trip(self, runner):
         result = runner.invoke(cli.main, [
             "curve", "--quantity", "asymptotic-c", "--n", "3", "--r", "1:7:5",
@@ -533,23 +556,82 @@ def test_console_script_help():
     assert "bound" in proc.stdout and "verify" in proc.stdout
 
 
+# the modules that start without numpy, and those that import it at the top
+NUMPY_FREE = {"__init__", "special_fn", "solvers", "closed_forms", "cli"}
+NUMPY_BOUND = {"purity", "spectrum_bound", "bounds", "oracle"}
+NUMPY_MODULES = {"numpy"} | {f"uncbound.{stem}" for stem in NUMPY_BOUND}
+
+
+def _module_level(node):
+    """The nodes that run when a module is imported: not function bodies."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield child
+            yield from _module_level(child)
+
+
 def test_package_imports_only_runtime_dependencies():
     # numpy and click are the only runtime dependencies: a module of the
     # package imports them, the standard library and itself, nothing else
-    # (mpmath, hypothesis and scipy are installed with the test extra only)
+    # (mpmath, hypothesis and scipy are installed with the test extra only).
+    # The numpy-free modules import neither numpy nor a module that does at
+    # the top; their commands import those on first use
     allowed = set(sys.stdlib_module_names) | {"numpy", "click", "uncbound"}
     paths = sorted(Path(cli.__file__).parent.glob("*.py"))
-    assert paths
+    assert {path.stem for path in paths} == NUMPY_FREE | NUMPY_BOUND
     for path in paths:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        top = set(map(id, _module_level(tree)))
+        for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom):
-                names = ["uncbound" if node.level else node.module]
+                base = "uncbound" if node.level else node.module
+                names = [f"{base}.{alias.name}" for alias in node.names]
             else:
                 continue
             assert all(name.split(".")[0] in allowed for name in names), (
                 f"{path.name}:{node.lineno}")
+            if path.stem in NUMPY_FREE and id(node) in top:
+                heads = {".".join(name.split(".")[:k]) for name in names for k in (1, 2)}
+                assert not heads & NUMPY_MODULES, f"{path.name}:{node.lineno}"
+
+
+def test_closed_form_commands_run_without_numpy(tmp_path):
+    # one interpreter runs the closed-form commands first, then the two that
+    # need arrays; numpy enters with the first of those and not before
+    spectrum = tmp_path / "spectrum.txt"
+    spectrum.write_text("0.5\n0.3\n0.2\n")
+    commands = [
+        ["bound", "entropy", "--n", "2", "--S", "1"],
+        ["bound", "entropy", "--n", "2", "--S", "1", "--asymptotic"],
+        ["bound", "purity", "--n", "2", "--r", "3", "--mu", "0.01", "--method", "asymptotic"],
+        ["bound", "purity", "--n", "2", "--r", "2", "--mu", "0.01", "--method", "interpolated"],
+        *(["curve", "--quantity", quantity, "--n", "1,2", f"--{name}", grid]
+          for quantity, name, ends in (("asymptotic-c", "r", "1:100:5"),
+                                       ("interpolated-r2", "mu", "0.001:1:5"),
+                                       ("entropy-bound", "S", "0.5:12:5"))
+          for grid in (ends, ends + ":log")),
+        ["bound", "purity", "--n", "2", "--r", "3", "--mu", "0.01"],
+        ["bound", "spectrum", "--n", "2", "--input", str(spectrum)],
+    ]
+    code = ("import contextlib, io, json, sys\n"
+            "import uncbound.cli\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    out = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out), contextlib.suppress(SystemExit):\n"
+            "        uncbound.cli.main.main(argv, standalone_mode=False)\n"
+            "    print(json.dumps(['numpy' in sys.modules, out.getvalue()]))\n")
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(commands)],
+                          capture_output=True, text=True, env=package_env())
+    assert proc.returncode == 0, proc.stderr
+    runs = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [loaded for loaded, _ in runs] == [False] * (len(commands) - 2) + [True, True]
+    for argv, (_, out) in zip(commands, runs):
+        assert out == _invoke_in_process(argv)[1].getvalue(), argv
+    exact, from_file = (float(csv_rows(out)[0]["value"]) for _, out in runs[-2:])
+    assert exact == purity_bound(0.01, 2, PurityOrder.finite(3.0)).per_dim_product
+    assert from_file == bound_from_spectrum(Spectrum(np.array([0.5, 0.3, 0.2])), 2).per_dim_product
 
 
 def test_cli_import_loads_no_scipy():

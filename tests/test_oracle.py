@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import uncbound.oracle as oracle
-from uncbound.bounds import B_asymptotic, purity_bound
+from uncbound.bounds import purity_bound
+from uncbound.closed_forms import B_asymptotic
 from uncbound.oracle import (
     MAX_LEMMA_DIM,
     MAX_TRUNCATION,
@@ -19,9 +20,9 @@ from uncbound.oracle import (
     random_unitary,
     suggest_truncation,
 )
-from uncbound.purity import PurityOrder
+from uncbound.purity import PurityOrder, _level_table, log_degeneracy_array
 from uncbound.solvers import SolverError
-from uncbound.special_fn import _level_table, degeneracy, log_degeneracy_array
+from uncbound.special_fn import degeneracy
 
 from quadrature import quadrature_B
 

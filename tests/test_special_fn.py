@@ -6,16 +6,14 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp as scipy_lse
 
-from uncbound import special_fn
+from uncbound import purity
+from uncbound.purity import _level_table, log_degeneracy_array, logsumexp
 from uncbound.special_fn import (
     DIMENSION_CEILING,
-    _level_table,
     check_dimension,
     check_level,
     degeneracy,
     log_degeneracy,
-    log_degeneracy_array,
-    logsumexp,
 )
 
 
@@ -98,7 +96,13 @@ def test_validation():
         check_dimension(2.5)
     with pytest.raises(ValueError):
         check_level(-1)
-    assert check_dimension(np.int64(3)) == 3
+    # any integral type is taken, numpy's included; bools and floats are not
+    for check in (check_dimension, check_level):
+        for value in (np.int64(3), np.uint16(3)):
+            assert check(value) == 3 and type(check(value)) is int
+        for value in (True, np.bool_(True), 3.0, np.float64(3.0)):
+            with pytest.raises(ValueError, match="must be an integer"):
+                check(value)
 
 
 def _lse_inputs():
@@ -130,6 +134,9 @@ def test_logsumexp_matches_scipy():
         _assert_log_close(logsumexp(values), float(scipy_lse(values)))
     assert logsumexp([]) == -math.inf
     assert logsumexp([-np.inf, -np.inf]) == -math.inf
+    # a row that returns its non-finite peak is not summed, so no exp overflows
+    assert math.isnan(logsumexp([math.nan, 800.0]))
+    assert logsumexp([800.0, math.inf]) == math.inf
 
 
 def _one_row_lse(values):
@@ -211,7 +218,7 @@ def test_logsumexp_rows_match_the_numpy_checked_kernel_bit_for_bit():
                 rows[row] = -np.inf
             else:
                 rows[row, rng.integers(rows.shape[1])] = peak
-        got = special_fn._logsumexp_rows(rows.copy())
+        got = purity._logsumexp_rows(rows.copy())
         expected = _numpy_checked_rows_lse(rows.copy())
         assert [float(x).hex() for x in got] == [float(x).hex() for x in expected], rows
 
@@ -245,8 +252,8 @@ def test_level_table_is_read_only():
 def test_level_table_holds_one_array_per_dimension():
     _level_table(3000, 7)
     _level_table(3000, 8)
-    held = {n: log_g.nbytes for n, log_g in special_fn._LOG_G.items()}
+    held = {n: log_g.nbytes for n, log_g in purity._LOG_G.items()}
     for count in range(1, 3001, 7):
         for n in (7, 8):
-            assert _level_table(count, n)[1].base is special_fn._LOG_G[n]
-    assert {n: log_g.nbytes for n, log_g in special_fn._LOG_G.items()} == held
+            assert _level_table(count, n)[1].base is purity._LOG_G[n]
+    assert {n: log_g.nbytes for n, log_g in purity._LOG_G.items()} == held

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from uncbound.bounds import entropy_bound, purity_bound, thermal_grouped_spectrum
+from uncbound.bounds import purity_bound, thermal_grouped_spectrum
+from uncbound.closed_forms import BoundResult, entropy_bound
 from uncbound.oracle import OracleConfig, lemma_margins
 from uncbound.purity import (
     GroupedSpectrum,
@@ -13,7 +14,6 @@ from uncbound.purity import (
     purity_from_spectrum,
 )
 from uncbound.spectrum_bound import (
-    BoundResult,
     bound_from_grouped,
     bound_from_spectrum,
     group_spectrum,
