@@ -117,12 +117,17 @@ def _first_bad_line(path, detail) -> ValueError:
     """The error for a file numpy's reader refused, naming its first bad line.
 
     loadtxt counts data rows rather than file lines, so the file is scanned
-    again under the same rules: text after '#' is dropped, a line holds one
-    number, and a number is what float() takes, written in ASCII without
-    '_' separators.
+    again under the same rules: a line is UTF-8, text after '#' is dropped,
+    a line holds one number, and a number is what float() takes, written in
+    ASCII without '_' separators.  Bytes that are not UTF-8 are kept as
+    escapes until their line is decoded, so the error names that line.
     """
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
         for line_number, line in enumerate(handle, 1):
+            try:
+                line.encode("utf-8", "surrogateescape").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return ValueError(f"{path}:{line_number}: {exc}")
             text = line.split("#", 1)[0].strip()
             fields = text.split()
             if not fields:

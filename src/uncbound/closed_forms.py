@@ -21,7 +21,7 @@ run without numpy:
 import dataclasses
 import math
 
-from uncbound.solvers import SolverError, brent_root, seeded_root
+from uncbound.solvers import SolverError, seeded_root
 from uncbound.special_fn import check_cutoff, check_dimension, check_exponent, check_purity
 
 __all__ = [
@@ -110,12 +110,13 @@ def interpolated_bound_r2(mu, n) -> BoundResult:
 
     L solves a strictly decreasing gamma-function equation whose root is 1
     at mu = 1 (the pure state) and tends to L* = (2 (n+1)! / ((n+2) mu))^(1/n)
-    as mu -> 0; ln mu(L) falls like -n ln(L + n/2).  From L = 1, the seed
-    L* - n/2 and one Newton step of slope n in ln L, :func:`seeded_root`
-    brackets the root and Brent's method closes it; ``iterations`` counts
-    the evaluations of the equation.  A root beyond the float range raises
-    ValueError.  Not a lower bound: at n = 2, mu = 0.396812 it is 1.33e-3
-    above the valid bound, ``bounds.purity_bound`` at r = 2.
+    as mu -> 0; ln mu(L) falls like -n ln(L + n/2).  From L = 1 and the seed
+    L* - n/2, :func:`seeded_root` takes Newton steps in ln L on the exact
+    slope sum_{j=0..n} L/(L+j) - 2L/(n+2L) and closes the root by Brent's
+    method; ``iterations`` counts the evaluations of the equation.  A root
+    beyond the float range raises ValueError.  Not a lower bound: at n = 2,
+    mu = 0.396812 it is 1.33e-3 above the valid bound, ``bounds.purity_bound``
+    at r = 2.
     """
     n = check_dimension(n)
     mu = check_purity(mu)
@@ -128,10 +129,12 @@ def interpolated_bound_r2(mu, n) -> BoundResult:
             raise ValueError(f"no root below the float range for mu={mu!r} (n={n})")
         return target - _log_interp_mu(L, n)
 
+    def log_slope(L):
+        return sum(L / (L + j) for j in range(n + 1)) - 2.0 * L / (n + 2.0 * L)
+
     # the n-th roots are taken apart: the quotient can overflow where L* does not
     seed = (2.0 * math.factorial(n + 1) / (n + 2.0)) ** (1.0 / n) / mu ** (1.0 / n)
-    # ln mu(L) ~ c - n ln(L + n/2): start at L* - n/2, with slope n in ln L
-    root = seeded_root(f, 1.0, target, seed - 0.5 * n, n)
+    root = seeded_root(f, 1.0, target, seed - 0.5 * n, log_slope)
     L = root.x  # >= 1: the bracket starts at L = 1
     if root.residual > 1e-10:
         raise SolverError(
@@ -169,23 +172,22 @@ def thermal_entropy(beta, n) -> float:
 
 
 def _solve_thermal(S, n):
-    # Brent's method in y = ln nbar: the entropy rises with y, and the root
-    # spans hundreds of decades in nbar but a few hundred units in y.
-    # ln(1 + nbar) < S/n bounds y from above; e^709.7 is still a float.
-    # The error in y is the relative error of nbar, so y is solved to 1e-15
-    # absolute as well: near S/n = 2 ln 2 the root y is close to 0, where a
-    # tolerance relative to |y| alone vanishes.
+    # the seed inverts the two limits of the entropy per dimension: it tends
+    # to 1 + ln(nbar + 1/2) for large nbar and to nbar (1 - ln nbar) for small
     s1 = float(S) / n  # per-dimension entropy; the solve depends on S only via s1
 
-    def f(y):
-        return _mode_entropy(math.exp(y)) - s1
+    def f(nbar):
+        if not nbar < math.inf:
+            raise ValueError(f"bound for S/n = {S / n!r} is beyond the float range")
+        return _mode_entropy(nbar) - s1
 
-    lo, hi = math.log(1e-300), min(s1, 709.7)
-    f_hi = f(hi)
-    if f_hi < 0.0:  # S/n above 710.7: the bound is past the float range
-        return math.inf, 1
-    root = brent_root(f, lo, hi, f(lo), f_hi, rtol=1e-14, atol=1e-15)
-    return math.exp(root.x), root.iterations + 2  # the two bracket ends are evaluations too
+    if s1 > 1.0:  # e^709 is a float; past it, the search reaches inf, where f raises
+        seed = math.exp(min(s1 - 1.0, 709.0)) - 0.5
+    else:
+        seed = s1 / (1.0 - math.log(s1 / (1.0 - math.log(s1))))
+    lo = 1e-300
+    root = seeded_root(f, lo, f(lo), seed, lambda nbar: nbar * math.log1p(1.0 / nbar))
+    return root.x, root.iterations + 1  # f(lo) is an evaluation too
 
 
 def entropy_bound(S, n) -> BoundResult:
@@ -193,10 +195,14 @@ def entropy_bound(S, n) -> BoundResult:
 
     The minimizer is the thermal product state, fixed in each dimension by
     its mean occupation nbar, the root of (nbar+1) ln(nbar+1) - nbar ln(nbar)
-    = S/n; the bound is 2 nbar + 1.  ``aux`` is the inverse temperature
-    beta = ln(1 + 1/nbar) and ``residual`` is |thermal_entropy(beta, n) - S|.
-    Raises ValueError where the bound is beyond the float range (S/n above
-    710.09).
+    = S/n; the bound is 2 nbar + 1.  From nbar = 1e-300 and the seed
+    e^(s-1) - 1/2 for s = S/n > 1, s/(1 - ln(s/(1 - ln s))) below,
+    :func:`seeded_root` takes Newton steps in ln nbar on the exact slope
+    nbar ln(1 + 1/nbar) and closes the root by Brent's method; ``iterations``
+    counts the evaluations of the entropy, the one at 1e-300 included.
+    ``aux`` is the inverse temperature beta = ln(1 + 1/nbar) and
+    ``residual`` is |thermal_entropy(beta, n) - S|.  Raises ValueError where
+    the bound is beyond the float range (S/n above 710.09).
     """
     n = check_dimension(n)
     S = float(S)

@@ -2,12 +2,11 @@
 
 ``brent_root`` closes a sign-change bracket whose ends, and the function
 values there, come from the caller.  ``seeded_root`` finds the package's
-increasing roots from an estimate of the root and the slope: Newton steps
-on an exact slope while they converge, or one step on an estimated one,
-then a bracket doubled or halved from the points to ratio 2 for
-``brent_root``.  Tolerances follow the package-wide solver contract:
-relative 1e-12 unless stated otherwise, and at most _MAX_ITER steps once
-the bracket is set.
+increasing roots from an estimate of the root and the exact slope: Newton
+steps while they converge, then a bracket doubled or halved from the
+points to ratio 2 for ``brent_root``.  Tolerances follow the package-wide
+solver contract: relative 1e-12, and at most _MAX_ITER steps once the
+bracket is set.
 """
 
 import math
@@ -18,10 +17,7 @@ __all__ = ["SolverError", "RootResult", "brent_root", "seeded_root"]
 
 _EPS = sys.float_info.epsilon
 _MAX_ITER = 200
-# seeded_root lengthens its Newton step by this factor, so that a slope
-# estimate a little too steep still carries the step across the root
-_OVERSHOOT = 1.25
-_MAX_LOG_STEP = 709.0  # e^709.78 is the largest float
+_RTOL = 1e-12
 # seeded_root's steps on an exact slope: each moves ln x by at most ln 2, and
 # they go on while each cuts |f| at least tenfold
 _NEWTON_CLAMP = math.log(2.0)
@@ -39,14 +35,13 @@ class RootResult:
     iterations: int
 
 
-def brent_root(f, a, b, fa, fb, rtol=1e-12, atol=0.0, ftol=0.0):
+def brent_root(f, a, b, fa, fb, ftol=0.0):
     """Find x between a and b with f(x) = 0, given f(a) and f(b) of opposite sign.
 
     Brent's zeroin: inverse quadratic interpolation or a secant step when it
     stays well inside the bracket, bisection otherwise, so the bracket
-    always shrinks.  Stops when the bracket is below ``rtol`` relative (plus
-    a few ulps) or below ``atol``, whichever is wider; a root near 0 needs
-    ``atol``, or the bracket shrinks to ulps of 0.  The first point with
+    always shrinks.  Stops when the bracket is below 1e-12 relative (plus a
+    few ulps), so a root at 0 bisects down to ulps of 0.  The first point with
     |f| <= ``ftol`` (an end, then each evaluation) is returned at once; the
     default 0.0 stops only on an exact zero.  ``iterations`` counts the
     evaluations of f, and ``residual`` is |f| at the returned point.
@@ -66,7 +61,7 @@ def brent_root(f, a, b, fa, fb, rtol=1e-12, atol=0.0, ftol=0.0):
         if abs(fc) < abs(fb):  # b is the best point so far
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
-        tol = max((2.0 * _EPS + 0.5 * rtol) * abs(b), 0.5 * atol)
+        tol = (2.0 * _EPS + 0.5 * _RTOL) * abs(b)
         half = 0.5 * (c - b)
         if abs(half) <= tol or abs(fb) <= ftol:
             return RootResult(b, abs(fb), evals)
@@ -104,53 +99,39 @@ def seeded_root(f, lo, f_lo, seed, log_slope, ftol=0.0):
     """Root above lo > 0 of f, increasing through zero, from the estimate ``seed``.
 
     f(lo) = f_lo < 0 is given, so it costs no evaluation; a seed at or below
-    lo starts the search at lo itself.  ``log_slope`` is df/d(ln x), in one
-    of two forms.  A number > 0 estimates it near the root: after f at the
-    seed, one Newton step in ln x, lengthened by a quarter, gives a second
-    point, which lands across the root when the estimate holds; it is kept
-    within [lo, largest float].  A callable gives it exactly at a point
-    where f has been evaluated: from the seed, Newton steps in ln x, each
-    clamped to _NEWTON_CLAMP = ln 2 and taken only strictly inside the
-    bracket found so far, go on while each cuts |f| at least _NEWTON_CUT
-    times (none from lo, and none where the slope is not positive).  Then
-    :func:`brent_root` closes the tightest sign change among lo and the
-    points.  Only if every point lies below the root does the upper end
-    double until f turns positive, and a bracket wider than ratio 2 is first
-    halved down to ratio 2.  Doubling past the float range calls f at inf,
-    so f must raise there.  A point is returned at once where
-    |f| <= ``ftol``, and ``ftol`` goes on to :func:`brent_root`.
-    ``iterations`` counts every evaluation of f, bracketing included.
+    lo starts the search at lo itself.  ``log_slope(x)`` is the exact
+    df/d(ln x) at a point x where f has been evaluated.  From the seed,
+    Newton steps in ln x, each clamped to _NEWTON_CLAMP = ln 2 and taken
+    only strictly inside the bracket found so far, go on while each cuts
+    |f| at least _NEWTON_CUT times (none from lo, and none where the slope
+    is not positive).  Then :func:`brent_root` closes the tightest sign
+    change among lo and the points.  Only if every point lies below the
+    root does the upper end double until f turns positive, and a bracket
+    wider than ratio 2 is first halved down to ratio 2.  Doubling past the
+    float range calls f at inf, so f must raise there.  A point is returned
+    at once where |f| <= ``ftol``, and ``ftol`` goes on to
+    :func:`brent_root`.  ``iterations`` counts every evaluation of f,
+    bracketing included.
     """
-    exact = callable(log_slope)
     x = max(seed, lo)
     f_x = f(x) if x > lo else f_lo
     evals = int(x > lo)
     hi, f_hi = math.inf, math.nan
-    steps = 0
     while abs(f_x) > ftol:
         if f_x < 0.0:
-            if x > lo:
-                lo, f_lo = x, f_x
-        elif x < hi:
-            hi, f_hi = x, f_x
-        if exact:
-            if not evals or steps and abs(f_x) > last / _NEWTON_CUT:
-                break  # no slope at lo, or the last step cut |f| too little
-            slope = log_slope(x)
-            if not slope > 0.0:
-                break
-            step = min(max(-f_x / slope, -_NEWTON_CLAMP), _NEWTON_CLAMP)
-            point = x * math.exp(step)
-            if not lo < point < hi:
-                break
+            lo, f_lo = x, f_x
         else:
-            if steps:
-                break
-            step = min(-_OVERSHOOT * f_x / log_slope, _MAX_LOG_STEP)
-            point = min(x * math.exp(step), sys.float_info.max)
-        last, steps = abs(f_x), steps + 1
-        x, f_x = point, f(point) if point > lo else f_lo
-        evals += int(point > lo)
+            hi, f_hi = x, f_x
+        if not evals or evals > 1 and abs(f_x) > last / _NEWTON_CUT:
+            break  # no slope at lo, or the last step cut |f| too little
+        slope = log_slope(x)
+        if not slope > 0.0:
+            break
+        point = x * math.exp(min(max(-f_x / slope, -_NEWTON_CLAMP), _NEWTON_CLAMP))
+        if not lo < point < hi:
+            break
+        last, x, f_x = abs(f_x), point, f(point)
+        evals += 1
     else:
         return RootResult(x, abs(f_x), evals)
     while hi == math.inf:  # the root lies above every point: double

@@ -1,4 +1,5 @@
-"""How many evaluations of the cutoff sums ``purity_bound`` takes, on five grids.
+"""How many evaluations the package's roots take: the cutoff sums of
+``purity_bound`` on five grids, and the closed-form roots on four.
 
 Each grid is a seeded list of (mu, n, r):
 
@@ -10,18 +11,31 @@ Each grid is a seeded list of (mu, n, r):
 * ``large-r`` -- n <= 3, r in [10, 1e6] and mu down to 1e-300;
 * ``low-r``   -- n <= 3, r in [1.05, 2].
 
+The closed-form grids hold (mu, n) for ``interpolated_bound_r2`` and
+(S, n) for ``entropy_bound``:
+
+* ``interpolated`` -- n = 1..6, mu = 10^(-7 + k/8) for k = 0..56;
+* ``thermal``      -- n in {1, 4}, S = 1/8, 2/8, ..., 49.875 and 271
+  log-spaced points from 1e-280 to 1e-10;
+* ``thermal-wide`` -- 900 seeded points, n <= 64 and S/n up to 710;
+* ``thermal-2ln2`` -- n = 1, S within 40 steps of 2e-16 of 2 ln 2, where
+  the mean occupation is 1.
+
 ``PYTHONPATH=src python tests/eval_counts.py`` prints, per grid, the mean
-and largest ``iterations`` of the result, the evaluations per point that
-took the tail branch (cutoffs above ``bounds._DIRECT_TERM_LIMIT``) and the
-largest r |h| at the returned cutoff, r ``residual``: how far the family's
-ln mu(M) is from ln mu.  Every count is deterministic.  The tests take
-their grids from here.
+and largest ``iterations`` of the result; for the cutoff sums also the
+evaluations per point that took the tail branch (cutoffs above
+``bounds._DIRECT_TERM_LIMIT``) and the largest r |h| at the returned
+cutoff, r ``residual``: how far the family's ln mu(M) is from ln mu.
+Every count is deterministic.  The tests take their grids from here.
 """
+
+import math
 
 import numpy as np
 
 from uncbound import bounds
 from uncbound.bounds import purity_bound
+from uncbound.closed_forms import entropy_bound, interpolated_bound_r2
 from uncbound.purity import PurityOrder
 
 
@@ -54,6 +68,27 @@ GRIDS = {
 }
 
 
+def thermal_wide():
+    rng = np.random.default_rng(80)
+    per_dim = np.concatenate([np.exp(rng.uniform(math.log(1e-280), math.log(710.0), 450)),
+                              rng.uniform(1.0, 710.0, 450)])
+    return [(s1 * n, n) for s1, n in zip(per_dim.tolist(),
+                                         rng.integers(1, 65, per_dim.size).tolist())]
+
+
+ENTROPY_GRID = [i / 8.0 for i in range(1, 400)] + np.logspace(-280, -10, 271).tolist()
+
+CLOSED_FORM_GRIDS = {
+    "interpolated": (interpolated_bound_r2,
+                     lambda: [(10.0 ** (-7.0 + k / 8.0), n) for n in range(1, 7)
+                              for k in range(57)]),
+    "thermal": (entropy_bound, lambda: [(S, n) for S in ENTROPY_GRID for n in (1, 4)]),
+    "thermal-wide": (entropy_bound, thermal_wide),
+    "thermal-2ln2": (entropy_bound,
+                     lambda: [(2.0 * math.log(2.0) + k * 2e-16, 1) for k in range(-40, 41)]),
+}
+
+
 def results(points):
     return [purity_bound(mu, n, PurityOrder.finite(r)) for mu, n, r in points]
 
@@ -82,3 +117,7 @@ if __name__ == "__main__":
         worst = max(r * res.residual for (mu, n, r), res in zip(points, found))
         print(f"{name:8} {len(points):6} {np.mean(evals):6.2f} {max(evals):4} "
               f"{tail_calls / len(points):7.3f} {worst:9.2e}")
+    print(f"\n{'root':12} {'points':>6} {'mean':>6} {'max':>4}")
+    for name, (bound, grid) in CLOSED_FORM_GRIDS.items():
+        evals = [bound(*point).iterations for point in grid()]
+        print(f"{name:12} {len(evals):6} {np.mean(evals):6.2f} {max(evals):4}")

@@ -1,3 +1,4 @@
+import functools
 import math
 import sys
 import warnings
@@ -54,11 +55,11 @@ class TestParamTypes:
             thermal_entropy(0.0, 1)
 
 
-# the grids on which the closed-form roots are checked
+# the grid on which the interpolation root is checked to the solver contract
 INTERP_GRID = [(n, 10.0 ** (-7.0 + j / 8.0)) for n in range(1, 7) for j in range(54)]
-ENTROPY_GRID = [i / 8.0 for i in range(1, 400)] + np.logspace(-280, -10, 271).tolist()
 
 
+@functools.lru_cache(maxsize=None)
 def mp_interpolated_root(mu, n):
     # the L >= 1 with (n + 2L) (n+1)! Gamma(L) = mu (n+2) Gamma(L+n+1), at 40 digits
     with mpmath.workdps(40):
@@ -143,11 +144,18 @@ class TestInterpolatedBound:
             assert L == pytest.approx(reference, rel=1e-12, abs=0.0), (n, mu)
 
     def test_root_takes_few_evaluations(self):
-        # L* - n/2 and one Newton step of slope n in ln L bracket the root
-        for n in range(1, 7):
-            for k in range(57):
-                mu = 10.0 ** (-7.0 + k / 8.0)
-                assert interpolated_bound_r2(mu, n).iterations <= 9, (n, mu)
+        # from L* - n/2, Newton steps on the exact slope converge in a few
+        bound, grid = eval_counts.CLOSED_FORM_GRIDS["interpolated"]
+        for mu, n in grid():
+            assert bound(mu, n).iterations <= 7, (n, mu)
+
+    def test_root_matches_mpmath_to_rounding(self):
+        # Newton steps on the exact slope end within rounding of the root,
+        # well inside the solver contract of 1e-12
+        bound, grid = eval_counts.CLOSED_FORM_GRIDS["interpolated"]
+        for mu, n in grid():
+            L = bound(mu, n).aux
+            assert L == pytest.approx(mp_interpolated_root(mu, n), rel=1e-14, abs=0.0), (n, mu)
 
     def test_monotone_in_mu(self):
         values = [
@@ -220,17 +228,20 @@ class TestThermalFamily:
             assert abs(res.aux - beta) <= 1e-12 * beta, (s1, n)
 
     def test_root_takes_few_evaluations(self):
-        for target in ENTROPY_GRID:
-            for n in (1, 4):
-                assert entropy_bound(target, n).iterations <= 30, (target, n)
+        # the seed inverts the entropy's two limits, and Newton steps on the
+        # exact slope converge from it in a few
+        for grid in ("thermal", "thermal-wide", "thermal-2ln2"):
+            bound, points = eval_counts.CLOSED_FORM_GRIDS[grid]
+            for S, n in points():
+                assert bound(S, n).iterations <= 8, (grid, S, n)
 
     def test_root_near_mean_occupation_one(self):
-        # at S/n = 2 ln 2 the root y = ln nbar is 0, where a tolerance
-        # relative to |y| alone vanishes: Brent took up to 60 evaluations
+        # at S/n = 2 ln 2 the root nbar is 1, so ln nbar is 0: the steps in
+        # ln nbar must not rely on a tolerance relative to it
         for k in range(-40, 41):
             s1 = 2.0 * math.log(2.0) + k * 2e-16
             res = entropy_bound(s1, 1)
-            assert res.iterations <= 20, k
+            assert res.iterations <= 8, k
             nbar = mp_mean_occupation(s1, 1)
             value, beta = 2 * nbar + 1, mpmath.log1p(1 / nbar)
             assert abs(res.per_dim_product - value) <= 1e-12 * value, k

@@ -268,6 +268,20 @@ class TestSpectrumIngestion:
         assert result.exit_code == 2
         assert f"{path}:{line}:" in combined(result)
 
+    @pytest.mark.parametrize("data, line", [
+        (b"\xe90.25\n0.25\n0.25\n0.25\n", 1),
+        (b"0.25\n0.25\n0.25\n\xe90.25\n", 4),
+        (b"0.5\n# caf\xc3\xa9\n0.25\n# \xff\n0.25\n", 4),
+    ], ids=["first-line", "later-line", "in-a-comment"])
+    def test_rejects_bytes_that_are_not_utf8_with_their_file_line(self, runner, tmp_path,
+                                                                  data, line):
+        path = tmp_path / "spectrum.txt"
+        path.write_bytes(data)
+        result = runner.invoke(cli.main, ["bound", "spectrum", "--n", "1",
+                                          "--input", str(path)])
+        assert result.exit_code == 2
+        assert result.stderr.startswith(f"error: {path}:{line}: 'utf-8' codec can't decode byte")
+
     def test_trailing_comment_on_data_line(self, runner, tmp_path):
         path = self.write(tmp_path, "0.5 # note\n0.5\t# another\n")
         result = runner.invoke(cli.main, ["bound", "spectrum", "--n", "1",

@@ -38,7 +38,13 @@ relative and cutoffs by at most 4.1e-13, and against ``purity_bound_ref``
 every recorded value lies within 5.4e-16 of the supremum; ``bound purity
 --n 1 --r 2 --mu 1e-6`` took one evaluation and did not move.  The ``--r 1e308`` error
 text was recorded again when orders whose r - 1 rounds to r began to be
-refused by name.  ``{spectrum}`` and
+refused by name.  Seven cases (``bound purity --method interpolated`` at
+``--mu 0.05``, ``bound entropy --n 2 --S 3.5``, the two ``curve --quantity
+interpolated-r2``, the two ``curve --quantity entropy-bound`` and ``verify
+roundtrip``) were recorded again when the interpolation and thermal roots
+began Newton steps on their exact slopes: every value and aux moved
+towards a 40- to 60-digit root and lies within 1.6e-15 of it, where they
+were up to 6.9e-14 off.  ``{spectrum}`` and
 ``{garbage}`` stand for two files written by the test.
 """
 
@@ -123,7 +129,7 @@ CASES = [
     Case(["bound", "purity", "--n", "3", "--r", "2", "--mu", "0.05", "--method", "interpolated"],
          0,
          "n,r,mu,value,volume,aux,method,residual\n"
-         "3,2,0.050000000000000003,2.3649959748649518,13.227909584657011,4.4124899371623796,interpolated,3.1086244689504383e-15\n",
+         "3,2,0.050000000000000003,2.3649959748649549,13.227909584657064,4.4124899371623876,interpolated,4.4408920985006262e-16\n",
          ""),
     Case(["bound", "purity", "--n", "2", "--r", "2", "--mu", "1", "--method", "interpolated", "--format", "json"],
          0,
@@ -143,7 +149,7 @@ CASES = [
     Case(["bound", "entropy", "--n", "2", "--S", "3.5"],
          0,
          "n,S,value,volume,aux,method,residual\n"
-         "2,3.5,4.2734747716909443,18.262586624278967,0.47683745270589495,thermal,4.4408920985006262e-16\n",
+         "2,3.5,4.2734747716909434,18.26258662427896,0.47683745270589506,thermal,0\n",
          ""),
     Case(["bound", "entropy", "--n", "2", "--S", "0", "--format", "json"],
          0,
@@ -245,11 +251,11 @@ CASES = [
     Case(["curve", "--quantity", "interpolated-r2", "--n", "1,3", "--mu", "0.001:1:3:log"],
          0,
          "n,mu,value,aux,method,residual\n"
-         "1,0.001,888.88901388887234,1332.8335208333085,interpolated-r2,2.6645352591003757e-15\n"
-         "1,0.031622776601683791,28.113087048414602,41.669630572621905,interpolated-r2,0\n"
+         "1,0.001,888.88901388887086,1332.8335208333062,interpolated-r2,8.8817841970012523e-16\n"
+         "1,0.031622776601683791,28.113087048414627,41.669630572621941,interpolated-r2,0\n"
          "1,1,1,1,interpolated-r2,0\n"
-         "3,0.001,8.5169446857730993,19.792361714432747,interpolated-r2,7.9047879353311146e-14\n"
-         "3,0.031622776601683791,2.7376904461709186,5.344226115427297,interpolated-r2,0\n"
+         "3,0.001,8.5169446857733231,19.792361714433309,interpolated-r2,8.8817841970012523e-16\n"
+         "3,0.031622776601683791,2.7376904461709195,5.3442261154272988,interpolated-r2,8.8817841970012523e-16\n"
          "3,1,1,1,interpolated-r2,0\n",
          ""),
     Case(["curve", "--quantity", "interpolated-r2", "--n", "2", "--mu", "0.2:0.8:2", "--format", "json"],
@@ -259,17 +265,17 @@ CASES = [
          "    \"n\": 2,\n"
          "    \"mu\": 0.2,\n"
          "    \"value\": 2.0,\n"
-         "    \"aux\": 3.0000000000000004,\n"
+         "    \"aux\": 3.0,\n"
          "    \"method\": \"interpolated-r2\",\n"
          "    \"residual\": 6.661338147750939e-16\n"
          "  },\n"
          "  {\n"
          "    \"n\": 2,\n"
          "    \"mu\": 0.8,\n"
-         "    \"value\": 1.0897247358852087,\n"
-         "    \"aux\": 1.1794494717704174,\n"
+         "    \"value\": 1.0897247358851692,\n"
+         "    \"aux\": 1.1794494717703385,\n"
          "    \"method\": \"interpolated-r2\",\n"
-         "    \"residual\": 9.303668946358812e-14\n"
+         "    \"residual\": 1.5543122344752192e-15\n"
          "  }\n"
          "]\n",
          ""),
@@ -277,11 +283,11 @@ CASES = [
          0,
          "n,S,value,aux,method,residual\n"
          "1,0,1,inf,thermal,0\n"
-         "1,3,14.789392722199922,0.13543871459603454,thermal,0\n"
-         "1,6,296.82687970105485,0.0067379597450613051,thermal,8.8817841970012523e-16\n"
+         "1,3,14.789392722199924,0.13543871459603454,thermal,0\n"
+         "1,6,296.82687970105513,0.0067379597450612982,thermal,0\n"
          "2,0,1,inf,thermal,0\n"
-         "2,3,3.3482229538352923,0.61610839303237197,thermal,8.8817841970012523e-16\n"
-         "2,6,14.789392722199922,0.13543871459603454,thermal,0\n",
+         "2,3,3.3482229538352919,0.61610839303237208,thermal,0\n"
+         "2,6,14.789392722199924,0.13543871459603454,thermal,0\n",
          ""),
     Case(["curve", "--quantity", "entropy-bound", "--n", "4", "--S", "0.5:40:2:log", "--format", "json"],
          0,
@@ -290,17 +296,17 @@ CASES = [
          "    \"n\": 4,\n"
          "    \"S\": 0.5,\n"
          "    \"value\": 1.0540642882789482,\n"
-         "    \"aux\": 3.6374018269262853,\n"
+         "    \"aux\": 3.637401826926285,\n"
          "    \"method\": \"thermal\",\n"
-         "    \"residual\": 1.1102230246251565e-16\n"
+         "    \"residual\": 0.0\n"
          "  },\n"
          "  {\n"
          "    \"n\": 4,\n"
          "    \"S\": 40.0,\n"
-         "    \"value\": 16206.167865434905,\n"
-         "    \"aux\": 0.00012340980416499335,\n"
+         "    \"value\": 16206.167865434913,\n"
+         "    \"aux\": 0.0001234098041649933,\n"
          "    \"method\": \"thermal\",\n"
-         "    \"residual\": 7.105427357601002e-15\n"
+         "    \"residual\": 0.0\n"
          "  }\n"
          "]\n",
          ""),
@@ -503,7 +509,7 @@ CASES = [
          ""),
     Case(["verify", "roundtrip", "--trials", "30", "--seed", "2"],
          0,
-         "roundtrip: checks=30 failures=0 worst_gap=1.2789769243681803e-13\n"
+         "roundtrip: checks=30 failures=0 worst_gap=2.2737367544323206e-13\n"
          "PASS\n",
          ""),
     # the test of exit 1: the brute-force oracle overstates the minimum
