@@ -22,9 +22,9 @@ K_s = Gamma(s+1)/Gamma(s+n+1), so ln mu(M) falls like
 M* - n/2 - (r+n-1)(r-n)/(24 M*), M* the mu -> 0 cutoff.  From that seed
 Newton's method in ln M runs on the exact slope of h, which a third sum,
 of order r - 2, gives from the same pass over the levels; where it stalls,
-Brent's method closes a bracket.  The search stops at the first cutoff
-where |h| <= 1e-12/r, where the family's ln mu(M) = ln mu - r h is within
-1e-12 of ln mu.
+doubling, false position and bisection in ln M close a bracket.  The search
+stops at the first cutoff where |h| <= 1e-12/r, where the family's
+ln mu(M) = ln mu - r h is within 1e-12 of ln mu.
 
 The cutoff sums are exact up to rounding and scaled, ln(B_s(M)/M^s) from
 terms g_m (1 - m/M)^s, so neither h nor the bracket subtracts numbers of
@@ -416,19 +416,19 @@ def purity_bound(mu, n, order: PurityOrder) -> BoundResult:
     steps in ln M on the slope above, from the scaled sums
     sB_s = ln(B_s/M^s) as (r-1) e^(sB_{r-1} - sB_r)
     expm1(sB_{r-2} - 2 sB_{r-1} + sB_r), which costs no evaluation of its own.
-    Each step is clamped to a factor 2 and kept inside the bracket, and
-    they go on while each cuts |h| tenfold; then doubling or halving and
-    Brent's method close the bracket.  The first cutoff with
-    |h| <= 1e-12/r ends the search: its family's purity matches mu to
-    1e-12, its Newton step in ln M is below 1e-12/n, and the bracket, flat
-    at the root, is off by its square.  h is taken from the scaled sums,
-    whose (r-1) ln M parts cancel exactly, and the value is the bracket at
-    the root, from the scaled ln B_r already summed there.  ``aux`` is the
-    cutoff, ``residual`` is |h| at it and ``iterations`` counts the
-    evaluations of the three sums.  A search past the float range raises
-    ValueError where the entropy floor is past it too, else SolverError;
-    so does an r whose r - 1 rounds to r (above 2^53), where the two sums
-    would be one.
+    Each step is clamped to a factor 2 and kept inside the bracket, and a
+    Newton step follows another only if that one cut |h| twofold; otherwise
+    doubling, false position or bisection in ln M closes the bracket.  The
+    first cutoff with |h| <= 1e-12/r ends the search: its family's purity
+    matches mu to 1e-12, its Newton step in ln M is below 1e-12/n, and the
+    bracket, flat at the root, is off by its square.  h is taken from the
+    scaled sums, whose (r-1) ln M parts cancel exactly, and the value is the
+    bracket at the root, from the scaled ln B_r already summed there.
+    ``aux`` is the cutoff, ``residual`` is |h| at it and ``iterations``
+    counts the evaluations of the three sums.  A search past the float
+    range raises ValueError where the entropy floor is past it too, else
+    SolverError; so does an r whose r - 1 rounds to r (above 2^53), where
+    the two sums would be one.
 
     The order r = inf is the entropy end, mu = exp(-S): the result is
     :func:`entropy_bound` at S = -ln mu.  The superpurity order r = 1 has

@@ -38,6 +38,9 @@ from uncbound.special_fn import MAX_LEMMA_DIM
 EXIT_VERIFY_FAILED = 1
 EXIT_DOMAIN_ERROR = 2
 EXIT_SOLVER_ERROR = 3
+# the most points in a sweep range and trials in a verify suite: each is built
+# whole, so a larger count would fill memory instead of failing
+MAX_COUNT = 1_000_000
 
 
 def _fmt(value):
@@ -86,6 +89,8 @@ def parse_range(text):
         raise ValueError(f"range needs min < max, got {lo}:{hi}")
     if points < 2:
         raise ValueError("range needs at least 2 points")
+    if points > MAX_COUNT:
+        raise ValueError(f"range needs at most {MAX_COUNT} points, got {points}")
     if spacing not in ("linear", "log"):
         raise ValueError(f"unknown spacing {spacing!r}")
     ends = lo, hi
@@ -373,7 +378,7 @@ _seed_option = click.option("--seed", type=click.IntRange(0), default=0, help="R
 @verify.command("lemma")
 @click.option("--dim", type=click.IntRange(2, MAX_LEMMA_DIM), default=30,
               help="Unitary dimension.")
-@click.option("--trials", type=click.IntRange(min=1), default=1000)
+@click.option("--trials", type=click.IntRange(1, MAX_COUNT), default=1000)
 @_seed_option
 def verify_lemma(dim, trials, seed):
     """Mixed-vs-sorted energy inequality over random unitaries, to 1e-10."""
@@ -405,7 +410,7 @@ def verify_holder(n, r, mu, seed):
 
 
 @verify.command("b-approx")
-@click.option("--trials", type=click.IntRange(min=1), default=50)
+@click.option("--trials", type=click.IntRange(1, MAX_COUNT), default=50)
 @_seed_option
 def verify_b_approx(trials, seed):
     """Beta function vs the large-M closed form to 1e-9, and the sum/integral trend."""
@@ -441,7 +446,7 @@ def verify_appendix_d():
 
 
 @verify.command("roundtrip")
-@click.option("--trials", type=click.IntRange(min=1), default=100)
+@click.option("--trials", type=click.IntRange(1, MAX_COUNT), default=100)
 @_seed_option
 def verify_roundtrip(trials, seed):
     """Entropy -> thermal state -> entropy to 1e-9 (1e-10 unmaterialized), and

@@ -112,8 +112,8 @@ def interpolated_bound_r2(mu, n) -> BoundResult:
     at mu = 1 (the pure state) and tends to L* = (2 (n+1)! / ((n+2) mu))^(1/n)
     as mu -> 0; ln mu(L) falls like -n ln(L + n/2).  From L = 1 and the seed
     L* - n/2, :func:`seeded_root` takes Newton steps in ln L on the exact
-    slope sum_{j=0..n} L/(L+j) - 2L/(n+2L) and closes the root by Brent's
-    method; ``iterations`` counts the evaluations of the equation.  A root
+    slope sum_{j=0..n} L/(L+j) - 2L/(n+2L), from L = 1 where the seed lies
+    below it; ``iterations`` counts the evaluations of the equation.  A root
     beyond the float range raises ValueError.  Not a lower bound: at n = 2,
     mu = 0.396812 it is 1.33e-3 above the valid bound, ``bounds.purity_bound``
     at r = 2.
@@ -198,8 +198,8 @@ def entropy_bound(S, n) -> BoundResult:
     = S/n; the bound is 2 nbar + 1.  From nbar = 1e-300 and the seed
     e^(s-1) - 1/2 for s = S/n > 1, s/(1 - ln(s/(1 - ln s))) below,
     :func:`seeded_root` takes Newton steps in ln nbar on the exact slope
-    nbar ln(1 + 1/nbar) and closes the root by Brent's method; ``iterations``
-    counts the evaluations of the entropy, the one at 1e-300 included.
+    nbar ln(1 + 1/nbar); ``iterations`` counts the evaluations of the
+    entropy, the one at 1e-300 included.
     ``aux`` is the inverse temperature beta = ln(1 + 1/nbar) and
     ``residual`` is |thermal_entropy(beta, n) - S|.  Raises ValueError where
     the bound is beyond the float range (S/n above 710.09).

@@ -21,11 +21,16 @@ The closed-form grids hold (mu, n) for ``interpolated_bound_r2`` and
 * ``thermal-2ln2`` -- n = 1, S within 40 steps of 2e-16 of 2 ln 2, where
   the mean occupation is 1.
 
+``KINKS`` lists (n, r, mu) of cutoff roots at or near an integer, where a
+level enters h with an infinite slope: the seven rows of ROADMAP item 3
+and the two M = 1 rows of ``test_optimizer_reaches_supremum_in_few_evaluations``.
+
 ``PYTHONPATH=src python tests/eval_counts.py`` prints, per grid, the mean
 and largest ``iterations`` of the result; for the cutoff sums also the
 evaluations per point that took the tail branch (cutoffs above
 ``bounds._DIRECT_TERM_LIMIT``) and the largest r |h| at the returned
-cutoff, r ``residual``: how far the family's ln mu(M) is from ln mu.
+cutoff, r ``residual``: how far the family's ln mu(M) is from ln mu; and
+for each kink its evaluations, r ``residual`` and cutoff.
 Every count is deterministic.  The tests take their grids from here.
 """
 
@@ -89,6 +94,10 @@ CLOSED_FORM_GRIDS = {
 }
 
 
+KINKS = [(3, 1.634, 0.2588), (2, 1.3, 0.3), (4, 1.1166, 2.05e-3), (1, 1.0001, 0.5),
+         (1, 1.01, 1e-3), (3, 1.513, 0.1064), (2, 3.0, 1e-4), (1, 1.01, 0.9), (2, 1.01, 0.9)]
+
+
 def results(points):
     return [purity_bound(mu, n, PurityOrder.finite(r)) for mu, n, r in points]
 
@@ -121,3 +130,6 @@ if __name__ == "__main__":
     for name, (bound, grid) in CLOSED_FORM_GRIDS.items():
         evals = [bound(*point).iterations for point in grid()]
         print(f"{name:12} {len(evals):6} {np.mean(evals):6.2f} {max(evals):4}")
+    print(f"\n{'kink (n, r, mu)':22} {'evals':>5} {'r|h|':>9} {'cutoff':>20}")
+    for (n, r, mu), res in zip(KINKS, results([(mu, n, r) for n, r, mu in KINKS])):
+        print(f"{str((n, r, mu)):22} {res.iterations:5} {r * res.residual:9.2e} {res.aux!r:>20}")

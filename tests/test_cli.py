@@ -375,6 +375,20 @@ class TestCurve:
         # the message alone: no numpy warning, and the ends as given
         assert result.stderr == f"error: range needs finite min and max, got {ends}\n"
 
+    @pytest.mark.parametrize("points", ["1000001", "1000000000"])
+    def test_range_past_the_point_cap_is_domain_error(self, runner, points):
+        # refused before the grid is built: a billion points used to fill memory
+        result = runner.invoke(cli.main, [
+            "curve", "--quantity", "asymptotic-c", "--n", "1", "--r", f"1:2:{points}",
+        ])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == f"error: range needs at most 1000000 points, got {points}\n"
+
+    def test_range_at_the_point_cap(self):
+        grid = cli.parse_range(f"1:2:{cli.MAX_COUNT}:log")
+        assert len(grid) == cli.MAX_COUNT and grid[0] == 1.0 and grid[-1] == 2.0
+
     def test_linear_grid_is_numpy_linspace(self):
         # the grid is built in plain Python with linspace's arithmetic
         rng = np.random.default_rng(31)
@@ -462,6 +476,28 @@ class TestVerify:
         result = runner.invoke(cli.main, ["verify", *args])
         assert result.exit_code == 2
         assert "PASS" not in result.output
+        assert "Traceback" not in combined(result)
+
+    @pytest.mark.parametrize("args", [
+        ["lemma", "--dim", "2", "--trials", "1000001"],
+        ["lemma", "--dim", "2", "--trials", "100000000000"],
+        ["b-approx", "--trials", "1000001"],
+        ["roundtrip", "--trials", "1000001"],
+    ])
+    def test_trials_past_cap_is_usage_error(self, runner, args, monkeypatch):
+        # refused before any trial runs: 1e11 lemma margins once asked numpy
+        # for 745 GiB
+        from uncbound import oracle
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a trial ran")
+        for name in ("lemma_margins", "beta_integral_B"):
+            monkeypatch.setattr(oracle, name, refuse)
+        monkeypatch.setattr(cli.cf, "entropy_bound", refuse)
+        result = runner.invoke(cli.main, ["verify", *args])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "--trials" in result.stderr and "1<=x<=1000000" in result.stderr
         assert "Traceback" not in combined(result)
 
     @pytest.mark.parametrize("dim", ["1025", "100000"])

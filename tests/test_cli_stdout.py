@@ -44,7 +44,11 @@ interpolated-r2``, the two ``curve --quantity entropy-bound`` and ``verify
 roundtrip``) were recorded again when the interpolation and thermal roots
 began Newton steps on their exact slopes: every value and aux moved
 towards a 40- to 60-digit root and lies within 1.6e-15 of it, where they
-were up to 6.9e-14 off.  ``{spectrum}`` and
+were up to 6.9e-14 off.  The two ``curve --quantity interpolated-r2``
+cases were recorded again when the root search became one loop that
+closes its own bracket: the n = 3, mu = 10^-1.5 row moved from 2.1e-16 to
+7.2e-16 of a 50-digit root and the n = 2, mu = 0.8 row from 1.5e-15 to
+2.3e-16.  ``{spectrum}`` and
 ``{garbage}`` stand for two files written by the test.
 """
 
@@ -255,7 +259,7 @@ CASES = [
          "1,0.031622776601683791,28.113087048414627,41.669630572621941,interpolated-r2,0\n"
          "1,1,1,1,interpolated-r2,0\n"
          "3,0.001,8.5169446857733231,19.792361714433309,interpolated-r2,8.8817841970012523e-16\n"
-         "3,0.031622776601683791,2.7376904461709195,5.3442261154272988,interpolated-r2,8.8817841970012523e-16\n"
+         "3,0.031622776601683791,2.7376904461709186,5.3442261154272961,interpolated-r2,8.8817841970012523e-16\n"
          "3,1,1,1,interpolated-r2,0\n",
          ""),
     Case(["curve", "--quantity", "interpolated-r2", "--n", "2", "--mu", "0.2:0.8:2", "--format", "json"],
@@ -272,10 +276,10 @@ CASES = [
          "  {\n"
          "    \"n\": 2,\n"
          "    \"mu\": 0.8,\n"
-         "    \"value\": 1.0897247358851692,\n"
-         "    \"aux\": 1.1794494717703385,\n"
+         "    \"value\": 1.0897247358851685,\n"
+         "    \"aux\": 1.179449471770337,\n"
          "    \"method\": \"interpolated-r2\",\n"
-         "    \"residual\": 1.5543122344752192e-15\n"
+         "    \"residual\": 2.220446049250313e-16\n"
          "  }\n"
          "]\n",
          ""),
