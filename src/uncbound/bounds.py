@@ -29,9 +29,14 @@ ln mu(M) = ln mu - r h is within 1e-12 of ln mu.
 The cutoff sums are exact up to rounding and scaled, ln(B_s(M)/M^s) from
 terms g_m (1 - m/M)^s, so neither h nor the bracket subtracts numbers of
 size s ln M or 2M/n; ``_log_B_pair`` alone picks how they are taken.  Up to
-20k terms they are summed directly in log space: ln g comes from a table
-kept per n, the terms of all three orders fill one buffer, and one
-row-wise log-sum-exp reduces it.  Above that, one pass
+20k terms they are summed directly: ln g comes from a table kept per n,
+u/M = (M - m)/M is formed once, with M - m exact from m = ceil(M/2) up,
+and ln(u/M) is log1p(-m/M) below that level and log(u/M) from it, so the
+top levels near an integer cutoff keep their precision.  One exp per level
+gives the order r - 2 terms; the orders r - 1 and r are the same terms
+times u/M and (u/M)^2, each order's levels m >= 1 are summed pairwise by
+``np.add.reduce``, and log1p adds the m = 0 term, exactly 1, so the log of
+a scaled sum near 1 keeps its relative precision.  Above that, one pass
 sums the first and last 1024 levels directly and integrates the levels
 between them by Gauss-Legendre with the B2 and B4 Euler-Maclaurin end
 terms, skipping panels far below real terms of each sum; every term is
@@ -295,29 +300,44 @@ def _log_B_pair(M, n, r):
     r - 2, in (-1, 0) for r < 2, only the slope of h (:func:`purity_bound`).
     The one place the branch is chosen: sums of up to _DIRECT_TERM_LIMIT
     terms are summed directly, and larger ones take :func:`_log_B_tail`.
-    Scaled by M^s, each term is g_m (1 - m/M)^s, so no order carries its
-    s ln M, and at large s the terms keep the precision of log1p(-m/M).
-    A direct sum reads ln g from :func:`_level_table` and fills one
-    (3, ceil(M)) buffer: log1p(-m/M) in place in row 0, the order r - 1
-    terms (r - 1) log1p(-m/M) + ln g in row 1, row 1 less row 0 in row 2
-    for order r - 2, then row 0 += row 1 for order r; one row-wise
-    log-sum-exp then reduces the buffer in place.  Past order 1e300 the
-    direct factor r - 1 is held at 1e300: every term but m = 0 is then
-    below e^-1e295 of it either way, and its log cannot overflow.  A
-    cutoff sum at M > 0 holds the positive m = 0 term, so one that comes
-    out zero or non-finite raises SolverError.
+    Scaled by M^s, each term is g_m q^s with q = u/M, u = M - m, so no
+    order carries its s ln M.  A direct sum reads ln g from
+    :func:`_level_table` and fills one (3, ceil(M)) buffer.  Row 0 takes
+    q, from a u that is exact from m = ceil(M/2) up (Sterbenz).  Row 2
+    takes ln q, as log1p(-m/M) below that level, where it keeps its
+    relative precision at large s, and as log(q) from it, where a top level
+    u = M - k just above an integer k is not lost to the rounding of m/M.
+    Row 2 then becomes the order r - 2 exponents (r - 2) ln q + ln g, and
+    one exp pass turns them into terms; rows 1 and 0 are those terms times
+    q and times q^2, for the orders r - 1 and r.  Every term is positive and
+    the m = 0 term is exactly 1 in each row.  Within n <= 64 and M <= 2e4 no
+    exponent exceeds about 460 (ln g <= 424, and (r - 2) ln q <= 37 for
+    r < 2, as u is at least an ulp of M), so no exp or sum overflows and
+    none needs a shift.  One ``np.add.reduce`` sums each row's levels
+    m >= 1 pairwise, and log1p of that sum is returned: where the m = 0
+    term is nearly all of it, at large r and small M, the scaled sum may lie
+    far below eps, and it keeps its relative precision.  Past order 1e300 the
+    factor r - 2 is held at 1e300: every term but m = 0 is then below
+    e^-1e295 of it either way, and no exponent overflows.  A cutoff sum at
+    M > 0 holds the positive m = 0 term, so one that comes out zero or
+    non-finite raises SolverError.
     """
     orders = (r, r - 1.0, r - 2.0)
     if M <= _DIRECT_TERM_LIMIT:
         levels, log_g = _level_table(math.ceil(M), n)
-        terms = np.empty((3, levels.size))
-        upper, lower, lowest = terms[0], terms[1], terms[2]  # orders r, r - 1 and r - 2
-        np.log1p(np.multiply(levels, -1.0 / M, out=upper), out=upper)
-        np.multiply(upper, min(r - 1.0, 1e300), out=lower)
-        lower += log_g
-        np.subtract(lower, upper, out=lowest)
-        upper += lower
-        sums = _logsumexp_rows(terms).tolist()
+        half = math.ceil(0.5 * M)  # M - m is exact from here on (Sterbenz)
+        terms = np.empty((3, levels.size))  # rows: orders r, r - 1 and r - 2
+        q, lower, lowest = terms
+        np.divide(np.subtract(M, levels, out=q), M, out=q)  # u/M
+        low = lowest[:half]
+        np.log1p(np.multiply(levels[:half], -1.0 / M, out=low), out=low)
+        np.log(q[half:], out=lowest[half:])
+        lowest *= min(r - 2.0, 1e300)
+        lowest += log_g
+        np.exp(lowest, out=lowest)
+        np.multiply(lowest, q, out=lower)
+        np.multiply(lower, q, out=q)
+        sums = np.log1p(np.add.reduce(terms[:, 1:], axis=1)).tolist()  # m = 0 adds 1
     else:
         sums = _log_B_tail(M, n, orders)
     for log_b, order in zip(sums, orders):

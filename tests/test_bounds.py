@@ -445,13 +445,22 @@ class TestCutoffSums:
             )
 
     def test_branches_agree(self, pair_both_ways):
+        # all three orders, r, r - 1 and r - 2, each on its own; the last
+        # eight cutoffs lie within 1e-3 of an integer at r < 2, where the top
+        # level u = M - k carries much of the orders r - 1 and r - 2
         rng = np.random.default_rng(18)
-        for _ in range(24):
+        for i in range(32):
             n = int(rng.integers(1, 65))
-            r = float(rng.uniform(1.01, 100.0))
-            M = float(np.exp(rng.uniform(np.log(4.0 * 1024), np.log(3e6))))
+            if i < 24:
+                r = float(rng.uniform(1.01, 100.0))
+                M = float(np.exp(rng.uniform(np.log(4.0 * 1024), np.log(3e6))))
+            else:
+                r = float(rng.uniform(1.05, 2.0))
+                M = float(rng.integers(4 * 1024, 20_000)) + float(
+                    np.exp(rng.uniform(np.log(1e-9), np.log(1e-3))))
             direct, tail = pair_both_ways(M, n, r)
-            assert tail == pytest.approx(direct, rel=1e-13), (M, n, r)
+            for d, t, s in zip(direct, tail, (r, r - 1.0, r - 2.0)):
+                assert t == pytest.approx(d, rel=1e-13), (M, n, r, s)
 
     def test_branches_agree_at_large_orders(self, pair_both_ways):
         # from r ~ 100 on, the tail drops negligible panels and splits steep ones
@@ -561,10 +570,8 @@ class TestCutoffSums:
 
     def test_order_r_minus_two_matches_hurwitz_zeta(self):
         # the third sum, of order r - 2 (in (-1, 0) for r < 2), against the
-        # exact one; half the draws have r < 2.  The tail takes every u = M - m
-        # exactly.  The direct sum forms u/M as 1 - m/M from a rounded m/M, an
-        # absolute error of about eps, so its top level, u = f, is off by up to
-        # eps M/f relative: at (M, n, r) = (15000.01, 2, 1.1) that is 4.9e-12
+        # exact one; half the draws have r < 2.  Both branches take the top
+        # levels' u = M - m exactly
         rng = np.random.default_rng(62)
         for branch in ("direct", "tail"):
             for i in range(8):
@@ -572,18 +579,57 @@ class TestCutoffSums:
                 r = float(rng.uniform(1.01, 2.0) if i % 2 else rng.uniform(2.0, 50.0))
                 if branch == "direct":
                     M = float(rng.integers(1, 1500)) + float(rng.uniform(0.01, 0.99))
-                    tol = 4.0 * sys.float_info.epsilon * M / (M - math.floor(M))
                 else:
                     M = float(np.exp(rng.uniform(np.log(3e4), np.log(1e9))))
-                    tol = 0.0
                 assert (M > bounds._DIRECT_TERM_LIMIT) == (branch == "tail")
                 got = bounds._log_B_pair(M, n, r)[2]
                 with mpmath.workdps(60):
                     exact = float(log_B_ref(M, n, r - 2.0) - (r - 2.0) * mpmath.log(M))
-                assert got == pytest.approx(exact, rel=1e-13, abs=tol), (M, n, r)
+                assert got == pytest.approx(exact, rel=1e-13), (M, n, r)
+
+    def test_direct_sums_just_above_an_integer(self):
+        # M = k + delta: the top level u = delta carries much of the orders
+        # r - 1 and r - 2 at r < 2, and ln(u/M) must keep it.  All three
+        # scaled sums lie within 6 eps of the larger of 1 and |the sum|, a
+        # few ulps: each term's exponent rounds to a few ulps of its own
+        # size, and the terms that carry a sum are no larger than it
+        eps = sys.float_info.epsilon
+        rng = np.random.default_rng(20)
+        for _ in range(24):
+            k = round(float(np.exp(rng.uniform(0.0, np.log(1e4)))))
+            M = k + float(np.exp(rng.uniform(np.log(1e-12), np.log(1e-3))))
+            n = int(rng.integers(1, 65))
+            r = 3.0 - float(rng.uniform(0.0, 2.0))  # in (1, 3]
+            got = bounds._log_B_pair(M, n, r)
+            orders = (r, r - 1.0, r - 2.0)
+            with mpmath.workdps(60):
+                exact = [float(log_B_ref(M, n, s) - s * mpmath.log(M)) for s in orders]
+            for value, ref, s in zip(got, exact, orders):
+                assert abs(value - ref) <= 6.0 * eps * max(1.0, abs(ref)), (M, n, r, s)
+
+    def test_direct_sums_near_zero_keep_relative_precision(self):
+        # at large r and M near 1 the m = 0 term, exactly 1, is nearly all of
+        # each scaled sum, so ln(B_s/M^s), log1p of the levels m >= 1, may lie
+        # far below eps; h at mu near 1 is made of such sums.  The reference
+        # is that log1p in mpmath (log_B_ref less s ln M cancels there).  The
+        # terms that do not underflow have exponents below 745 in size, which
+        # round to a few ulps of 745: 1e-12 relative
+        rng = np.random.default_rng(21)
+        for _ in range(24):
+            M = float(rng.uniform(1.05, 8.0))
+            n = int(rng.integers(1, 65))
+            r = float(np.exp(rng.uniform(np.log(30.0), np.log(1e4))))
+            got = bounds._log_B_pair(M, n, r)
+            for value, s in zip(got, (r, r - 1.0, r - 2.0)):
+                with mpmath.workdps(50):
+                    big_m = mpmath.mpf(M)
+                    exact = float(mpmath.log1p(mpmath.fsum(
+                        math.comb(m + n - 1, n - 1) * ((big_m - m) / big_m) ** s
+                        for m in range(1, math.ceil(M)))))
+                assert value == pytest.approx(exact, rel=1e-12, abs=0.0), (M, n, r, s)
 
     def test_orders_near_the_float_max_do_not_warn(self):
-        # (r - 1) log1p(-m/M) and s ln(u/M) overflow there: the direct sum
+        # (r - 2) ln(u/M) and s ln(u/M) overflow there: the direct sum
         # keeps only its m = 0 term, and the tail refuses the order
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -48,8 +48,16 @@ were up to 6.9e-14 off.  The two ``curve --quantity interpolated-r2``
 cases were recorded again when the root search became one loop that
 closes its own bracket: the n = 3, mu = 10^-1.5 row moved from 2.1e-16 to
 7.2e-16 of a 50-digit root and the n = 2, mu = 0.8 row from 1.5e-15 to
-2.3e-16.  ``{spectrum}`` and
-``{garbage}`` stand for two files written by the test.
+2.3e-16.  Five cases (``bound purity --n 2 --r 3 --mu 0.01 --format json``
+and the ``curve --quantity purity-bound`` cases at ``--n 1,2 --r
+1.5:3:3``, ``--n 2 --r 2``, ``--n 1 --r 1.5:6:2:log`` and ``--n 3 --r
+3``) were recorded again when the direct cutoff sums began to take the top
+levels' u = M - m exactly, with one exp per level: values moved by at most
+4.5e-16 relative and cutoffs by at most 2.2e-15, and against
+``purity_bound_ref`` every value that moved now lies below the supremum,
+by at most 4.1e-16 relative, where two (n = 2, r = 2, mu = 0.01 and
+n = 1, r = 6, mu = 0.1) lay above it by 5.7e-17 and 2.1e-16.
+``{spectrum}`` and ``{garbage}`` stand for two files written by the test.
 """
 
 from collections import namedtuple
@@ -99,9 +107,9 @@ CASES = [
          "    \"mu\": 0.01,\n"
          "    \"value\": 8.329891468921165,\n"
          "    \"volume\": 69.3870918840056,\n"
-         "    \"aux\": 19.775888856836907,\n"
+         "    \"aux\": 19.775888856836897,\n"
          "    \"method\": \"exact\",\n"
-         "    \"residual\": 4.440892098500626e-16\n"
+         "    \"residual\": 0.0\n"
          "  }\n"
          "]\n",
          ""),
@@ -320,15 +328,15 @@ CASES = [
          "1,1.5,0.01,92.952638246069881,115.69287792315893,holder-root,1.3322676295501878e-15\n"
          "1,2.25,0.01,87.439900209108217,141.58654886892859,holder-root,0\n"
          "1,3,0.01,84.376481491613873,168.24852342602605,holder-root,4.4408920985006262e-16\n"
-         "2,1.5,0.01,8.9656446095842952,14.682062458892709,holder-root,0\n"
-         "2,2.25,0.01,8.5665121534643163,17.174910468173863,holder-root,0\n"
-         "2,3,0.01,8.3298914689211649,19.775888856836907,holder-root,4.4408920985006262e-16\n",
+         "2,1.5,0.01,8.9656446095842988,14.682062458892709,holder-root,0\n"
+         "2,2.25,0.01,8.5665121534643163,17.174910468173856,holder-root,2.2204460492503131e-16\n"
+         "2,3,0.01,8.3298914689211649,19.775888856836897,holder-root,0\n",
          ""),
     Case(["curve", "--quantity", "purity-bound", "--n", "2", "--r", "2", "--mu", "1e-4:1:3:log"],
          0,
          "n,r,mu,value,aux,method,residual\n"
-         "2,2,0.0001,86.603985364962142,172.20513687390638,holder-root,3.184119634624949e-13\n"
-         "2,2,0.01,8.6748259103577503,16.311649225740091,holder-root,0\n"
+         "2,2,0.0001,86.603985364962128,172.20513687390675,holder-root,3.1707969583294471e-13\n"
+         "2,2,0.01,8.6748259103577467,16.311649225740091,holder-root,2.2204460492503131e-16\n"
          "2,2,1,1,1,holder-root,0\n",
          ""),
     Case(["curve", "--quantity", "purity-bound", "--n", "1", "--r", "1.5:6:2:log", "--mu", "0.1", "--format", "json"],
@@ -338,8 +346,8 @@ CASES = [
          "    \"n\": 1,\n"
          "    \"r\": 1.5,\n"
          "    \"mu\": 0.1,\n"
-         "    \"value\": 9.30745972216897,\n"
-         "    \"aux\": 11.096097169341041,\n"
+         "    \"value\": 9.307459722168971,\n"
+         "    \"aux\": 11.096097169341043,\n"
          "    \"method\": \"holder-root\",\n"
          "    \"residual\": 1.871836019518014e-13\n"
          "  },\n"
@@ -347,10 +355,10 @@ CASES = [
          "    \"n\": 1,\n"
          "    \"r\": 6.0,\n"
          "    \"mu\": 0.1,\n"
-         "    \"value\": 7.949416378408785,\n"
+         "    \"value\": 7.949416378408781,\n"
          "    \"aux\": 27.214699787032377,\n"
          "    \"method\": \"holder-root\",\n"
-         "    \"residual\": 4.773959005888173e-14\n"
+         "    \"residual\": 4.75175454539567e-14\n"
          "  }\n"
          "]\n",
          ""),
@@ -361,19 +369,19 @@ CASES = [
          "    \"n\": 3,\n"
          "    \"r\": 3.0,\n"
          "    \"mu\": 0.001,\n"
-         "    \"value\": 8.237611562456118,\n"
-         "    \"aux\": 23.162869140237618,\n"
+         "    \"value\": 8.237611562456117,\n"
+         "    \"aux\": 23.16286914023764,\n"
          "    \"method\": \"holder-root\",\n"
-         "    \"residual\": 0.0\n"
+         "    \"residual\": 8.881784197001252e-16\n"
          "  },\n"
          "  {\n"
          "    \"n\": 3,\n"
          "    \"r\": 3.0,\n"
          "    \"mu\": 0.5,\n"
          "    \"value\": 1.178086058450306,\n"
-         "    \"aux\": 1.5350771927660132,\n"
+         "    \"aux\": 1.535077192766013,\n"
          "    \"method\": \"holder-root\",\n"
-         "    \"residual\": 0.0\n"
+         "    \"residual\": 1.1102230246251565e-16\n"
          "  }\n"
          "]\n",
          ""),
