@@ -53,16 +53,10 @@ import math
 import numpy as np
 
 from uncbound.closed_forms import BoundResult, asymptotic_cutoff, entropy_bound
-from uncbound.purity import (
-    GroupedSpectrum,
-    PurityOrder,
-    _level_table,
-    _log_g,
-    _logsumexp_rows,
-    log_degeneracy_array,
-)
+from uncbound.purity import GroupedSpectrum, PurityOrder, _level_table, _log_g, _logsumexp_rows
 from uncbound.solvers import SolverError, seeded_root
-from uncbound.special_fn import check_cutoff, check_dimension, check_exponent, check_purity
+from uncbound.special_fn import (check_beta, check_cutoff, check_dimension, check_exponent,
+                                 check_purity)
 
 __all__ = [
     "B_exact",
@@ -85,9 +79,7 @@ def thermal_grouped_spectrum(beta, n) -> GroupedSpectrum:
     ValueError when that would take more than _THERMAL_LEVEL_CAP levels.
     """
     n = check_dimension(n)
-    beta = float(beta)
-    if not beta > 0.0:
-        raise ValueError(f"beta must be > 0, got {beta}")
+    beta = check_beta(beta)
     if math.isinf(beta):
         return GroupedSpectrum(n=n, weights=np.array([1.0]))
     x = math.exp(-beta)
@@ -101,7 +93,7 @@ def thermal_grouped_spectrum(beta, n) -> GroupedSpectrum:
             f"above the cap {_THERMAL_LEVEL_CAP}"
         )
     m = np.arange(int(top) + 1, dtype=float)
-    log_xi = n * math.log(u) + log_degeneracy_array(m, n) - beta * m
+    log_xi = n * math.log(u) + _log_g(m, n) - beta * m
     return GroupedSpectrum(n=n, weights=np.exp(log_xi))
 
 

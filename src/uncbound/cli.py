@@ -416,7 +416,6 @@ def verify_b_approx(trials, seed):
     """Beta function vs the large-M closed form to 1e-9, and the sum/integral trend."""
     import numpy as np
 
-    from uncbound import oracle as oc
     from uncbound.bounds import B_exact
 
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
@@ -425,7 +424,7 @@ def verify_b_approx(trials, seed):
         n = int(rng.integers(1, 5))
         r = float(rng.uniform(1.0, 6.0))
         M = float(rng.uniform(0.5, 200.0))
-        gaps.append(abs(oc.beta_integral_B(M, n, r) / cf.B_asymptotic(M, n, r) - 1.0))
+        gaps.append(abs(cf.beta_integral_B(M, n, r) / cf.B_asymptotic(M, n, r) - 1.0))
     # the sum's drift from the integral shrinks as the cutoff grows
     drifts = [[abs(B_exact(M, n, 2.0) / cf.B_asymptotic(M, n, 2.0) - 1.0)
                for M in (1e2, 1e3, 1e4)] for n in (1, 2, 3)]
@@ -437,9 +436,7 @@ def verify_b_approx(trials, seed):
 @verify.command("appendix-d")
 def verify_appendix_d():
     """Alternating-sum identity of the cutoff-integral constant, n <= 10, to 1e-10."""
-    from uncbound import oracle as oc
-
-    gaps = [oc.appendix_d_identity_check(n, r)[2]
+    gaps = [cf.appendix_d_identity_check(n, r)[2]
             for n in range(1, 11) for r in (1.5, 2.0, 2.5, 5.0)]
     _verdict("appendix-d", len(gaps), sum(gap > 1e-10 for gap in gaps),
              "worst_gap", max(gaps))

@@ -15,22 +15,29 @@ run without numpy:
   per-dimension bounds they give (floats: away from the limit they may fall
   below the pure-state floor of 1), ``asymptotic_cutoff`` the cutoff that
   seeds ``bounds.purity_bound`` and ``B_asymptotic`` the cutoff integral
-  the sums tend to.
+  the sums tend to;
+* ``beta_integral_B`` and ``appendix_d_identity_check`` -- that integral
+  as a Beta function through ``math.lgamma``, and its constant as an
+  alternating sum: independent checks of ``B_asymptotic``, which
+  ``verify b-approx`` and ``verify appendix-d`` run.
 """
 
 import dataclasses
 import math
 
 from uncbound.solvers import SolverError, seeded_root
-from uncbound.special_fn import check_cutoff, check_dimension, check_exponent, check_purity
+from uncbound.special_fn import (check_beta, check_cutoff, check_dimension, check_entropy,
+                                 check_exponent, check_purity)
 
 __all__ = [
     "B_asymptotic",
     "BoundResult",
+    "appendix_d_identity_check",
     "asymptotic_C",
     "asymptotic_cutoff",
     "asymptotic_entropy_bound",
     "asymptotic_purity_bound",
+    "beta_integral_B",
     "entropy_bound",
     "interpolated_bound_r2",
     "thermal_entropy",
@@ -159,9 +166,7 @@ def _mode_entropy(nbar):
 def thermal_entropy(beta, n) -> float:
     """Entropy of the thermal family xi_m = A g_m e^{-beta m}."""
     n = check_dimension(n)
-    beta = float(beta)
-    if not beta > 0.0:
-        raise ValueError(f"beta must be > 0, got {beta}")
+    beta = check_beta(beta)
     if math.isinf(beta):
         return 0.0
     u = -math.expm1(-beta)  # 1 - e^{-beta}
@@ -205,9 +210,7 @@ def entropy_bound(S, n) -> BoundResult:
     the bound is beyond the float range (S/n above 710.09).
     """
     n = check_dimension(n)
-    S = float(S)
-    if not S >= 0.0:
-        raise ValueError(f"entropy must be >= 0, got {S}")
+    S = check_entropy(S)
     if S < 1e-290:
         return BoundResult(1.0, n, method="thermal", aux=math.inf)
     nbar, evals = _solve_thermal(S, n)
@@ -301,9 +304,7 @@ def asymptotic_entropy_bound(S, n) -> float:
     S/n < 1 - ln 2.  Raises ValueError where it is beyond the float range.
     """
     n = check_dimension(n)
-    S = float(S)
-    if not S >= 0.0:
-        raise ValueError(f"entropy must be >= 0, got {S}")
+    S = check_entropy(S)
     try:
         value = math.exp(S / n) * 2.0 / math.e
     except OverflowError:
@@ -311,3 +312,54 @@ def asymptotic_entropy_bound(S, n) -> float:
     if not math.isfinite(value):
         raise ValueError(f"bound for S/n = {S / n!r} is beyond the float range")
     return value
+
+
+# ---------------------------------------------------------------------------
+# independent checks of B_asymptotic, sharing no helper with it
+# ---------------------------------------------------------------------------
+
+
+def beta_integral_B(M, n, r) -> float:
+    """Integral of m^(n-1) (M-m)^r / (n-1)! over [0, M], by its Beta form.
+
+    The integral is M^(n+r) Gamma(r+1) / Gamma(n+r+1).  The gamma ratio
+    comes from ``math.lgamma``, not from the product over k that
+    :func:`B_asymptotic` sums, so it checks that closed form.  It is inf
+    past the float range.
+    """
+    n = check_dimension(n)
+    M = check_cutoff(M, "> 0")
+    r = check_exponent(r, ">= 1")
+    log_ratio = math.lgamma(r + 1.0) - math.lgamma(n + r + 1.0)
+    try:
+        return M ** (n + r) * math.exp(log_ratio)
+    except OverflowError:  # the power alone may overflow: take the product in logs
+        log_value = (n + r) * math.log(M) + log_ratio
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        return math.inf
+
+
+def appendix_d_identity_check(n, r):
+    """Alternating sum vs product form of the cutoff-integral constant.
+
+    Evaluates sum_{k=0..n-1} (-1)^k / (k! (n-1-k)! (k+r+1)) with exact
+    compensated summation and compares against 1 / prod_{k=1..n} (r+k).
+
+    Returns (sum_value, product_value, relative_gap).
+    """
+    n = check_dimension(n)
+    if n > 20:
+        raise ValueError("cancellation grows too fast beyond n = 20")
+    r = check_exponent(r, ">= 1")
+    if r > 50:
+        raise ValueError("r above 50 is outside the validated range")
+    terms = [
+        (-1.0) ** k / (math.factorial(k) * math.factorial(n - 1 - k) * (k + r + 1.0))
+        for k in range(n)
+    ]
+    sum_value = math.fsum(terms)
+    product_value = 1.0 / math.prod(r + k for k in range(1, n + 1))
+    gap = abs(sum_value - product_value) / abs(product_value)
+    return sum_value, product_value, gap

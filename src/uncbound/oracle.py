@@ -2,9 +2,9 @@
 
 Nothing in here reuses the closed forms it is meant to check: the purity
 bound is re-derived by constrained minimization over truncated grouped
-spectra, the rearrangement inequality is sampled with random unitaries,
-and the large-cutoff closed form is re-evaluated as a Beta function through
-``math.lgamma`` and as an alternating sum.
+spectra, and the rearrangement inequality is sampled with random unitaries.
+The scalar checks of the large-cutoff closed form need no numpy, so they
+live in ``closed_forms`` (``beta_integral_B``, ``appendix_d_identity_check``).
 """
 
 import math
@@ -13,15 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from uncbound.closed_forms import BoundResult, asymptotic_cutoff
-from uncbound.purity import _level_table, log_degeneracy_array
+from uncbound.purity import _log_g
 from uncbound.solvers import SolverError
-from uncbound.special_fn import (MAX_LEMMA_DIM, check_cutoff, check_dimension,
-                                 check_exponent, check_level, check_purity)
+from uncbound.special_fn import (MAX_LEMMA_DIM, check_dimension, check_exponent, check_level,
+                                 check_purity, degeneracy)
 
 __all__ = [
     "OracleConfig",
-    "appendix_d_identity_check",
-    "beta_integral_B",
     "brute_force_purity_bound",
     "lemma_margins",
     "project_to_simplex",
@@ -108,8 +106,8 @@ def lemma_margins(n, max_level, cfg: OracleConfig, trials, identity=False) -> np
     if dim > MAX_LEMMA_DIM:
         raise ValueError(f"{dim} states (n={n}, max_level={max_level}) exceed the "
                          f"lemma cap of {MAX_LEMMA_DIM}")
-    levels, log_g = _level_table(max_level + 1, n)  # cached per n, not rebuilt per trial
-    gammas = np.repeat(2.0 * levels + n, np.rint(np.exp(log_g)).astype(int))
+    energies = 2.0 * np.arange(max_level + 1, dtype=float) + n
+    gammas = np.repeat(energies, [degeneracy(k, n) for k in range(max_level + 1)])
     block = max(1, _BLOCK_ELEMENTS // dim ** 2)
     margins = np.empty(len(trials))
     for start in range(0, len(trials), block):
@@ -543,7 +541,7 @@ def brute_force_purity_bound(mu, n, r, cfg: OracleConfig,
 
     size = cfg.truncation + 1
     levels = np.arange(size, dtype=float)
-    log_g = log_degeneracy_array(levels, n)
+    log_g = _log_g(levels, n)
     costs = (2.0 * levels + n) / n
 
     if mu == 1.0:
@@ -609,54 +607,3 @@ def suggest_truncation(mu, n, r) -> int:
             f"r={r}, above the cap {MAX_TRUNCATION}"
         )
     return max(96, int(levels))
-
-
-# ---------------------------------------------------------------------------
-# closed-form and series identities
-# ---------------------------------------------------------------------------
-
-
-def beta_integral_B(M, n, r) -> float:
-    """Integral of m^(n-1) (M-m)^r / (n-1)! over [0, M], by its Beta form.
-
-    The integral is M^(n+r) Gamma(r+1) / Gamma(n+r+1).  The gamma ratio
-    comes from ``math.lgamma``, not from the product over k that
-    ``bounds.B_asymptotic`` sums, so it checks that closed form.  It is inf
-    past the float range.
-    """
-    n = check_dimension(n)
-    M = check_cutoff(M, "> 0")
-    r = check_exponent(r, ">= 1")
-    log_ratio = math.lgamma(r + 1.0) - math.lgamma(n + r + 1.0)
-    try:
-        return M ** (n + r) * math.exp(log_ratio)
-    except OverflowError:  # the power alone may overflow: take the product in logs
-        log_value = (n + r) * math.log(M) + log_ratio
-    try:
-        return math.exp(log_value)
-    except OverflowError:
-        return math.inf
-
-
-def appendix_d_identity_check(n, r):
-    """Alternating sum vs product form of the cutoff-integral constant.
-
-    Evaluates sum_{k=0..n-1} (-1)^k / (k! (n-1-k)! (k+r+1)) with exact
-    compensated summation and compares against 1 / prod_{k=1..n} (r+k).
-
-    Returns (sum_value, product_value, relative_gap).
-    """
-    n = check_dimension(n)
-    if n > 20:
-        raise ValueError("cancellation grows too fast beyond n = 20")
-    r = check_exponent(r, ">= 1")
-    if r > 50:
-        raise ValueError("r above 50 is outside the validated range")
-    terms = [
-        (-1.0) ** k / (math.factorial(k) * math.factorial(n - 1 - k) * (k + r + 1.0))
-        for k in range(n)
-    ]
-    sum_value = math.fsum(terms)
-    product_value = 1.0 / math.prod(r + k for k in range(1, n + 1))
-    gap = abs(sum_value - product_value) / abs(product_value)
-    return sum_value, product_value, gap

@@ -8,13 +8,12 @@ per Fock level (weight xi_k spread over g_k degenerate states) carry the one
 formula; a raw spectrum is the n = 1 grouping.  The bound on the same axis,
 ``bounds.purity_bound``, takes 1 < r <= inf; r = 1 raises.
 
-This is the lowest module that needs numpy, so the array forms of the
-level degeneracies live here as well.  ``_level_table`` keeps the levels
-0, 1, 2, ... and their ln g per n, grown by doubling on demand, for the
-cutoff sums, which read them at every cutoff.
-
-:func:`logsumexp` is the package's one log-sum-exp kernel.  It reduces
-along the last axis, row by row: one max shift per row, one exp pass over
+This is the lowest module that needs numpy, so the package's array
+kernels over the levels live here as well: ``_log_g`` is ln g over an array
+of levels, ``_level_table`` keeps the levels 0, 1, 2, ... and their ln g per
+n, grown by doubling on demand, for the cutoff sums, which read them at
+every cutoff, and ``_logsumexp_rows`` is the one log-sum-exp kernel.  It
+reduces each row of a 2-d array: one max shift per row, one exp pass over
 all rows, and each row's largest term split off into ``log1p``, so a sum
 dominated by one term keeps its small remainder.
 """
@@ -31,25 +30,17 @@ __all__ = [
     "PurityOrder",
     "Spectrum",
     "entropy_from_grouped",
-    "log_degeneracy_array",
-    "logsumexp",
     "purity_from_grouped",
     "purity_from_spectrum",
 ]
 
 
-def log_degeneracy_array(levels, n) -> np.ndarray:
-    """Vectorized ``special_fn.log_degeneracy`` over an array of level indices."""
-    n = check_dimension(n)
-    levels = np.asarray(levels, dtype=float)
-    if np.any(levels < 0):
-        raise ValueError("level indices must be >= 0")
-    return _log_g(levels, n)
-
-
 def _log_g(levels, n):
-    # log_degeneracy_array without its checks; elementwise, so an entry
-    # does not depend on the array it sits in
+    """ln g over a float array of levels >= 0, for a valid dimension n.
+
+    ``special_fn.log_degeneracy`` term by term, unchecked; elementwise, so
+    an entry does not depend on the array it sits in.
+    """
     out = np.zeros_like(levels)
     for j in range(1, n):
         out += np.log((levels + j) / j)
@@ -68,7 +59,7 @@ def _level_table(count, n):
     ``n`` must be a valid dimension.  The cache holds one ln g array per n;
     one that is too short is rebuilt at twice its length, or more if
     ``count`` needs it.  Every entry is computed on its own, so the views
-    equal ``log_degeneracy_array(np.arange(count), n)`` bit for bit.
+    equal ``_log_g(np.arange(count, dtype=float), n)`` bit for bit.
     """
     global _LEVELS
     log_g = _LOG_G.get(n)
@@ -88,41 +79,18 @@ def _level_table(count, n):
 def _logsumexp_rows(a):
     """ln sum exp along axis 1 of a 2-d float array, overwriting the array.
 
-    A row whose largest entry is not finite returns that entry: -inf for an
-    empty sum, +inf or nan as they came.
+    Every row must be nonempty with a finite largest entry; entries of -inf
+    below it are fine, and add nothing.
     """
-    count, width = a.shape
-    if not width:
-        return np.full(count, -np.inf)
     top = a.argmax(axis=1)
-    top += np.arange(0, a.size, width)  # flat index of each row's largest entry
-    peak = a.take(top)
-    # a row whose peak is not finite returns its peak, and is zeroed so that
-    # no exp of it overflows; the peaks are checked as Python floats, cheaper
-    # than a numpy pass
-    finite = None if all(map(math.isfinite, peak.tolist())) else np.isfinite(peak)
-    if finite is None:
-        shift = peak
-    else:
-        a[~finite] = 0.0
-        shift = np.where(finite, peak, 0.0)
+    top += np.arange(0, a.size, a.shape[1])  # flat index of each row's largest entry
+    shift = a.take(top)
     a -= shift[:, None]
     np.exp(a, out=a)
     a.put(top, 0.0)  # the largest term is log1p's 1
     sums = np.log1p(np.add.reduce(a, axis=1))
     sums += shift
-    return sums if finite is None else np.where(finite, sums, peak)
-
-
-def logsumexp(values):
-    """ln sum_i exp(values_i) along the last axis; -inf for an empty sum.
-
-    A 1-d input gives a float, a larger one an array of its leading shape.
-    The input is never written to.
-    """
-    a = np.array(values, dtype=float, ndmin=1)
-    sums = _logsumexp_rows(a.reshape(math.prod(a.shape[:-1]), a.shape[-1]))
-    return float(sums[0]) if a.ndim == 1 else sums.reshape(a.shape[:-1])
+    return sums
 
 
 _SUM_TOL = 1e-10
@@ -230,7 +198,7 @@ def _support(g: GroupedSpectrum):
     """(xi_k, ln g_k, ln theta_k) on the levels with xi_k > 0."""
     pos = g.weights > 0.0
     xi = g.weights[pos]
-    log_g = log_degeneracy_array(np.arange(len(g)), g.n)[pos]
+    log_g = _log_g(np.arange(len(g), dtype=float), g.n)[pos]
     return xi, log_g, np.log(xi) - log_g
 
 
@@ -248,7 +216,7 @@ def purity_from_grouped(g: GroupedSpectrum, order: PurityOrder) -> float:
     if r == 1.0:
         return float(np.exp(log_theta.max()))
     p = r / (r - 1.0)
-    log_sum = logsumexp(log_g + p * log_theta)
+    log_sum = float(_logsumexp_rows((log_g + p * log_theta)[None, :])[0])
     if abs(log_sum) < 1.0:
         # r - 1 would multiply this sum's rounding; as 1 + sum xi (theta^(1/(r-1)) - 1)
         # every term is <= 0, so none cancel

@@ -5,9 +5,9 @@ A level with total excitation number k in n dimensions contains
 precision integer, so it never wraps; converting a too-large count to a
 float raises ``OverflowError``, which is why every floating-point consumer
 in this package works with :func:`log_degeneracy` instead (its array form
-is ``purity.log_degeneracy_array``).  The ``check_*`` functions are the
-package's one domain check per kind of input, and the caps bound the
-inputs the package accepts.
+is ``purity._log_g``), and every integer count comes from
+:func:`degeneracy`.  The ``check_*`` functions are the package's one domain
+check per kind of input, and the caps bound the inputs the package accepts.
 """
 
 import math
@@ -16,8 +16,10 @@ import numbers
 __all__ = [
     "DIMENSION_CEILING",
     "MAX_LEMMA_DIM",
+    "check_beta",
     "check_cutoff",
     "check_dimension",
+    "check_entropy",
     "check_exponent",
     "check_level",
     "check_purity",
@@ -66,6 +68,22 @@ def check_purity(mu) -> float:
     if not 0.0 < mu <= 1.0:
         raise ValueError(f"mu must be in (0, 1], got {mu}")
     return mu
+
+
+def check_entropy(S) -> float:
+    """Validate an entropy S >= 0, returning it as a float; inf passes."""
+    S = float(S)
+    if not S >= 0.0:
+        raise ValueError(f"entropy must be >= 0, got {S}")
+    return S
+
+
+def check_beta(beta) -> float:
+    """Validate an inverse temperature beta > 0, returning it as a float; inf passes."""
+    beta = float(beta)
+    if not beta > 0.0:
+        raise ValueError(f"beta must be > 0, got {beta}")
+    return beta
 
 
 def check_exponent(r, low) -> float:

@@ -13,7 +13,7 @@ import numpy as np
 
 from uncbound.closed_forms import BoundResult
 from uncbound.purity import GroupedSpectrum, Spectrum
-from uncbound.special_fn import check_dimension
+from uncbound.special_fn import check_dimension, degeneracy
 
 __all__ = [
     "bound_from_grouped",
@@ -36,13 +36,11 @@ def group_spectrum(s: Spectrum, n) -> GroupedSpectrum:
         sums = []
         consumed = 0
         k = 0
-        block = 1  # degeneracy(k, n), updated by the recurrence below
         while consumed < rho.size:
-            take = min(block, rho.size - consumed)
+            take = min(degeneracy(k, n), rho.size - consumed)
             sums.append(float(rho[consumed : consumed + take].sum()))
             consumed += take
             k += 1
-            block = block * (k + n - 1) // k
         weights = np.array(sums)
     nonzero = np.nonzero(weights)[0]
     last = nonzero[-1] if nonzero.size else 0

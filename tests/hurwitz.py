@@ -2,7 +2,9 @@
 
 ``log_B_ref(M, n, s)`` is ln B_s(M), B_s(M) = sum over integer levels
 0 <= m < M of g_m (M - m)^s with g_m = C(m + n - 1, n - 1), to about
-``DIGITS`` significant digits.  It takes one of three routes:
+``DIGITS`` significant digits, and ``log_B_scaled_ref(M, n, s)`` is the
+scaled sum ln(B_s(M)/M^s) that the package computes.  ``log_B_ref`` takes
+one of three routes:
 
 * M <= 2e4: an ``fsum`` of every term, with g_m an exact integer;
 * terms that fall off within ``LEVEL_LIMIT`` levels (s large against M):
@@ -29,6 +31,10 @@
 Two pitfalls are kept: the order -s - b is formed as ``-mpf(s) - b`` (in
 floats -1.7 - 1 rounds away from -2.7), and the a_b, which grow like
 M^(n-1) and cancel, get (n - 1) log10(2M) more digits.
+
+Up to M = 2e4 ``log_B_scaled_ref`` is log1p of the levels m >= 1, an
+``fsum`` of g_m ((M - m)/M)^s, so a scaled sum far below 1 keeps its
+relative precision; above, it is ``log_B_ref`` less s ln M.
 
 ``purity_bound_ref(mu, n, r)`` is the purity bound from these sums: the
 bracket at the root of h, the cutoff whose family has purity mu.
@@ -57,6 +63,17 @@ def log_B_ref(M, n, s):
             return mpmath.log(total)
     with mpmath.workdps(DIGITS + 20 + int((n - 1) * math.log10(2.0 * (M + n)))):
         return mpmath.log(_hurwitz(mpmath.mpf(M), k, n, s))
+
+
+def log_B_scaled_ref(M, n, s):
+    """ln(B_s(M)/M^s) as an mpmath number, on the domain of :func:`log_B_ref`."""
+    with mpmath.workdps(DIGITS + 20):
+        big_m, order = mpmath.mpf(M), mpmath.mpf(s)
+        if M <= 2e4:
+            return mpmath.log1p(mpmath.fsum(
+                math.comb(m + n - 1, n - 1) * ((big_m - m) / big_m) ** order
+                for m in range(1, math.ceil(M))))
+        return log_B_ref(M, n, s) - order * mpmath.log(big_m)
 
 
 def purity_bound_ref(mu, n, r):

@@ -1,5 +1,5 @@
 """Adaptive quadrature of the cutoff integral, the tests' reference for the
-closed forms of ``bounds.B_asymptotic`` and ``oracle.beta_integral_B``."""
+closed forms ``closed_forms.B_asymptotic`` and ``closed_forms.beta_integral_B``."""
 
 import math
 

@@ -13,13 +13,13 @@ from uncbound.bounds import purity_bound
 from uncbound.cli import main as cli_main
 from uncbound.closed_forms import (
     B_asymptotic,
+    appendix_d_identity_check,
     asymptotic_C,
     entropy_bound,
     interpolated_bound_r2,
 )
 from uncbound.oracle import (
     OracleConfig,
-    appendix_d_identity_check,
     brute_force_purity_bound,
     lemma_margins,
     suggest_truncation,

@@ -491,9 +491,9 @@ class TestVerify:
 
         def refuse(*args, **kwargs):
             raise AssertionError("a trial ran")
-        for name in ("lemma_margins", "beta_integral_B"):
-            monkeypatch.setattr(oracle, name, refuse)
-        monkeypatch.setattr(cli.cf, "entropy_bound", refuse)
+        monkeypatch.setattr(oracle, "lemma_margins", refuse)
+        for name in ("beta_integral_B", "entropy_bound"):
+            monkeypatch.setattr(cli.cf, name, refuse)
         result = runner.invoke(cli.main, ["verify", *args])
         assert result.exit_code == 2
         assert result.stdout == ""
@@ -662,6 +662,7 @@ def test_closed_form_commands_run_without_numpy(tmp_path):
                                        ("interpolated-r2", "mu", "0.001:1:5"),
                                        ("entropy-bound", "S", "0.5:12:5"))
           for grid in (ends, ends + ":log")),
+        ["verify", "appendix-d"],
         ["bound", "purity", "--n", "2", "--r", "3", "--mu", "0.01"],
         ["bound", "spectrum", "--n", "2", "--input", str(spectrum)],
     ]

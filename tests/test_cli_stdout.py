@@ -536,7 +536,20 @@ CASES = [
 ]
 
 
-@pytest.mark.parametrize("case", CASES, ids=[" ".join(c.argv) for c in CASES])
+# cases whose last printed digits move on numpy's AVX2 kernels
+_SIMD_BITS = {
+    "curve --quantity purity-bound --n 1 --r 1.5:6:2:log --mu 0.1 --format json",
+    "verify holder --n 2 --r 3 --mu 1e-3 --seed 7",
+    "verify holder --n 2 --r 2.010041770264862 --mu 0.0049748612669626826 --seed 1",
+}
+
+
+def _param(case):
+    name = " ".join(case.argv)
+    return pytest.param(case, id=name, marks=pytest.mark.simd_bits if name in _SIMD_BITS else ())
+
+
+@pytest.mark.parametrize("case", [_param(c) for c in CASES])
 def test_pinned_output(case, tmp_path):
     files = {"spectrum": tmp_path / "spectrum.txt", "garbage": tmp_path / "garbage.txt"}
     files["spectrum"].write_text(SPECTRUM)
