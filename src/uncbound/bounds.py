@@ -29,7 +29,8 @@ ln mu(M) = ln mu - r h is within 1e-12 of ln mu.
 The cutoff sums are exact up to rounding and scaled, ln(B_s(M)/M^s) from
 terms g_m (1 - m/M)^s, so neither h nor the bracket subtracts numbers of
 size s ln M or 2M/n; ``_log_B_pair`` alone picks how they are taken.  Up to
-20k terms they are summed directly: ln g comes from a table kept per n,
+20k terms they are summed directly: ln g comes from ``_level_table``, built
+once per n at 1024 or 20k levels, the two sizes the sums read, and
 u/M = (M - m)/M is formed once, with M - m exact from m = ceil(M/2) up,
 and ln(u/M) is log1p(-m/M) below that level and log(u/M) from it, so the
 top levels near an integer cutoff keep their precision.  One exp per level
@@ -53,7 +54,7 @@ import math
 import numpy as np
 
 from uncbound.closed_forms import BoundResult, asymptotic_cutoff, entropy_bound
-from uncbound.purity import GroupedSpectrum, PurityOrder, _level_table, _log_g, _logsumexp_rows
+from uncbound.purity import GroupedSpectrum, PurityOrder, _log_g, _logsumexp_rows
 from uncbound.solvers import SolverError, seeded_root
 from uncbound.special_fn import (check_beta, check_cutoff, check_dimension, check_exponent,
                                  check_purity)
@@ -128,6 +129,22 @@ def _gauss_rule(count):
     nodes.setflags(write=False)
     log_weights.setflags(write=False)
     return nodes, log_weights
+
+
+@functools.cache
+def _level_table(count, n):
+    """(levels 0..count-1 as floats, their ln g), read-only, built on first use.
+
+    The sums build it at two sizes only: _TAIL_BLOCK, for the tail's bottom
+    block and direct sums up to that many levels, and _DIRECT_TERM_LIMIT.
+    Each entry is ``_log_g`` of its own level, so a prefix of either size
+    equals ``_log_g(np.arange(k, dtype=float), n)`` bit for bit.
+    """
+    levels = np.arange(count, dtype=float)
+    log_g = _log_g(levels, n)
+    levels.setflags(write=False)
+    log_g.setflags(write=False)
+    return levels, log_g
 
 
 def _middle_nodes(M, n, orders, refs, x, cut, lg, lu, ln_width):
@@ -234,8 +251,9 @@ def _log_B_tail(M, n, orders):
     calls: the edges are a table of powers of 2 scaled, one ln g and one
     log1p and log take them and the top level, and one (orders, levels + 2)
     buffer of terms takes one multiply, the ln g of each level (the bottom
-    block reads it from the level table; at n = 1, g = 1 and only the nodes'
-    ln weights are added), the two end terms and one row-wise log-sum-exp.
+    block reads it from the 1024-level table; at n = 1, g = 1 and only the
+    nodes' ln weights are added), the two end terms and one row-wise
+    log-sum-exp.
     Below 4 _TAIL_BLOCK the blocks would overlap, and ValueError is raised.
     """
     if not M >= 4 * _TAIL_BLOCK:
@@ -293,8 +311,9 @@ def _log_B_pair(M, n, r):
     The one place the branch is chosen: sums of up to _DIRECT_TERM_LIMIT
     terms are summed directly, and larger ones take :func:`_log_B_tail`.
     Scaled by M^s, each term is g_m q^s with q = u/M, u = M - m, so no
-    order carries its s ln M.  A direct sum reads ln g from
-    :func:`_level_table` and fills one (3, ceil(M)) buffer.  Row 0 takes
+    order carries its s ln M.  A direct sum reads the first ceil(M) ln g
+    of :func:`_level_table` at _TAIL_BLOCK levels, or at _DIRECT_TERM_LIMIT
+    past that, and fills one (3, ceil(M)) buffer.  Row 0 takes
     q, from a u that is exact from m = ceil(M/2) up (Sterbenz).  Row 2
     takes ln q, as log1p(-m/M) below that level, where it keeps its
     relative precision at large s, and as log(q) from it, where a top level
@@ -316,7 +335,9 @@ def _log_B_pair(M, n, r):
     """
     orders = (r, r - 1.0, r - 2.0)
     if M <= _DIRECT_TERM_LIMIT:
-        levels, log_g = _level_table(math.ceil(M), n)
+        k = math.ceil(M)
+        levels, log_g = _level_table(_TAIL_BLOCK if k <= _TAIL_BLOCK else _DIRECT_TERM_LIMIT, n)
+        levels, log_g = levels[:k], log_g[:k]
         half = math.ceil(0.5 * M)  # M - m is exact from here on (Sterbenz)
         terms = np.empty((3, levels.size))  # rows: orders r, r - 1 and r - 2
         q, lower, lowest = terms

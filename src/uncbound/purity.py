@@ -10,9 +10,7 @@ formula; a raw spectrum is the n = 1 grouping.  The bound on the same axis,
 
 This is the lowest module that needs numpy, so the package's array
 kernels over the levels live here as well: ``_log_g`` is ln g over an array
-of levels, ``_level_table`` keeps the levels 0, 1, 2, ... and their ln g per
-n, grown by doubling on demand, for the cutoff sums, which read them at
-every cutoff, and ``_logsumexp_rows`` is the one log-sum-exp kernel.  It
+of levels, and ``_logsumexp_rows`` is the one log-sum-exp kernel.  It
 reduces each row of a 2-d array: one max shift per row, one exp pass over
 all rows, and each row's largest term split off into ``log1p``, so a sum
 dominated by one term keeps its small remainder.
@@ -45,35 +43,6 @@ def _log_g(levels, n):
     for j in range(1, n):
         out += np.log((levels + j) / j)
     return out
-
-
-# _level_table's cache: the levels 0..K-1 as floats, and ln g over them per n;
-# all read-only, and replaced, never written, when a caller needs more levels
-_LEVELS = np.zeros(0)
-_LOG_G = {}
-
-
-def _level_table(count, n):
-    """(levels 0..count-1 as floats, their ln g), read-only views of a cache.
-
-    ``n`` must be a valid dimension.  The cache holds one ln g array per n;
-    one that is too short is rebuilt at twice its length, or more if
-    ``count`` needs it.  Every entry is computed on its own, so the views
-    equal ``_log_g(np.arange(count, dtype=float), n)`` bit for bit.
-    """
-    global _LEVELS
-    log_g = _LOG_G.get(n)
-    if log_g is None or log_g.size < count:
-        size = max(1024, 2 * (0 if log_g is None else log_g.size))
-        while size < count:
-            size *= 2
-        if _LEVELS.size < size:
-            _LEVELS = np.arange(size, dtype=float)
-            _LEVELS.setflags(write=False)
-        log_g = _log_g(_LEVELS[:size], n)
-        log_g.setflags(write=False)
-        _LOG_G[n] = log_g
-    return _LEVELS[:count], log_g[:count]
 
 
 def _logsumexp_rows(a):

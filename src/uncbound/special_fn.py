@@ -27,9 +27,11 @@ __all__ = [
     "log_degeneracy",
 ]
 
-# Documented ceiling on the number of position/momentum pairs.  Bound
-# computations for larger n would have to run entirely in log space and are
-# outside the supported range.
+# Documented ceiling on the number of position/momentum pairs.  The direct
+# cutoff sums take exp of ln g + (r - 2) ln q with no shift, which stays
+# finite only below about 709: at their 2e4-level limit ln g is 423 at
+# n = 64, 622 at n = 100 and 767 at n = 128.  Larger n needs a shift, or a
+# lower direct limit, in ``bounds._log_B_pair``.
 DIMENSION_CEILING = 64
 
 # Largest lemma trial of ``oracle.lemma_margins``, in states: its dim x dim

@@ -26,22 +26,21 @@ def group_spectrum(s: Spectrum, n) -> GroupedSpectrum:
     """Pack sorted eigenvalues greedily into Fock levels of dimension n.
 
     Level k receives the next degeneracy(k, n) eigenvalues; xi_k is their
-    sum.  Trailing all-zero levels are dropped.
+    sum, all levels' in one ``np.add.reduceat``.  Trailing all-zero levels
+    are dropped.
     """
     n = check_dimension(n)
     rho = s.eigenvalues
     if n == 1:
         weights = rho
     else:
-        sums = []
-        consumed = 0
-        k = 0
-        while consumed < rho.size:
-            take = min(degeneracy(k, n), rho.size - consumed)
-            sums.append(float(rho[consumed : consumed + take].sum()))
-            consumed += take
+        starts = []
+        start = k = 0
+        while start < rho.size:
+            starts.append(start)
+            start += degeneracy(k, n)
             k += 1
-        weights = np.array(sums)
+        weights = np.add.reduceat(rho, starts)
     nonzero = np.nonzero(weights)[0]
     last = nonzero[-1] if nonzero.size else 0
     return GroupedSpectrum(n=n, weights=weights[: last + 1])

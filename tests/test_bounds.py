@@ -9,7 +9,6 @@ import pytest
 from scipy.integrate import quad
 
 import uncbound.bounds as bounds
-import uncbound.purity as purity
 from uncbound.bounds import (
     B_exact,
     holder_bracket,
@@ -43,6 +42,7 @@ from uncbound.spectrum_bound import bound_from_grouped
 
 import eval_counts
 import sum_bits
+from ceilings import thermal_ceiling
 from hurwitz import log_B_ref, log_B_scaled_ref, purity_bound_ref
 
 
@@ -405,21 +405,23 @@ def brute_cutoff_sum(M, n, r):
 
 
 @pytest.fixture
-def level_table_restored(monkeypatch):
-    # direct sums at large M grow the shared level table to millions of
-    # levels per n; put it back after the test so they do not stay cached
-    monkeypatch.setattr(purity, "_LOG_G", dict(purity._LOG_G))
-    monkeypatch.setattr(purity, "_LEVELS", purity._LEVELS)
+def direct_up_to(monkeypatch):
+    # direct sums up to the cutoff M: one past 2e4 then builds a level table
+    # of exactly ceil(M) levels; each call and the teardown drop the tables
+    # built, so a test holds at most one
+    def limit(M):
+        bounds._level_table.cache_clear()
+        monkeypatch.setattr(bounds, "_DIRECT_TERM_LIMIT", math.ceil(M))
+    yield limit
+    bounds._level_table.cache_clear()
 
 
 @pytest.fixture
-def pair_both_ways(monkeypatch, level_table_restored):
-    # _log_B_pair from the direct sums and from the tail; the ln g array the
-    # direct sums grew is dropped at once, so one test holds one at a time
+def pair_both_ways(monkeypatch, direct_up_to):
+    # _log_B_pair from the direct sums and from the tail
     def both(M, n, r):
-        monkeypatch.setattr(bounds, "_DIRECT_TERM_LIMIT", math.inf)
+        direct_up_to(M)
         direct = bounds._log_B_pair(M, n, r)
-        del purity._LOG_G[n]
         monkeypatch.setattr(bounds, "_DIRECT_TERM_LIMIT", 0.0)
         return direct, bounds._log_B_pair(M, n, r)
     return both
@@ -935,11 +937,11 @@ class TestPurityBound:
         with pytest.raises(SolverError):
             purity_bound(1e-3, 2, PurityOrder.finite(2.0))
 
-    def test_large_cutoff_is_not_overstated(self, monkeypatch, level_table_restored):
+    def test_large_cutoff_is_not_overstated(self, direct_up_to):
         # a tail whose terms cancel put this bound 5.6e-7 above the direct sums
         mu, n, r = 1e-60, 12, 10.0
         res = purity_bound(mu, n, PurityOrder.finite(r))
-        monkeypatch.setattr(bounds, "_DIRECT_TERM_LIMIT", math.inf)
+        direct_up_to(res.aux * (1.0 + 1e-4))
         best = max(holder_bracket(res.aux * (1.0 + d), n, r, mu) for d in (-1e-4, 0.0, 1e-4))
         assert res.per_dim_product <= best * (1.0 + 1e-13)
 
@@ -951,6 +953,17 @@ class TestPurityBound:
         # the direct-sum optima; a tail whose terms cancel ends the first two in exit 3
         res = purity_bound(mu, n, PurityOrder.finite(r))
         assert res.per_dim_product == pytest.approx(expected, rel=1e-9)
+
+    def test_bound_is_below_the_thermal_product(self):
+        # the thermal product state of purity mu is feasible, so its energy is
+        # a ceiling on the bound, over the whole domain
+        rng = np.random.default_rng(53)
+        for _ in range(800):
+            n = int(rng.choice([1, 2, 3, 6, 12, 32, 64]))
+            r = float(np.exp(rng.uniform(np.log(1.05), np.log(1e9))))
+            mu = float(np.exp(rng.uniform(np.log(1e-250), np.log(0.9))))
+            res = purity_bound(mu, n, PurityOrder.finite(r))
+            assert res.per_dim_product <= thermal_ceiling(mu, n, r) * (1.0 + 1e-12), (mu, n, r)
 
     def test_order_ends(self):
         # r = 1 has no bound yet; r = inf is the entropy bound at S = -ln mu

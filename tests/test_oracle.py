@@ -18,7 +18,7 @@ from uncbound.oracle import (
     random_unitary,
     suggest_truncation,
 )
-from uncbound.purity import PurityOrder, _level_table, _log_g
+from uncbound.purity import PurityOrder, _log_g
 from uncbound.solvers import SolverError
 from uncbound.special_fn import degeneracy
 
@@ -63,8 +63,8 @@ def _reference_unitary(dim, rng):
 def _reference_trial(n, max_level, cfg, trial=0, identity=False):
     """One rearrangement trial with its own QR and matvec, kept verbatim as
     the bit-for-bit reference for the blocked ``lemma_margins``."""
-    levels, log_g = _level_table(max_level + 1, n)
-    gammas = np.repeat(2.0 * levels + n, np.rint(np.exp(log_g)).astype(int))
+    levels = np.arange(max_level + 1, dtype=float)
+    gammas = np.repeat(2.0 * levels + n, [degeneracy(k, n) for k in range(max_level + 1)])
     rng = cfg.rng(trial)
     dim = gammas.size
     mixing = np.eye(dim) if identity else np.abs(_reference_unitary(dim, rng)) ** 2

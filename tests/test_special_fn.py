@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp as scipy_lse
 
-from uncbound import purity
-from uncbound.purity import _level_table, _log_g, _logsumexp_rows
+from uncbound import bounds
+from uncbound.purity import PurityOrder, _log_g, _logsumexp_rows
 from uncbound.special_fn import (
     DIMENSION_CEILING,
     check_beta,
@@ -217,27 +217,43 @@ def test_logsumexp_rows_match_the_numpy_checked_kernel_bit_for_bit():
 
 
 def test_level_table_prefixes_bit_for_bit():
-    # the table grows by doubling, and every view keeps its entries
+    # each entry is ln g of its own level, so a direct sum's prefix of either
+    # size is ln g over its own levels
     for n in (1, 5, 64):
-        for count in (1, 1000, 1025, 5000, 70_000, 3):
-            levels, log_g = _level_table(count, n)
+        for count in (bounds._TAIL_BLOCK, bounds._DIRECT_TERM_LIMIT):
+            levels, log_g = bounds._level_table(count, n)
             np.testing.assert_array_equal(levels, np.arange(count, dtype=float))
             np.testing.assert_array_equal(log_g, _log_g(np.arange(count, dtype=float), n))
+            for k in (1, 3, 1000, 1025, 5000):
+                if k <= count:
+                    np.testing.assert_array_equal(
+                        log_g[:k], _log_g(np.arange(k, dtype=float), n))
 
 
 def test_level_table_is_read_only():
-    levels, log_g = _level_table(10, 3)
+    levels, log_g = bounds._level_table(bounds._TAIL_BLOCK, 3)
     with pytest.raises(ValueError):
         levels[0] = 1.0
     with pytest.raises(ValueError):
         log_g[0] = 1.0
 
 
-def test_level_table_holds_one_array_per_dimension():
-    _level_table(3000, 7)
-    _level_table(3000, 8)
-    held = {n: log_g.nbytes for n, log_g in purity._LOG_G.items()}
-    for count in range(1, 3001, 7):
-        for n in (7, 8):
-            assert _level_table(count, n)[1].base is purity._LOG_G[n]
-    assert {n: log_g.nbytes for n, log_g in purity._LOG_G.items()} == held
+def test_level_table_is_built_at_two_sizes(monkeypatch):
+    # bounds and sums on direct cutoffs at or below 1024 levels and above,
+    # and on tail cutoffs, read the table at its two sizes only
+    sizes = set()
+    table = bounds._level_table
+
+    def recording(count, n):
+        sizes.add(count)
+        return table(count, n)
+
+    monkeypatch.setattr(bounds, "_level_table", recording)
+    rng = np.random.default_rng(29)
+    for _ in range(60):
+        n = int(rng.integers(1, 4))
+        r = float(rng.uniform(1.5, 10.0))
+        bounds.purity_bound(float(np.exp(rng.uniform(np.log(1e-7), np.log(0.5)))), n,
+                            PurityOrder.finite(r))
+        bounds.log_B_exact(float(np.exp(rng.uniform(0.0, np.log(1e6)))), n, r)
+    assert sizes == {bounds._TAIL_BLOCK, bounds._DIRECT_TERM_LIMIT}
