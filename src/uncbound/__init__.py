@@ -4,7 +4,8 @@ The uncertainty product of a mixed quantum state, in units of hbar/2 per
 dimension, is bounded below by quantities that depend only on the spectrum
 of the density matrix.  This package computes those bounds three ways:
 
-* from a full eigenspectrum (or its per-Fock-level grouping),
+* from a full eigenspectrum (or its per-Fock-level grouping), given as an
+  array or read from a text file (``read_spectrum_file``),
 * from a generalized purity value mu^(r): purities take 1 <= r <= infinity,
   ``purity_bound`` takes 1 < r <= infinity (r = 1 raises, and r = infinity
   is the entropy bound at S = -ln mu),
@@ -43,6 +44,7 @@ _EXPORTS = {
     "purity_bound": "bounds",
     "purity_from_grouped": "purity",
     "purity_from_spectrum": "purity",
+    "read_spectrum_file": "spectrum_bound",
 }
 
 __all__ = list(_EXPORTS)

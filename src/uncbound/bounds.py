@@ -24,7 +24,9 @@ Newton's method in ln M runs on the exact slope of h, which a third sum,
 of order r - 2, gives from the same pass over the levels; where it stalls,
 doubling, false position and bisection in ln M close a bracket.  The search
 stops at the first cutoff where |h| <= 1e-12/r, where the family's
-ln mu(M) = ln mu - r h is within 1e-12 of ln mu.
+ln mu(M) = ln mu - r h is within 1e-12 of ln mu, at a bracket within 1e-12
+relative of its midpoint, or at a Newton step below that after one that cut
+|h| twofold.  ``residual`` is |h| at the end, up to 0.99 near r = 1.
 
 The cutoff sums are exact up to rounding and scaled, ln(B_s(M)/M^s) from
 terms g_m (1 - m/M)^s, so neither h nor the bracket subtracts numbers of
@@ -132,17 +134,24 @@ def _gauss_rule(count):
 
 
 @functools.cache
+def _levels(count):
+    levels = np.arange(count, dtype=float)
+    levels.setflags(write=False)
+    return levels
+
+
+@functools.cache
 def _level_table(count, n):
     """(levels 0..count-1 as floats, their ln g), read-only, built on first use.
 
     The sums build it at two sizes only: _TAIL_BLOCK, for the tail's bottom
     block and direct sums up to that many levels, and _DIRECT_TERM_LIMIT.
-    Each entry is ``_log_g`` of its own level, so a prefix of either size
-    equals ``_log_g(np.arange(k, dtype=float), n)`` bit for bit.
+    Every n shares one levels array per size and keeps only its ln g.  Each
+    entry is ``_log_g`` of its own level, so a prefix of either size equals
+    ``_log_g(np.arange(k, dtype=float), n)`` bit for bit.
     """
-    levels = np.arange(count, dtype=float)
+    levels = _levels(count)
     log_g = _log_g(levels, n)
-    levels.setflags(write=False)
     log_g.setflags(write=False)
     return levels, log_g
 
@@ -454,14 +463,18 @@ def purity_bound(mu, n, order: PurityOrder) -> BoundResult:
     doubling, false position or bisection in ln M closes the bracket.  The
     first cutoff with |h| <= 1e-12/r ends the search: its family's purity
     matches mu to 1e-12, its Newton step in ln M is below 1e-12/n, and the
-    bracket, flat at the root, is off by its square.  h is taken from the
-    scaled sums, whose (r-1) ln M parts cancel exactly, and the value is the
-    bracket at the root, from the scaled ln B_r already summed there.
-    ``aux`` is the cutoff, ``residual`` is |h| at it and ``iterations``
-    counts the evaluations of the three sums.  A search past the float
-    range raises ValueError where the entropy floor is past it too, else
-    SolverError; so does an r whose r - 1 rounds to r (above 2^53), where
-    the two sums would be one.
+    bracket, flat at the root, is off by its square.  It also ends at a
+    bracket within 1e-12 relative of its midpoint, or at a Newton step below
+    that after one that cut |h| twofold, with |h| above 1e-12/r: at 658 of
+    4,000 seeded points (n <= 64, r - 1 in [1e-6, 1e9], mu in [1e-300, 1)),
+    up to 0.99 near r = 1, where a level enters h with an infinite slope.
+    h is taken from the scaled sums, whose (r-1) ln M parts cancel exactly,
+    and the value is the bracket at the root, from the scaled ln B_r
+    already summed there.  ``aux`` is the cutoff, ``residual`` is |h| at it
+    and ``iterations`` counts the evaluations of the three sums.  A search
+    past the float range raises ValueError where the entropy floor is past
+    it too, else SolverError; so does an r whose r - 1 rounds to r (above
+    2^53), where the two sums would be one.
 
     The order r = inf is the entropy end, mu = exp(-S): the result is
     :func:`entropy_bound` at S = -ln mu.  The superpurity order r = 1 has

@@ -27,10 +27,10 @@ import itertools
 import json
 import math
 import sys
-import warnings
 
 import click
 
+from uncbound import __version__
 from uncbound import closed_forms as cf
 from uncbound.solvers import SolverError
 from uncbound.special_fn import MAX_LEMMA_DIM
@@ -52,7 +52,7 @@ def _fmt(value):
 
 
 def _emit(records, fmt):
-    """Print rows, dicts with the same keys, as CSV or JSON.
+    """Print rows, dicts with the same keys, as CSV or JSON in one ``click.echo``.
 
     Every row's value is checked before anything is printed.  Like every
     ``click.echo`` here it names its stream: without ``file=``, click caches
@@ -66,10 +66,9 @@ def _emit(records, fmt):
     if fmt == "json":
         click.echo(json.dumps(records, indent=2), file=sys.stdout)
     else:
-        click.echo(",".join(records[0]), file=sys.stdout)
-        for record in records:
-            click.echo(",".join(_fmt(value) for value in record.values()),
-                       file=sys.stdout)
+        lines = [",".join(records[0])]
+        lines += [",".join(_fmt(value) for value in record.values()) for record in records]
+        click.echo("\n".join(lines), file=sys.stdout)
 
 
 def parse_range(text):
@@ -118,80 +117,6 @@ def parse_dimensions(text):
     return values
 
 
-def _first_bad_line(path, detail) -> ValueError:
-    """The error for a file numpy's reader refused, naming its first bad line.
-
-    loadtxt counts data rows rather than file lines, so the file is scanned
-    again under the same rules: a line is UTF-8, text after '#' is dropped,
-    a line holds one number, and a number is what float() takes, written in
-    ASCII without '_' separators.  Bytes that are not UTF-8 are kept as
-    escapes until their line is decoded, so the error names that line.
-    """
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
-        for line_number, line in enumerate(handle, 1):
-            try:
-                line.encode("utf-8", "surrogateescape").decode("utf-8")
-            except UnicodeDecodeError as exc:
-                return ValueError(f"{path}:{line_number}: {exc}")
-            text = line.split("#", 1)[0].strip()
-            fields = text.split()
-            if not fields:
-                continue
-            if len(fields) > 1:
-                return ValueError(
-                    f"{path}:{line_number}: {text!r} holds {len(fields)} "
-                    "numbers; expected one eigenvalue per line"
-                )
-            try:
-                if text.isascii() and "_" not in text:
-                    float(text)
-                    continue
-            except ValueError:
-                pass
-            return ValueError(f"{path}:{line_number}: {text!r} is not a number")
-    return ValueError(f"{path}: {detail}")
-
-
-def read_spectrum_file(path):
-    """Parse a file of eigenvalues, one number per line, into a ``purity.Spectrum``.
-
-    '#' starts a comment anywhere on a line and blank lines are skipped.
-    numpy's C text reader parses the numbers to the same doubles as Python
-    float(); a line with more than one number, or with text that is not a
-    number, is rejected with its file line.  Sums within 1e-6 of 1 are
-    normalized; anything further off is rejected.
-    """
-    import numpy as np
-
-    from uncbound.purity import Spectrum
-
-    try:
-        with warnings.catch_warnings():
-            # a file of comments and blanks is reported below, not warned about
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data",
-                                    UserWarning)
-            table = np.loadtxt(path, dtype=float, comments="#", ndmin=2,
-                               encoding="utf-8")
-    except ValueError as exc:
-        raise _first_bad_line(path, exc) from None
-    if table.shape[1] != 1:
-        raise _first_bad_line(path, f"{table.shape[1]} numbers per line")
-    if table.size == 0:
-        raise ValueError(f"{path}: no eigenvalues found")
-    array = table.ravel()
-    if not np.isfinite(array).all():
-        raise ValueError(f"{path}: non-finite eigenvalues present")
-    if np.any(array < 0):
-        raise ValueError(f"{path}: negative eigenvalues present")
-    total = float(array.sum())
-    if abs(total - 1.0) > 1e-6:
-        raise ValueError(
-            f"{path}: eigenvalues sum to {total!r}; refusing to normalize "
-            "anything further than 1e-6 from 1"
-        )
-    return Spectrum(array / total)
-
-
 class ErrorBoundary(click.Group):
     """A group whose commands end a domain error in exit 2 and a solver
     error in exit 3, each with one line on stderr instead of a traceback."""
@@ -208,7 +133,7 @@ class ErrorBoundary(click.Group):
 
 
 @click.group(cls=ErrorBoundary)
-@click.version_option()
+@click.version_option(__version__)
 def main():
     """Uncertainty-product lower bounds for mixed states (units hbar/2 = 1)."""
 
@@ -291,11 +216,10 @@ def bound_entropy(n, entropy, asymptotic, fmt):
 @_format_option
 def bound_spectrum(n, path, fmt):
     """Lower bound given a density-matrix eigenspectrum file."""
-    from uncbound.spectrum_bound import bound_from_spectrum
+    from uncbound.spectrum_bound import bound_from_spectrum, read_spectrum_file
 
     result = bound_from_spectrum(read_spectrum_file(path), n)
-    _emit_bound(fmt, n, {}, result.per_dim_product, None, result.method,
-                result.residual)
+    _emit_bound(fmt, n, {}, *_diagnostics(result))
 
 
 # ---------------------------------------------------------------------------
@@ -431,15 +355,6 @@ def verify_b_approx(trials, seed):
     failures = (sum(gap > 1e-9 for gap in gaps)
                 + sum(not (d[0] > d[1] > d[2]) for d in drifts))
     _verdict("b-approx", trials + len(drifts), failures, "worst_gap", max(gaps))
-
-
-@verify.command("appendix-d")
-def verify_appendix_d():
-    """Alternating-sum identity of the cutoff-integral constant, n <= 10, to 1e-10."""
-    gaps = [cf.appendix_d_identity_check(n, r)[2]
-            for n in range(1, 11) for r in (1.5, 2.0, 2.5, 5.0)]
-    _verdict("appendix-d", len(gaps), sum(gap > 1e-10 for gap in gaps),
-             "worst_gap", max(gaps))
 
 
 @verify.command("roundtrip")

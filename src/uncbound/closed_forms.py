@@ -16,10 +16,9 @@ run without numpy:
   below the pure-state floor of 1), ``asymptotic_cutoff`` the cutoff that
   seeds ``bounds.purity_bound`` and ``B_asymptotic`` the cutoff integral
   the sums tend to;
-* ``beta_integral_B`` and ``appendix_d_identity_check`` -- that integral
-  as a Beta function through ``math.lgamma``, and its constant as an
-  alternating sum: independent checks of ``B_asymptotic``, which
-  ``verify b-approx`` and ``verify appendix-d`` run.
+* ``beta_integral_B`` -- that integral as a Beta function through
+  ``math.lgamma``: an independent check of ``B_asymptotic``, which
+  ``verify b-approx`` runs.
 """
 
 import dataclasses
@@ -32,7 +31,6 @@ from uncbound.special_fn import (check_beta, check_cutoff, check_dimension, chec
 __all__ = [
     "B_asymptotic",
     "BoundResult",
-    "appendix_d_identity_check",
     "asymptotic_C",
     "asymptotic_cutoff",
     "asymptotic_entropy_bound",
@@ -314,11 +312,6 @@ def asymptotic_entropy_bound(S, n) -> float:
     return value
 
 
-# ---------------------------------------------------------------------------
-# independent checks of B_asymptotic, sharing no helper with it
-# ---------------------------------------------------------------------------
-
-
 def beta_integral_B(M, n, r) -> float:
     """Integral of m^(n-1) (M-m)^r / (n-1)! over [0, M], by its Beta form.
 
@@ -339,27 +332,3 @@ def beta_integral_B(M, n, r) -> float:
         return math.exp(log_value)
     except OverflowError:
         return math.inf
-
-
-def appendix_d_identity_check(n, r):
-    """Alternating sum vs product form of the cutoff-integral constant.
-
-    Evaluates sum_{k=0..n-1} (-1)^k / (k! (n-1-k)! (k+r+1)) with exact
-    compensated summation and compares against 1 / prod_{k=1..n} (r+k).
-
-    Returns (sum_value, product_value, relative_gap).
-    """
-    n = check_dimension(n)
-    if n > 20:
-        raise ValueError("cancellation grows too fast beyond n = 20")
-    r = check_exponent(r, ">= 1")
-    if r > 50:
-        raise ValueError("r above 50 is outside the validated range")
-    terms = [
-        (-1.0) ** k / (math.factorial(k) * math.factorial(n - 1 - k) * (k + r + 1.0))
-        for k in range(n)
-    ]
-    sum_value = math.fsum(terms)
-    product_value = 1.0 / math.prod(r + k for k in range(1, n + 1))
-    gap = abs(sum_value - product_value) / abs(product_value)
-    return sum_value, product_value, gap

@@ -3,8 +3,8 @@
 Nothing in here reuses the closed forms it is meant to check: the purity
 bound is re-derived by constrained minimization over truncated grouped
 spectra, and the rearrangement inequality is sampled with random unitaries.
-The scalar checks of the large-cutoff closed form need no numpy, so they
-live in ``closed_forms`` (``beta_integral_B``, ``appendix_d_identity_check``).
+The scalar check of the large-cutoff closed form needs no numpy, so it
+lives in ``closed_forms`` (``beta_integral_B``).
 """
 
 import math

@@ -5,9 +5,9 @@
 best wall time from spawning the interpreter to its exit, beside the floor
 ``python -c 'import click'``.  For each one it also prints the top-level
 packages outside the standard library that the command loaded: the closed
-forms (``bound entropy``, ``curve --quantity interpolated-r2``) and the
-scalar ``verify appendix-d`` need click and uncbound alone, ``bound purity``
-(exact) and ``bound spectrum`` numpy as well.  The second ``bound purity``
+forms (``bound entropy``, ``curve --quantity interpolated-r2``) need click
+and uncbound alone, ``bound purity`` (exact) and ``bound spectrum`` numpy as
+well.  The second ``bound purity``
 row, at n = 64 and a cutoff above 1024, carries the cost of building the
 cutoff sums' 2e4-level ln g table on first use.  The last line is how far
 ``bound entropy`` is above the floor.  Wall times depend on the host, so
@@ -45,7 +45,6 @@ def commands(spectrum_path):
         "bound entropy": ["bound", "entropy", "--S", "1", "--n", "2"],
         "curve interpolated-r2": ["curve", "--quantity", "interpolated-r2", "--n", "1,2",
                                   "--mu", "1e-7:1e-5:16:log"],
-        "verify appendix-d": ["verify", "appendix-d"],
         "bound purity": ["bound", "purity", "--n", "2", "--r", "3", "--mu", "0.01"],
         # cutoff 4908: its direct sums build the 2e4-level ln g table at n = 64
         "bound purity n=64": ["bound", "purity", "--n", "64", "--r", "2", "--mu", "1e-147"],

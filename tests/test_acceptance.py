@@ -13,7 +13,6 @@ from uncbound.bounds import purity_bound
 from uncbound.cli import main as cli_main
 from uncbound.closed_forms import (
     B_asymptotic,
-    appendix_d_identity_check,
     asymptotic_C,
     entropy_bound,
     interpolated_bound_r2,
@@ -126,11 +125,8 @@ def test_criterion_09_lemma_suite():
 
 
 def test_criterion_10_series_and_quadrature():
-    worst_gap = 0.0
-    for n in range(1, 11):
-        for r in (1.5, 2.0, 2.5, 5.0):
-            _, _, gap = appendix_d_identity_check(n, r)
-            worst_gap = max(worst_gap, gap)
+    # B_asymptotic's constant 1/prod(r+k) is checked against the Beta form
+    # from math.lgamma by verify b-approx and test_oracle.TestQuadrature
     rng = np.random.default_rng(9)
     worst_quad = 0.0
     for _ in range(50):
@@ -139,9 +135,7 @@ def test_criterion_10_series_and_quadrature():
         big_m = float(rng.uniform(0.5, 200.0))
         ratio = quadrature_B(big_m, n, r) / B_asymptotic(big_m, n, r)
         worst_quad = max(worst_quad, abs(ratio - 1.0))
-    ok = worst_gap <= 1e-10 and worst_quad <= 1e-9
-    report(10, ok, f"alternating-sum worst gap {worst_gap:.2e}, "
-                   f"quadrature worst rel gap {worst_quad:.2e}")
+    report(10, worst_quad <= 1e-9, f"quadrature worst rel gap {worst_quad:.2e}")
 
 
 def test_criterion_11_purity_monotonicity():

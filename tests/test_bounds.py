@@ -18,7 +18,6 @@ from uncbound.bounds import (
 )
 from uncbound.closed_forms import (
     B_asymptotic,
-    appendix_d_identity_check,
     asymptotic_C,
     asymptotic_cutoff,
     asymptotic_entropy_bound,
@@ -352,9 +351,6 @@ def test_non_finite_cutoffs_and_orders_are_domain_errors():
             call(math.inf, 2.0)
         with pytest.raises(ValueError, match="must be finite, got inf"):
             call(10.0, math.inf)
-    for bad in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError):
-            appendix_d_identity_check(2, bad)
     # every function that takes mu, a finite r or M checks it the same way
     takes_mu = {
         "holder_bracket": lambda mu, r: holder_bracket(1.0, 1, r, mu),
@@ -368,8 +364,7 @@ def test_non_finite_cutoffs_and_orders_are_domain_errors():
             with pytest.raises(ValueError, match=rf"^mu must be in \(0, 1\], got {mu}$"):
                 call(mu, 2.0)
     finite_r = {
-        ">= 1": [lambda r: asymptotic_cutoff(0.5, 1, r),
-                 lambda r: appendix_d_identity_check(2, r)],
+        ">= 1": [lambda r: asymptotic_cutoff(0.5, 1, r)],
         "> 1": [lambda r: brute_force_purity_bound(0.5, 1, r, OracleConfig())],
     }
     for low, calls in finite_r.items():
@@ -409,11 +404,15 @@ def direct_up_to(monkeypatch):
     # direct sums up to the cutoff M: one past 2e4 then builds a level table
     # of exactly ceil(M) levels; each call and the teardown drop the tables
     # built, so a test holds at most one
-    def limit(M):
+    def drop_tables():
         bounds._level_table.cache_clear()
+        bounds._levels.cache_clear()
+
+    def limit(M):
+        drop_tables()
         monkeypatch.setattr(bounds, "_DIRECT_TERM_LIMIT", math.ceil(M))
     yield limit
-    bounds._level_table.cache_clear()
+    drop_tables()
 
 
 @pytest.fixture

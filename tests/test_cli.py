@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import weakref
@@ -14,12 +15,13 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import uncbound
 import uncbound.cli as cli
 from uncbound.bounds import purity_bound
 from uncbound.closed_forms import asymptotic_C
 from uncbound.purity import PurityOrder, Spectrum
 from uncbound.solvers import SolverError
-from uncbound.spectrum_bound import bound_from_spectrum
+from uncbound.spectrum_bound import bound_from_spectrum, read_spectrum_file
 
 
 @pytest.fixture()
@@ -240,7 +242,7 @@ class TestSpectrumIngestion:
 
     def test_mixed_formats_parse_as_float(self, tmp_path):
         path, lines = self.mixed_format_file(tmp_path)
-        spectrum = cli.read_spectrum_file(path)
+        spectrum = read_spectrum_file(path)
         expected = self.float_loop(lines)
         assert np.count_nonzero((expected > 0.0) & (expected < 1e-300)) == 3
         assert np.array_equal(spectrum.eigenvalues, expected)
@@ -281,6 +283,26 @@ class TestSpectrumIngestion:
                                           "--input", str(path)])
         assert result.exit_code == 2
         assert result.stderr.startswith(f"error: {path}:{line}: 'utf-8' codec can't decode byte")
+
+    @pytest.mark.parametrize("text, message", [
+        ("0.5\n\n# two columns\n0.25 0.25\n",
+         ":4: '0.25 0.25' holds 2 numbers; expected one eigenvalue per line"),
+        ("# header\n0.5\npotato\n0.5\n", ":3: 'potato' is not a number"),
+        ("0.5\n0.4\n", ": eigenvalues sum to 0.9; refusing to normalize anything "
+                       "further than 1e-6 from 1"),
+    ])
+    def test_library_reader_raises_what_the_cli_prints(self, runner, tmp_path, text,
+                                                       message):
+        # the library function is the command's reader: its ValueError is the
+        # command's error line
+        path = self.write(tmp_path, text)
+        with pytest.raises(ValueError) as raised:
+            uncbound.read_spectrum_file(path)
+        assert str(raised.value) == f"{path}{message}"
+        result = runner.invoke(cli.main, ["bound", "spectrum", "--n", "1",
+                                          "--input", path])
+        assert result.exit_code == 2
+        assert result.stderr == f"error: {raised.value}\n"
 
     def test_trailing_comment_on_data_line(self, runner, tmp_path):
         path = self.write(tmp_path, "0.5 # note\n0.5\t# another\n")
@@ -434,10 +456,6 @@ class TestVerify:
             cli.main, args
         ).output
 
-    def test_appendix_d_passes(self, runner):
-        result = runner.invoke(cli.main, ["verify", "appendix-d"])
-        assert result.exit_code == 0
-
     def test_b_approx_passes(self, runner):
         result = runner.invoke(cli.main, [
             "verify", "b-approx", "--trials", "20", "--seed", "1",
@@ -552,7 +570,7 @@ class TestVerify:
 
 
 # every command's settable options; the verify suites fix their tolerances,
-# the holder oracle sizes itself and appendix-d always runs n = 1..10
+# and the holder oracle sizes itself
 OPTIONS = {
     (): {"--version"},
     ("bound",): set(),
@@ -564,7 +582,6 @@ OPTIONS = {
     ("verify", "lemma"): {"--dim", "--trials", "--seed"},
     ("verify", "holder"): {"--n", "--r", "--mu", "--seed"},
     ("verify", "b-approx"): {"--trials", "--seed"},
-    ("verify", "appendix-d"): set(),
     ("verify", "roundtrip"): {"--trials", "--seed"},
 }
 
@@ -585,8 +602,6 @@ def test_option_surface():
     ["holder", "--n", "2", "--r", "3", "--mu", "1e-3", "--tol", "1e-5"],
     ["holder", "--n", "2", "--r", "3", "--mu", "1e-3", "--truncation", "200"],
     ["b-approx", "--trials", "2", "--tol", "1e-9"],
-    ["appendix-d", "--tol", "1e-10"],
-    ["appendix-d", "--n-max", "10"],
     ["roundtrip", "--trials", "2", "--tol", "1e-10"],
 ])
 def test_removed_verify_flag_is_usage_error(runner, argv):
@@ -595,6 +610,26 @@ def test_removed_verify_flag_is_usage_error(runner, argv):
     assert result.stdout == ""
     error = result.stderr.splitlines()[-1]
     assert "No such option" in error and argv[-2] in error
+
+
+def test_retired_verify_suite_is_unknown_command(runner):
+    result = runner.invoke(cli.main, ["verify", "appendix-d"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "No such command 'appendix-d'" in result.stderr.splitlines()[-1]
+
+
+def test_version_from_a_checkout(runner):
+    # read from the package, not from installed metadata, so a checkout that
+    # is only on the path reports it too
+    result = runner.invoke(cli.main, ["--version"], prog_name="uncbound")
+    assert result.exit_code == 0
+    assert result.stdout == f"uncbound, version {uncbound.__version__}\n"
+
+
+def test_version_matches_pyproject():
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.search(r'^version = "([^"]+)"$', text, re.M)[1] == uncbound.__version__
 
 
 def test_console_script_help():
@@ -662,7 +697,6 @@ def test_closed_form_commands_run_without_numpy(tmp_path):
                                        ("interpolated-r2", "mu", "0.001:1:5"),
                                        ("entropy-bound", "S", "0.5:12:5"))
           for grid in (ends, ends + ":log")),
-        ["verify", "appendix-d"],
         ["bound", "purity", "--n", "2", "--r", "3", "--mu", "0.01"],
         ["bound", "spectrum", "--n", "2", "--input", str(spectrum)],
     ]

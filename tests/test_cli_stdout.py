@@ -514,11 +514,6 @@ CASES = [
          "b-approx: checks=23 failures=0 worst_gap=3.6637359812630166e-15\n"
          "PASS\n",
          ""),
-    Case(["verify", "appendix-d"],
-         0,
-         "appendix-d: checks=40 failures=0 worst_gap=1.0429376047456061e-11\n"
-         "PASS\n",
-         ""),
     Case(["verify", "roundtrip", "--trials", "30", "--seed", "2"],
          0,
          "roundtrip: checks=30 failures=0 worst_gap=2.2737367544323206e-13\n"

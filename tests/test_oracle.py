@@ -6,7 +6,7 @@ import pytest
 
 import uncbound.oracle as oracle
 from uncbound.bounds import purity_bound
-from uncbound.closed_forms import B_asymptotic, appendix_d_identity_check, beta_integral_B
+from uncbound.closed_forms import B_asymptotic, beta_integral_B
 from uncbound.oracle import (
     MAX_LEMMA_DIM,
     MAX_TRUNCATION,
@@ -406,36 +406,6 @@ class TestQuadrature:
         # M^(n+r) overflows, but the gamma ratio brings the value back in range
         M, n, r = math.exp(0.0072), 64, 1e5
         assert beta_integral_B(M, n, r) == pytest.approx(B_asymptotic(M, n, r), rel=1e-9)
-
-
-class TestAlternatingSumIdentity:
-    def test_single_term(self):
-        for r in (1.5, 2.0, 7.0):
-            total, product, gap = appendix_d_identity_check(1, r)
-            assert total == pytest.approx(1.0 / (r + 1.0), rel=1e-14)
-            assert product == pytest.approx(1.0 / (r + 1.0), rel=1e-14)
-            assert gap <= 1e-14
-
-    def test_hand_value(self):
-        total, product, gap = appendix_d_identity_check(2, 2.0)
-        assert total == pytest.approx(1.0 / 12.0, rel=1e-13)
-        assert product == pytest.approx(1.0 / 12.0, rel=1e-13)
-
-    def test_noninteger_exponent(self):
-        _, _, gap = appendix_d_identity_check(5, 2.5)
-        assert gap <= 1e-10
-
-    def test_grid(self):
-        for n in range(1, 11):
-            for r in (1.5, 2.0, 2.5, 5.0):
-                _, _, gap = appendix_d_identity_check(n, r)
-                assert gap <= 1e-10
-
-    def test_range_guards(self):
-        with pytest.raises(ValueError):
-            appendix_d_identity_check(21, 2.0)
-        with pytest.raises(ValueError):
-            appendix_d_identity_check(5, 60.0)
 
 
 class TestConfig:

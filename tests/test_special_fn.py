@@ -238,6 +238,15 @@ def test_level_table_is_read_only():
         log_g[0] = 1.0
 
 
+def test_level_table_shares_its_levels_across_n():
+    # one levels array per size; each n keeps only its ln g
+    for count in (bounds._TAIL_BLOCK, bounds._DIRECT_TERM_LIMIT):
+        (levels_2, log_g_2), (levels_5, log_g_5) = (bounds._level_table(count, n)
+                                                    for n in (2, 5))
+        assert np.shares_memory(levels_2, levels_5)
+        assert not np.shares_memory(log_g_2, log_g_5)
+
+
 def test_level_table_is_built_at_two_sizes(monkeypatch):
     # bounds and sums on direct cutoffs at or below 1024 levels and above,
     # and on tail cutoffs, read the table at its two sizes only
