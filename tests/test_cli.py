@@ -602,6 +602,10 @@ def test_option_surface():
     ["holder", "--n", "2", "--r", "3", "--mu", "1e-3", "--tol", "1e-5"],
     ["holder", "--n", "2", "--r", "3", "--mu", "1e-3", "--truncation", "200"],
     ["b-approx", "--trials", "2", "--tol", "1e-9"],
+    # b-approx checks the constant the retired appendix-d suite checked, and
+    # takes none of that suite's knobs
+    ["b-approx", "--n-max", "10"],
+    ["b-approx", "--trials", "2", "--n-max", "10"],
     ["roundtrip", "--trials", "2", "--tol", "1e-10"],
 ])
 def test_removed_verify_flag_is_usage_error(runner, argv):
